@@ -9,24 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import DeterministicStrategy, Instance, StrategyOutcome, evaluate
-
-
-def _incidence(instance: Instance) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per household: the programs covering it and the groups containing it."""
-    coverers: list[list[int]] = [[] for _ in instance.households]
-    idx = instance.household_index
-    for j, p in enumerate(instance.programs):
-        for hid in p.covers:
-            coverers[idx[hid]].append(j)
-    group_of: list[list[int]] = [[] for _ in instance.households]
-    for g, members in enumerate(instance.group_indices):
-        for i in members:
-            group_of[int(i)].append(g)
-    return (
-        [np.array(c, dtype=int) for c in coverers],
-        [np.array(g, dtype=int) for g in group_of],
-    )
+from .model import AFFORDABILITY_TOL, DeterministicStrategy, Instance, StrategyOutcome, evaluate
 
 
 def greedy(instance: Instance) -> StrategyOutcome:
@@ -35,54 +18,73 @@ def greedy(instance: Instance) -> StrategyOutcome:
     Ties are broken by larger newly-covered household count, then lower cost,
     then lexicographically smallest program id, making the result fully
     deterministic. Programs too expensive for the remaining budget are
-    skipped, not terminal.
+    skipped, not terminal. Every pick rescans all affordable programs: the
+    max-min gain is not submodular, so a lazy (stale-bound) greedy would not
+    pick the same programs.
     """
     n_j = len(instance.programs)
     n_i = len(instance.households)
     costs = instance.costs
-    coverers, group_of = _incidence(instance)
-    group_sizes = np.array([len(m) for m in instance.group_indices], dtype=float)
+    cover_ptr, cover_idx = instance.program_households
+    coverer_ptr, coverer_idx = instance.household_programs
     n_groups = len(instance.groups)
+    membership = np.zeros((n_groups, n_i))
+    for g, members in enumerate(instance.group_indices):
+        membership[g, members] = 1.0
+    group_sizes = membership.sum(axis=1, keepdims=True)
     id_rank = np.empty(n_j, dtype=int)
     id_rank[np.argsort([p.id for p in instance.programs], kind="stable")] = np.arange(n_j)
 
-    # uncovered[j, g]: members of g that j would newly cover; fresh[j]: newly
-    # covered households overall. Both maintained incrementally as coverage grows.
-    uncovered = np.zeros((n_j, max(1, n_groups)))
-    fresh = np.zeros(n_j)
-    for i in range(n_i):
-        for j in coverers[i]:
-            fresh[j] += 1.0
-            uncovered[j, group_of[i]] += 1.0
-    covered_count = np.zeros(max(1, n_groups))
+    # uncovered[g, j]: members of g that j would newly cover; fresh[j]: newly
+    # covered households overall. Both are maintained incrementally as
+    # coverage grows; every count is an integer, so the float arithmetic on
+    # them is exact.
+    fresh = np.diff(cover_ptr)
+    uncovered = np.zeros((n_groups, n_j))
+    np.add.at(uncovered, (slice(None), np.repeat(np.arange(n_j), fresh)), membership[:, cover_idx])
+    covered_count = np.zeros((n_groups, 1))
+    ratios = np.empty((n_groups, n_j))
+    new_equity = np.ones(n_j)
 
     selected = np.zeros(n_j, dtype=bool)
     covered = np.zeros(n_i, dtype=bool)
+    n_covered = 0
     remaining = float(instance.budget)
 
-    while not covered.all():
-        affordable = ~selected & (costs <= remaining + 1e-12)
-        if not affordable.any():
+    while n_covered < n_i:
+        candidates = np.flatnonzero(~selected & (costs <= remaining + AFFORDABILITY_TOL))
+        if candidates.size == 0:
             break
         if n_groups:
-            new_equity = ((covered_count + uncovered) / group_sizes).min(axis=1)
-        else:
-            new_equity = np.ones(n_j)
-        candidates = np.flatnonzero(affordable)
-        order = np.lexsort(
-            (id_rank[candidates], costs[candidates], -fresh[candidates], -new_equity[candidates])
-        )
-        pick = int(candidates[order[0]])
+            np.add(uncovered, covered_count, out=ratios)
+            np.divide(ratios, group_sizes, out=ratios)
+            np.minimum.reduce(ratios, axis=0, out=new_equity)
+        # the tie-break order as successive exact filters: the pick a lexsort on
+        # (-equity, -fresh, cost, id rank) would put first
+        values = new_equity[candidates]
+        candidates = candidates[values == values.max()]
+        values = fresh[candidates]
+        candidates = candidates[values == values.max()]
+        values = costs[candidates]
+        candidates = candidates[values == values.min()]
+        pick = int(candidates[id_rank[candidates].argmin()])
+
         selected[pick] = True
         remaining -= float(costs[pick])
-        for i in np.flatnonzero(instance.coverage_matrix[pick] & ~covered):
-            covered[i] = True
-            for j in coverers[i]:
-                fresh[j] -= 1.0
-                uncovered[j, group_of[i]] -= 1.0
-            covered_count[group_of[i]] += 1.0
+        households = cover_idx[cover_ptr[pick] : cover_ptr[pick + 1]]
+        new = households[~covered[households]]
+        covered[new] = True
+        n_covered += new.size
+        # the programs covering each newly covered household, concatenated
+        starts = coverer_ptr[new]
+        lengths = coverer_ptr[new + 1] - starts
+        offsets = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+        programs = coverer_idx[np.arange(offsets.size) + offsets]
+        np.subtract.at(fresh, programs, 1)
+        np.subtract.at(uncovered, (slice(None), programs), membership[:, np.repeat(new, lengths)])
+        covered_count += membership[:, new].sum(axis=1, keepdims=True)
 
-    return evaluate(instance, DeterministicStrategy(tuple(int(v) for v in selected)))
+    return evaluate(instance, DeterministicStrategy(tuple(selected.tolist())))
 
 
 def uniform(instance: Instance, rng: int | np.random.Generator) -> StrategyOutcome:
@@ -98,7 +100,7 @@ def uniform(instance: Instance, rng: int | np.random.Generator) -> StrategyOutco
     n_j = len(instance.programs)
     n_i = len(instance.households)
     costs = instance.costs
-    cover_idx = [np.flatnonzero(row) for row in instance.coverage_matrix]
+    indptr, indices = instance.program_households
 
     alive = np.arange(n_j)
     max_alive = float(costs.max(initial=0.0))
@@ -108,8 +110,8 @@ def uniform(instance: Instance, rng: int | np.random.Generator) -> StrategyOutco
     remaining = float(instance.budget)
 
     while alive.size and n_covered < n_i:
-        if max_alive > remaining + 1e-12:
-            alive = alive[costs[alive] <= remaining + 1e-12]
+        if max_alive > remaining + AFFORDABILITY_TOL:
+            alive = alive[costs[alive] <= remaining + AFFORDABILITY_TOL]
             if alive.size == 0:
                 break
             max_alive = float(costs[alive].max())
@@ -119,9 +121,9 @@ def uniform(instance: Instance, rng: int | np.random.Generator) -> StrategyOutco
         alive = alive[:-1]
         selected[pick] = True
         remaining -= float(costs[pick])
-        idx = cover_idx[pick]
+        idx = indices[indptr[pick] : indptr[pick + 1]]
         fresh = idx[~covered[idx]]
         covered[fresh] = True
         n_covered += fresh.size
 
-    return evaluate(instance, DeterministicStrategy(tuple(int(v) for v in selected)))
+    return evaluate(instance, DeterministicStrategy(tuple(selected.tolist())))

@@ -118,14 +118,11 @@ def build_lp(instance: Instance) -> LpModel:
         )
     )
 
-    coverers: list[list[int]] = [[] for _ in range(n_i)]
-    idx = instance.household_index
-    for j, p in enumerate(instance.programs):
-        for hid in p.covers:
-            coverers[idx[hid]].append(j)
+    indptr, coverers = instance.household_programs
     for i, h in enumerate(instance.households):
-        indices = (1 + n_j + i,) + tuple(1 + j for j in sorted(coverers[i]))
-        coefficients = (1.0,) + (-1.0,) * len(coverers[i])
+        row = (1 + coverers[indptr[i] : indptr[i + 1]]).tolist()
+        indices = (1 + n_j + i,) + tuple(row)
+        coefficients = (1.0,) + (-1.0,) * len(row)
         rows.append(
             LpRow(label=f"cover:{h.id}", indices=indices, coefficients=coefficients, rhs=0.0)
         )
@@ -221,7 +218,10 @@ def verify_solution(
     if budget_used > instance.budget + tol:
         violations.append(Violation("budget", budget_used - instance.budget))
 
-    cover_sum = instance.coverage_matrix.T.astype(float) @ x
+    indptr, households = instance.program_households
+    cover_sum = np.bincount(
+        households, weights=np.repeat(x, np.diff(indptr)), minlength=len(instance.households)
+    )
     for i, h in enumerate(instance.households):
         excess = y[i] - cover_sum[i]
         if excess > tol:

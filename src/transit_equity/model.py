@@ -9,14 +9,17 @@ concurrent evaluators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
-INTEGRALITY_EPS = 1e-9
+# Slack on "cost <= remaining budget" wherever a program is tested for fitting.
+AFFORDABILITY_TOL = 1e-12
 
 VIRTUAL_PROGRAM_PREFIX = "ride-hail:"
 
@@ -46,8 +49,11 @@ class Household:
     group_ids: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        if self.ride_hail_cost is not None and self.ride_hail_cost < 0:
-            raise ValueError(f"household {self.id}: ride_hail_cost must be >= 0")
+        if self.ride_hail_cost is not None and not 0 <= self.ride_hail_cost < math.inf:
+            raise ValueError(
+                f"household {self.id}: ride_hail_cost must be finite and >= 0,"
+                f" got {self.ride_hail_cost!r}"
+            )
         object.__setattr__(self, "group_ids", frozenset(self.group_ids))
 
 
@@ -62,8 +68,8 @@ class Program:
     kind: ProgramKind = ProgramKind.BUS_LINE
 
     def __post_init__(self) -> None:
-        if self.cost < 0:
-            raise ValueError(f"program {self.id}: cost must be >= 0")
+        if not 0 <= self.cost < math.inf:
+            raise ValueError(f"program {self.id}: cost must be finite and >= 0, got {self.cost!r}")
         object.__setattr__(self, "covers", frozenset(self.covers))
         if not self.covers:
             raise ValueError(f"program {self.id}: covers must be nonempty")
@@ -100,8 +106,8 @@ class Instance:
         object.__setattr__(self, "households", tuple(self.households))
         object.__setattr__(self, "programs", tuple(self.programs))
         object.__setattr__(self, "groups", tuple(self.groups))
-        if self.budget < 0:
-            raise ValueError("budget must be >= 0")
+        if not 0 <= self.budget < math.inf:
+            raise ValueError(f"budget must be finite and >= 0, got {self.budget!r}")
         ids = [h.id for h in self.households]
         known = set(ids)
         if len(known) != len(ids):
@@ -139,15 +145,33 @@ class Instance:
         return arr
 
     @cached_property
-    def coverage_matrix(self) -> np.ndarray:
-        """Boolean (|programs|, |households|) incidence matrix."""
-        mat = np.zeros((len(self.programs), len(self.households)), dtype=bool)
+    def program_households(self) -> tuple[np.ndarray, np.ndarray]:
+        """The coverage incidence as CSR `(indptr, indices)`: row j,
+        `indices[indptr[j]:indptr[j + 1]]`, lists the positions of the
+        households program j covers, ascending."""
         idx = self.household_index
-        for j, p in enumerate(self.programs):
-            for hid in p.covers:
-                mat[j, idx[hid]] = True
-        mat.setflags(write=False)
-        return mat
+        rows = [sorted(idx[hid] for hid in p.covers) for p in self.programs]
+        indptr = np.zeros(len(rows) + 1, dtype=np.intp)
+        np.cumsum(np.fromiter(map(len, rows), dtype=np.intp, count=len(rows)), out=indptr[1:])
+        indices = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=int(indptr[-1]))
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        return indptr, indices
+
+    @cached_property
+    def household_programs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The transpose of `program_households`: row i lists the programs
+        covering household i, ascending (empty when none does)."""
+        indptr, indices = self.program_households
+        n_i = len(self.households)
+        program_of = np.repeat(np.arange(len(self.programs), dtype=np.intp), np.diff(indptr))
+        t_indptr = np.zeros(n_i + 1, dtype=np.intp)
+        np.cumsum(np.bincount(indices, minlength=n_i), out=t_indptr[1:])
+        # a stable sort keeps each household's programs in program order
+        t_indices = program_of[np.argsort(indices, kind="stable")]
+        t_indptr.setflags(write=False)
+        t_indices.setflags(write=False)
+        return t_indptr, t_indices
 
     @cached_property
     def group_indices(self) -> tuple[np.ndarray, ...]:
@@ -159,6 +183,14 @@ class Instance:
             arr.setflags(write=False)
             out.append(arr)
         return tuple(out)
+
+    def covered_mask(self, selected: np.ndarray) -> np.ndarray:
+        """Boolean mask of the households covered by a 0/1 program selection."""
+        indptr, indices = self.program_households
+        entries = np.repeat(np.asarray(selected, dtype=bool), indptr[1:] - indptr[:-1])
+        mask = np.zeros(len(self.households), dtype=bool)
+        mask[indices[entries]] = True
+        return mask
 
 
 @dataclass(frozen=True)
@@ -259,15 +291,12 @@ def evaluate(instance: Instance, strategy: DeterministicStrategy) -> StrategyOut
         )
     sel = np.array(strategy.selected, dtype=bool)
     total_cost = float(instance.costs[sel].sum())
-    if sel.any():
-        covered_mask = instance.coverage_matrix[sel].any(axis=0)
-    else:
-        covered_mask = np.zeros(len(instance.households), dtype=bool)
+    covered_mask = instance.covered_mask(sel)
     covered = frozenset(h.id for h, c in zip(instance.households, covered_mask) if c)
     ratios: dict[str, float] = {}
     equity = 1.0
     for g, idx in zip(instance.groups, instance.group_indices):
-        r = float(covered_mask[idx].mean())
+        r = float(np.count_nonzero(covered_mask[idx]) / idx.size)
         ratios[g.id] = r
         equity = min(equity, r)
     return StrategyOutcome(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simplex
-from .model import DeterministicStrategy, Instance, StrategyOutcome, evaluate
+from .model import AFFORDABILITY_TOL, DeterministicStrategy, Instance, StrategyOutcome, evaluate
 
 MAX_ENUMERABLE_PROGRAMS = 20
 MAX_DISTRIBUTION_ATOMS = 100_000
@@ -56,7 +56,7 @@ def enumerate_feasible(instance: Instance) -> StrategySpace:
             f"enumeration supports at most {MAX_ENUMERABLE_PROGRAMS} programs, got {n_j}"
         )
     costs = instance.costs
-    budget = instance.budget + 1e-12
+    budget = instance.budget + AFFORDABILITY_TOL
     out: list[DeterministicStrategy] = []
     prefix = [0] * n_j
 
@@ -79,10 +79,18 @@ def _selection_matrix(space: StrategySpace) -> np.ndarray:
     return np.array([s.selected for s in space.feasible], dtype=bool)
 
 
+def _coverage(instance: Instance, sel: np.ndarray) -> np.ndarray:
+    """coverage[k, i]: whether the k-th selection covers household i."""
+    indptr, indices = instance.program_households
+    coverage = np.zeros((sel.shape[0], len(instance.households)), dtype=bool)
+    for j in range(sel.shape[1]):
+        coverage[:, indices[indptr[j] : indptr[j + 1]]] |= sel[:, j, np.newaxis]
+    return coverage
+
+
 def _group_ratio_matrix(instance: Instance, space: StrategySpace) -> np.ndarray:
     """ratios[k, g]: coverage ratio of group g under the k-th strategy."""
-    sel = _selection_matrix(space)
-    coverage = sel.astype(np.uint8) @ instance.coverage_matrix.astype(np.uint8) > 0
+    coverage = _coverage(instance, _selection_matrix(space))
     ratios = np.empty((space.count, len(instance.groups)))
     for g, members in enumerate(instance.group_indices):
         ratios[:, g] = coverage[:, members].mean(axis=1)
@@ -154,9 +162,7 @@ def _undominated(instance: Instance, space: StrategySpace) -> np.ndarray:
     """Indices of strategies not dominated by another (superset coverage at
     equal or lower cost; exact duplicates keep their first occurrence)."""
     sel = _selection_matrix(space)
-    coverage = (sel.astype(np.uint8) @ instance.coverage_matrix.astype(np.uint8) > 0).astype(
-        np.uint8
-    )
+    coverage = _coverage(instance, sel).astype(np.uint8)
     costs = sel.astype(float) @ instance.costs
     # missing[k, l] == 0 iff coverage of k is a subset of coverage of l
     missing = coverage @ (1 - coverage).T

@@ -274,7 +274,6 @@ def exact_expectation(
     if values.size != n_j:
         raise ValueError("fractional vector length does not match the program count")
     costs = np.asarray(instance.costs, dtype=float)
-    coverage = instance.coverage_matrix
 
     x_mean = np.zeros(n_j)
     y_mean = np.zeros(len(instance.households))
@@ -286,8 +285,7 @@ def exact_expectation(
         sel = leaf > 0.5
         cost = float(costs[sel].sum())
         x_mean += prob * leaf
-        if sel.any():
-            y_mean += prob * coverage[sel].any(axis=0)
+        y_mean += prob * instance.covered_mask(sel)
         expected_cost += prob * cost
         max_cost = max(max_cost, cost)
         if cost > instance.budget + 1e-9:

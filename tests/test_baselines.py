@@ -119,6 +119,51 @@ class TestGreedy:
             inst = random_instance(rng, max_households=8, max_programs=7)
             assert greedy(inst).strategy == naive_greedy(inst).strategy
 
+    def test_matches_naive_on_tie_heavy_instances(self):
+        # two cost levels, 1-2 household covers and ids whose lexical order is
+        # not program order: the fresh-count, cost and id tie-breaks all decide
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            n_i = int(rng.integers(2, 7))
+            n_j = int(rng.integers(2, 9))
+            names = [f"p{k}" for k in rng.permutation(n_j)]
+            programs = tuple(
+                Program(
+                    id=names[j],
+                    cost=float(rng.choice([0.5, 1.0])),
+                    covers=frozenset(
+                        f"h{i}" for i in rng.choice(n_i, size=int(rng.integers(1, 3)), replace=False)
+                    ),
+                )
+                for j in range(n_j)
+            )
+            groups = tuple(
+                Group(id=f"g{g}", members=frozenset(f"h{i}" for i in range(n_i) if i % 2 == g))
+                for g in range(2)
+            )
+            households = tuple(
+                Household(id=f"h{i}", group_ids=frozenset({f"g{i % 2}"})) for i in range(n_i)
+            )
+            budget = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
+            inst = Instance(households=households, programs=programs, budget=budget, groups=groups)
+            assert greedy(inst).strategy == naive_greedy(inst).strategy
+
+    def test_without_groups_maximizes_fresh_coverage(self):
+        households = tuple(Household(id=f"h{k}") for k in range(4))
+        programs = (
+            Program(id="b", cost=1.0, covers=frozenset({"h0"})),
+            Program(id="a", cost=1.0, covers=frozenset({"h1", "h2"})),
+            Program(id="c", cost=0.5, covers=frozenset({"h1", "h2"})),
+            Program(id="d", cost=0.5, covers=frozenset({"h3"})),
+        )
+        inst = Instance(households=households, programs=programs, budget=1.5, groups=())
+        outcome = greedy(inst)
+        # "c" ties "a" on fresh count and wins on cost; then "d" (0.5) beats
+        # "b" (1.0) on cost, leaving too little for "a" or "b"
+        assert outcome.strategy.selected == (0, 0, 1, 1)
+        assert outcome.strategy == naive_greedy(inst).strategy
+        assert outcome.equity == 1.0
+
 
 class TestUniform:
     def test_even_split_on_singletons(self, singletons):

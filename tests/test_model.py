@@ -64,6 +64,21 @@ class TestValidation:
                 groups=(),
             )
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_ride_hail_cost_rejected(self, value):
+        with pytest.raises(ValueError, match="ride_hail_cost must be finite"):
+            Household(id="h", ride_hail_cost=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_program_cost_rejected(self, value):
+        with pytest.raises(ValueError, match="cost must be finite"):
+            Program(id="p", cost=value, covers=frozenset({"a"}))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_budget_rejected(self, value):
+        with pytest.raises(ValueError, match="budget must be finite"):
+            make_instance([1.0], budget=value)
+
     def test_group_membership_consistency(self):
         with pytest.raises(ValueError, match="disagrees"):
             Instance(
@@ -156,6 +171,63 @@ class TestInjectRideHailing:
     def test_originals_untouched(self, small_instance):
         combined = inject_ride_hailing(small_instance)
         assert combined.programs[:3] == small_instance.programs
+
+
+class TestIncidence:
+    @staticmethod
+    def instances(rng):
+        yield Instance(
+            households=tuple(Household(id=h) for h in "abcde"),
+            programs=(
+                Program(id="p1", cost=1.0, covers=frozenset({"d", "a"})),
+                Program(id="p0", cost=1.0, covers=frozenset({"c", "a", "b"})),
+            ),
+            budget=1.0,
+            groups=(),
+        )
+        for _ in range(40):
+            yield random_instance(rng, max_households=8, max_programs=8)
+
+    def test_rows_are_sorted_cover_positions(self, rng):
+        for inst in self.instances(rng):
+            indptr, indices = inst.program_households
+            position = inst.household_index
+            assert indptr[0] == 0 and indptr.size == len(inst.programs) + 1
+            for j, p in enumerate(inst.programs):
+                row = indices[indptr[j] : indptr[j + 1]].tolist()
+                assert row == sorted(position[h] for h in p.covers)
+
+    def test_transpose_is_exact(self, rng):
+        for inst in self.instances(rng):
+            indptr, indices = inst.program_households
+            t_indptr, t_indices = inst.household_programs
+            assert t_indptr.size == len(inst.households) + 1
+            pairs = {(j, int(i)) for j in range(len(inst.programs))
+                     for i in indices[indptr[j] : indptr[j + 1]]}
+            for i in range(len(inst.households)):
+                row = t_indices[t_indptr[i] : t_indptr[i + 1]].tolist()
+                assert row == sorted(j for j, k in pairs if k == i)
+
+    def test_uncovered_household_has_empty_row(self, rng):
+        inst = next(self.instances(rng))
+        t_indptr, _ = inst.household_programs
+        assert t_indptr[inst.household_index["e"] + 1] == t_indptr[inst.household_index["e"]]
+
+    def test_evaluate_extremes_match_set_recomputation(self, rng):
+        for inst in self.instances(rng):
+            n_j = len(inst.programs)
+            for selected in ((0,) * n_j, (1,) * n_j):
+                outcome = evaluate(inst, DeterministicStrategy(selected))
+                covered = set()
+                for v, p in zip(selected, inst.programs):
+                    if v:
+                        covered |= p.covers
+                assert outcome.covered == frozenset(covered)
+                ratios = {g.id: len(g.members & covered) / len(g.members) for g in inst.groups}
+                assert outcome.group_ratios == ratios
+                assert outcome.equity == min(ratios.values(), default=1.0)
+                cost = sum(p.cost for v, p in zip(selected, inst.programs) if v)
+                assert outcome.total_cost == pytest.approx(cost, abs=1e-12)
 
 
 class TestEvaluate:
