@@ -3,7 +3,8 @@
 Subcommands: solve-lp, ras, greedy, uniform, oracle, ingest, experiment.
 Instances are directories of CSV files (households.csv / programs.csv /
 meta.csv); see instance_io. The experiment subcommand accepts a flat
-key=value config file, with flags overriding file entries.
+key=value config file, with flags overriding file entries; an unknown key is
+rejected. Input errors print one `error: ...` line and exit with status 2.
 """
 
 from __future__ import annotations
@@ -190,6 +191,13 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
+# The keys an experiment config file may set, one per flag.
+CONFIG_KEYS = frozenset(
+    ("budgets", "scenarios", "algorithms", "trials", "seed", "instance",
+     "synthetic_seed", "route_seed", "rides_per_quarter", "solver")
+)
+
+
 def _parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     for raw in Path(path).read_text().splitlines():
@@ -199,7 +207,10 @@ def _parse_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"config line without '=': {raw!r}")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"{path}: unknown config key {key!r}")
+        values[key] = value.strip()
     return values
 
 
@@ -326,8 +337,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand. Bad input (a ValueError, including a budget below
+    1 without --allow-small-budget or an instance too large for the oracles)
+    and file errors print one `error: ...` line to stderr and exit 2."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as exc:
+        print("error: " + " ".join(str(exc).splitlines()), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

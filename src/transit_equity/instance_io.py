@@ -5,6 +5,9 @@ households.csv: id, ride_hail_cost, group_ids   (group ids ';'-separated,
 programs.csv:   id, cost, kind, covers          (household ids ';'-separated)
 meta.csv:       budget                          (single data row)
 
+Files are UTF-8. The model rejects an empty id and one containing ';', so
+every id it accepts reads back unchanged.
+
 Column names are fixed; readers reject files whose header does not match
 exactly, which doubles as the format version check. Groups are derived from
 the household group_ids column.
@@ -15,7 +18,7 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
-from .model import Household, Instance, Program, ProgramKind, derive_groups
+from .model import ID_SEPARATOR, Household, Instance, Program, ProgramKind, derive_groups
 
 HOUSEHOLD_COLUMNS = ["id", "ride_hail_cost", "group_ids"]
 PROGRAM_COLUMNS = ["id", "cost", "kind", "covers"]
@@ -23,7 +26,7 @@ META_COLUMNS = ["budget"]
 
 
 def _read_rows(path: Path, columns: list[str]) -> list[dict[str, str]]:
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != columns:
             raise ValueError(
@@ -37,7 +40,7 @@ def read_instance(directory: str | Path) -> Instance:
     households = []
     for row in _read_rows(directory / "households.csv", HOUSEHOLD_COLUMNS):
         raw_cost = row["ride_hail_cost"].strip()
-        gids = frozenset(g for g in row["group_ids"].split(";") if g)
+        gids = frozenset(g for g in row["group_ids"].split(ID_SEPARATOR) if g)
         households.append(
             Household(
                 id=row["id"],
@@ -51,7 +54,7 @@ def read_instance(directory: str | Path) -> Instance:
             Program(
                 id=row["id"],
                 cost=float(row["cost"]),
-                covers=frozenset(h for h in row["covers"].split(";") if h),
+                covers=frozenset(h for h in row["covers"].split(ID_SEPARATOR) if h),
                 kind=ProgramKind(row["kind"]),
             )
         )
@@ -70,20 +73,20 @@ def read_instance(directory: str | Path) -> Instance:
 def write_instance(instance: Instance, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    with (directory / "households.csv").open("w", newline="") as fh:
+    with (directory / "households.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(HOUSEHOLD_COLUMNS)
         for h in instance.households:
             cost = "" if h.ride_hail_cost is None else repr(float(h.ride_hail_cost))
-            writer.writerow([h.id, cost, ";".join(sorted(h.group_ids))])
-    with (directory / "programs.csv").open("w", newline="") as fh:
+            writer.writerow([h.id, cost, ID_SEPARATOR.join(sorted(h.group_ids))])
+    with (directory / "programs.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(PROGRAM_COLUMNS)
         for p in instance.programs:
             writer.writerow(
-                [p.id, repr(float(p.cost)), p.kind.value, ";".join(sorted(p.covers))]
+                [p.id, repr(float(p.cost)), p.kind.value, ID_SEPARATOR.join(sorted(p.covers))]
             )
-    with (directory / "meta.csv").open("w", newline="") as fh:
+    with (directory / "meta.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(META_COLUMNS)
         writer.writerow([repr(float(instance.budget))])

@@ -23,6 +23,16 @@ AFFORDABILITY_TOL = 1e-12
 
 VIRTUAL_PROGRAM_PREFIX = "ride-hail:"
 
+# Separates the entries of an id list in the instance CSVs (see instance_io).
+ID_SEPARATOR = ";"
+
+
+def _check_id(what: str, value: str) -> None:
+    """Reject an id the instance CSVs cannot carry: a list field splits on
+    ID_SEPARATOR and drops empty entries."""
+    if not value or ID_SEPARATOR in value:
+        raise ValueError(f"{what} id must be nonempty and free of {ID_SEPARATOR!r}, got {value!r}")
+
 
 class BudgetTooSmallError(ValueError):
     """Normalized budget fell below 1, outside the regime the rounding
@@ -49,6 +59,7 @@ class Household:
     group_ids: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
+        _check_id("household", self.id)
         if self.ride_hail_cost is not None and not 0 <= self.ride_hail_cost < math.inf:
             raise ValueError(
                 f"household {self.id}: ride_hail_cost must be finite and >= 0,"
@@ -68,6 +79,12 @@ class Program:
     kind: ProgramKind = ProgramKind.BUS_LINE
 
     def __post_init__(self) -> None:
+        _check_id("program", self.id)
+        if self.kind is ProgramKind.BUS_LINE and self.id.startswith(VIRTUAL_PROGRAM_PREFIX):
+            raise ValueError(
+                f"program {self.id}: the prefix {VIRTUAL_PROGRAM_PREFIX!r} is reserved"
+                " for virtual ride-hail programs"
+            )
         if not 0 <= self.cost < math.inf:
             raise ValueError(f"program {self.id}: cost must be finite and >= 0, got {self.cost!r}")
         object.__setattr__(self, "covers", frozenset(self.covers))
@@ -87,6 +104,7 @@ class Group:
     members: frozenset[str]
 
     def __post_init__(self) -> None:
+        _check_id("group", self.id)
         object.__setattr__(self, "members", frozenset(self.members))
         if not self.members:
             raise ValueError(f"group {self.id}: members must be nonempty")

@@ -1,9 +1,11 @@
 """Exact small-instance oracles: optimal deterministic and randomized strategies.
 
-The deterministic optimum is found by exhaustive (pruned) enumeration of all
-feasible selections. The randomized optimum maximizes the worst-group
-expected coverage ratio over probability distributions on those selections,
-which is itself a small linear program solved with the embedded simplex.
+Both enumerate every feasible selection into one bool selection matrix and
+score all of its rows at once. The deterministic optimum is the best row;
+only that row is realized with `evaluate`. The randomized optimum maximizes
+the worst-group expected coverage ratio over probability distributions on
+the rows, which is itself a small linear program solved with the embedded
+simplex.
 """
 
 from __future__ import annotations
@@ -25,14 +27,15 @@ class InstanceTooLargeError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class StrategySpace:
-    """Every budget-feasible deterministic selection, in lexicographic order
-    (a selection is the tuple of 0/1 entries over the program list)."""
+    """Every budget-feasible deterministic selection: row k of the read-only
+    `(K, J)` bool matrix `selections` is the k-th selection over the program
+    list, rows in lexicographic order."""
 
-    feasible: tuple[DeterministicStrategy, ...]
+    selections: np.ndarray
 
     @property
     def count(self) -> int:
-        return len(self.feasible)
+        return self.selections.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,36 +50,30 @@ class RandomizedStrategy:
 
 
 def enumerate_feasible(instance: Instance) -> StrategySpace:
-    """All binary selections with total cost <= budget, found by depth-first
-    search pruned on remaining budget (costs are nonnegative, so any
-    over-budget prefix only gets worse)."""
+    """All binary selections with total cost <= budget, grown one program at
+    a time: each feasible prefix is followed by 0, then by 1 where it still
+    fits (costs are nonnegative, so an over-budget prefix only gets worse).
+    Prefix costs accumulate in program order, so the cut-off is the same
+    float comparison a depth-first search makes."""
     n_j = len(instance.programs)
     if n_j > MAX_ENUMERABLE_PROGRAMS:
         raise InstanceTooLargeError(
             f"enumeration supports at most {MAX_ENUMERABLE_PROGRAMS} programs, got {n_j}"
         )
-    costs = instance.costs
     budget = instance.budget + AFFORDABILITY_TOL
-    out: list[DeterministicStrategy] = []
-    prefix = [0] * n_j
-
-    def descend(j: int, cost: float) -> None:
-        if j == n_j:
-            out.append(DeterministicStrategy(tuple(prefix)))
-            return
-        descend(j + 1, cost)
-        if cost + costs[j] <= budget:
-            prefix[j] = 1
-            descend(j + 1, cost + costs[j])
-            prefix[j] = 0
-
-    descend(0, 0.0)
-    out.sort(key=lambda s: s.selected)
-    return StrategySpace(feasible=tuple(out))
-
-
-def _selection_matrix(space: StrategySpace) -> np.ndarray:
-    return np.array([s.selected for s in space.feasible], dtype=bool)
+    selections = np.zeros((1, n_j), dtype=bool)
+    spent = np.zeros(1)
+    for j, cost in enumerate(instance.costs):
+        fits = spent + cost <= budget
+        repeats = 1 + fits
+        # the 1-extension of prefix k sits right after its 0-extension
+        ones = np.cumsum(repeats)[fits] - 1
+        selections = np.repeat(selections, repeats, axis=0)
+        spent = np.repeat(spent, repeats)
+        selections[ones, j] = True
+        spent[ones] += cost
+    selections.setflags(write=False)
+    return StrategySpace(selections=selections)
 
 
 def _coverage(instance: Instance, sel: np.ndarray) -> np.ndarray:
@@ -88,10 +85,11 @@ def _coverage(instance: Instance, sel: np.ndarray) -> np.ndarray:
     return coverage
 
 
-def _group_ratio_matrix(instance: Instance, space: StrategySpace) -> np.ndarray:
-    """ratios[k, g]: coverage ratio of group g under the k-th strategy."""
-    coverage = _coverage(instance, _selection_matrix(space))
-    ratios = np.empty((space.count, len(instance.groups)))
+def _group_ratio_matrix(instance: Instance, sel: np.ndarray) -> np.ndarray:
+    """ratios[k, g]: coverage ratio of group g under the k-th selection, the
+    same float as `evaluate`'s (a covered count over the group size)."""
+    coverage = _coverage(instance, sel)
+    ratios = np.empty((sel.shape[0], len(instance.groups)))
     for g, members in enumerate(instance.group_indices):
         ratios[:, g] = coverage[:, members].mean(axis=1)
     return ratios
@@ -100,13 +98,19 @@ def _group_ratio_matrix(instance: Instance, space: StrategySpace) -> np.ndarray:
 def opt_deterministic(instance: Instance) -> tuple[StrategyOutcome, float]:
     """Best feasible deterministic strategy; ties broken by lower cost, then
     lexicographically smallest selection."""
-    space = enumerate_feasible(instance)
-    best: StrategyOutcome | None = None
-    for strategy in space.feasible:
-        outcome = evaluate(instance, strategy)
-        if best is None or (outcome.equity, -outcome.total_cost) > (best.equity, -best.total_cost):
-            best = outcome
-    assert best is not None  # the empty selection is always feasible
+    sel = enumerate_feasible(instance).selections
+    # evaluate's equity: the minimum group ratio, 1.0 without groups
+    equity = _group_ratio_matrix(instance, sel).min(axis=1, initial=1.0)
+    tied = np.flatnonzero(equity == equity.max())
+    # Two summation orders of one row's (at most 20) costs differ by under
+    # 20 * eps * sum(costs), so a tied row whose matrix-product cost exceeds
+    # the smallest by 1e-12 * sum(costs) cannot be the cheapest. Only the rows
+    # within that margin are summed as `evaluate` sums them; argmin keeps the
+    # first minimum.
+    approx = sel[tied] @ instance.costs
+    near = tied[approx <= approx.min() + 1e-12 * instance.costs.sum()]
+    costs = [float(instance.costs[sel[k]].sum()) for k in near]
+    best = evaluate(instance, DeterministicStrategy(sel[near[int(np.argmin(costs))]]))
     return best, best.equity
 
 
@@ -119,11 +123,11 @@ def opt_randomized(
         max t  s.t.  t <= sum_k q_k ratio[k, g]  for every group g,
                      sum_k q_k = 1,  q >= 0.
     """
-    space = enumerate_feasible(instance)
-    keep = np.arange(space.count)
-    ratios = _group_ratio_matrix(instance, space)
+    sel = enumerate_feasible(instance).selections
+    keep = np.arange(sel.shape[0])
+    ratios = _group_ratio_matrix(instance, sel)
     if prune_dominated:
-        keep = _undominated(instance, space)
+        keep = _undominated(instance, sel)
         ratios = ratios[keep]
     k = keep.size
     if k > MAX_DISTRIBUTION_ATOMS:
@@ -150,7 +154,7 @@ def opt_randomized(
         raise RuntimeError(f"distribution LP ended {result.status}")
     weights = result.x[1:]
     atoms = tuple(
-        (space.feasible[int(keep[i])], float(w))
+        (DeterministicStrategy(sel[keep[i]]), float(w))
         for i, w in enumerate(weights)
         if w > 1e-12
     )
@@ -158,11 +162,11 @@ def opt_randomized(
     return RandomizedStrategy(atoms=atoms), value
 
 
-def _undominated(instance: Instance, space: StrategySpace) -> np.ndarray:
-    """Indices of strategies not dominated by another (superset coverage at
+def _undominated(instance: Instance, sel: np.ndarray) -> np.ndarray:
+    """Indices of selections not dominated by another (superset coverage at
     equal or lower cost; exact duplicates keep their first occurrence)."""
-    sel = _selection_matrix(space)
-    coverage = _coverage(instance, sel).astype(np.uint8)
+    # float64 counts stay exact (a uint8 product wraps at 256 households)
+    coverage = _coverage(instance, sel).astype(float)
     costs = sel.astype(float) @ instance.costs
     # missing[k, l] == 0 iff coverage of k is a subset of coverage of l
     missing = coverage @ (1 - coverage).T

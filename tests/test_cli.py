@@ -6,6 +6,7 @@ import pytest
 
 from transit_equity.cli import main
 from transit_equity.instance_io import write_instance
+from transit_equity.model import Group, Household, Instance, Program
 
 
 @pytest.fixture
@@ -162,6 +163,50 @@ class TestExperimentCommand:
 
     def test_budgets_required(self, tmp_path, capsys):
         assert run_cli(["experiment", "--out", str(tmp_path / "e")]) == 2
+
+    def test_unknown_config_key_rejected(self, instance_dir, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"instance={instance_dir}\nbudgets=1\ntrails=5\n")
+        out_dir = tmp_path / "exp"
+        code = run_cli(["experiment", "--config", str(config), "--out", str(out_dir)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'trails'" in err
+        assert not out_dir.exists()
+
+
+class TestInputErrors:
+    def test_small_budget_is_one_line_error(self, instance_dir, capsys):
+        code = run_cli(["solve-lp", "--instance", instance_dir, "--budget", "0.5"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: normalized budget 0.5 < 1")
+        assert captured.err.count("\n") == 1
+
+    def test_oracle_on_too_many_programs(self, tmp_path, capsys):
+        households = (Household(id="a", group_ids=frozenset({"g"})),)
+        programs = tuple(
+            Program(id=f"p{k}", cost=1.0, covers=frozenset({"a"})) for k in range(21)
+        )
+        inst = Instance(
+            households=households,
+            programs=programs,
+            budget=2.0,
+            groups=(Group(id="g", members=frozenset({"a"})),),
+        )
+        write_instance(inst, tmp_path / "inst")
+        code = run_cli(["oracle", "--instance", str(tmp_path / "inst")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: enumeration supports at most 20 programs, got 21\n"
+
+    def test_missing_instance_dir(self, tmp_path, capsys):
+        code = run_cli(["greedy", "--instance", str(tmp_path / "absent")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_console_entry_point_runs():

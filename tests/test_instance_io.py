@@ -1,7 +1,17 @@
+import tempfile
+
 import pytest
+from hypothesis import given, strategies as st
 
 from transit_equity.instance_io import read_instance, write_instance
-from transit_equity.model import ProgramKind
+from transit_equity.model import (
+    Household,
+    Instance,
+    Program,
+    ProgramKind,
+    derive_groups,
+    inject_ride_hailing,
+)
 
 
 def test_round_trip(tmp_path, small_instance):
@@ -41,3 +51,50 @@ def test_meta_must_have_one_row(tmp_path, small_instance):
     meta.write_text("budget\n1.0\n2.0\n")
     with pytest.raises(ValueError, match="exactly one"):
         read_instance(tmp_path / "inst")
+
+
+# Everything the CSV layer must carry through a field: its delimiter, quotes,
+# spaces, line breaks and non-ASCII text ('\x00' is left out: Python 3.10's csv
+# reader rejects it).
+ID_CHARS = st.one_of(
+    st.sampled_from([",", '"', "'", " ", "\n", "\r", "\t", "é", "中", "🚌"]),
+    st.characters(blacklist_categories=("Cs",), blacklist_characters=";\x00"),
+)
+IDS = st.text(ID_CHARS, min_size=1, max_size=6)
+
+
+@st.composite
+def adversarial_instances(draw):
+    household_ids = draw(st.lists(IDS, min_size=1, max_size=5, unique=True))
+    group_ids = draw(st.lists(IDS, max_size=3, unique=True))
+    households = tuple(
+        Household(
+            id=hid,
+            ride_hail_cost=draw(st.none() | st.floats(0, 1e6)),
+            group_ids=frozenset(draw(st.lists(st.sampled_from(group_ids)))) if group_ids else (),
+        )
+        for hid in household_ids
+    )
+    program_ids = draw(st.lists(IDS, max_size=4, unique=True))
+    programs = tuple(
+        Program(
+            id=pid,
+            cost=draw(st.floats(0, 1e6)),
+            covers=frozenset(draw(st.lists(st.sampled_from(household_ids), min_size=1))),
+        )
+        for pid in program_ids
+    )
+    instance = Instance(
+        households=households,
+        programs=programs,
+        budget=draw(st.floats(0, 1e7)),
+        groups=derive_groups(households),
+    )
+    return inject_ride_hailing(instance) if draw(st.booleans()) else instance
+
+
+@given(adversarial_instances())
+def test_round_trip_with_adversarial_ids(instance):
+    with tempfile.TemporaryDirectory() as tmp:
+        write_instance(instance, tmp)
+        assert read_instance(tmp) == instance

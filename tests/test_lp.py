@@ -12,6 +12,7 @@ from transit_equity.lp import (
     verify_solution,
 )
 from transit_equity.model import (
+    DeterministicStrategy,
     Group,
     Household,
     Instance,
@@ -103,8 +104,8 @@ class TestLpInvariants:
         for _ in range(8):
             inst = random_instance(rng, max_households=8, max_programs=8)
             sol = solve_lp(build_lp(inst))
-            for strategy in enumerate_feasible(inst).feasible:
-                assert evaluate(inst, strategy).equity <= sol.objective + 1e-7
+            for row in enumerate_feasible(inst).selections:
+                assert evaluate(inst, DeterministicStrategy(row)).equity <= sol.objective + 1e-7
 
     def test_monotone_in_budget(self, rng):
         inst = random_instance(rng)

@@ -79,6 +79,23 @@ class TestValidation:
         with pytest.raises(ValueError, match="budget must be finite"):
             make_instance([1.0], budget=value)
 
+    @pytest.mark.parametrize("bad", ["", "a;b", ";"])
+    def test_unwritable_ids_rejected(self, bad):
+        with pytest.raises(ValueError, match="household id must be nonempty"):
+            Household(id=bad)
+        with pytest.raises(ValueError, match="program id must be nonempty"):
+            Program(id=bad, cost=1.0, covers=frozenset({"a"}))
+        with pytest.raises(ValueError, match="group id must be nonempty"):
+            Group(id=bad, members=frozenset({"a"}))
+
+    def test_reserved_prefix_rejected_on_bus_lines(self):
+        with pytest.raises(ValueError, match="reserved"):
+            Program(id="ride-hail:a", cost=1.0, covers=frozenset({"a"}))
+        virtual = Program(
+            id="ride-hail:a", cost=1.0, covers=frozenset({"a"}), kind=ProgramKind.VIRTUAL_RIDE_HAIL
+        )
+        assert virtual.id == "ride-hail:a"
+
     def test_group_membership_consistency(self):
         with pytest.raises(ValueError, match="disagrees"):
             Instance(

@@ -3,9 +3,19 @@ import dataclasses
 import numpy as np
 import pytest
 
+from transit_equity import simplex
 from transit_equity.generators import random_instance
 from transit_equity.lp import build_lp, solve_lp
-from transit_equity.model import Group, Household, Instance, Program, evaluate
+from transit_equity.model import (
+    AFFORDABILITY_TOL,
+    DeterministicStrategy,
+    Group,
+    Household,
+    Instance,
+    Program,
+    derive_groups,
+    evaluate,
+)
 from transit_equity.oracles import (
     InstanceTooLargeError,
     enumerate_feasible,
@@ -18,7 +28,8 @@ class TestEnumerateFeasible:
     def test_singletons_space(self, singletons):
         space = enumerate_feasible(singletons)
         assert space.count == 3
-        assert {s.selected for s in space.feasible} == {(0, 0), (1, 0), (0, 1)}
+        assert {tuple(row) for row in space.selections.tolist()} == {(0, 0), (1, 0), (0, 1)}
+        assert not space.selections.flags.writeable
 
     def test_everything_affordable(self, small_instance):
         rich = dataclasses.replace(small_instance, budget=100.0)
@@ -28,7 +39,7 @@ class TestEnumerateFeasible:
         poor = dataclasses.replace(small_instance, budget=0.0)
         space = enumerate_feasible(poor)
         assert space.count == 1
-        assert space.feasible[0].selected == (0, 0, 0)
+        assert tuple(space.selections[0].tolist()) == (0, 0, 0)
 
     def test_matches_brute_force(self, rng):
         for _ in range(10):
@@ -39,7 +50,7 @@ class TestEnumerateFeasible:
                 sel = tuple((mask >> k) & 1 for k in range(len(inst.programs)))
                 if float(np.dot(sel, inst.costs)) <= inst.budget + 1e-12:
                     brute.add(sel)
-            assert {s.selected for s in space.feasible} == brute
+            assert {tuple(row) for row in space.selections.tolist()} == brute
 
     def test_size_cap(self):
         households = (Household(id="a"),)
@@ -72,7 +83,8 @@ class TestOptDeterministic:
             inst = random_instance(rng, max_programs=8)
             _, value = opt_deterministic(inst)
             best = max(
-                evaluate(inst, s).equity for s in enumerate_feasible(inst).feasible
+                evaluate(inst, DeterministicStrategy(row)).equity
+                for row in enumerate_feasible(inst).selections
             )
             assert value == pytest.approx(best, abs=0)
 
@@ -115,18 +127,33 @@ class TestOptRandomized:
             _, pruned = opt_randomized(inst, prune_dominated=True)
             assert plain == pytest.approx(pruned, abs=1e-7)
 
+    def test_pruning_counts_past_255_households(self):
+        # "a" covers 256 households "b" does not: pruning must not treat a's
+        # coverage as a subset of b's
+        ids = [f"h{k}" for k in range(257)]
+        inst = Instance(
+            households=tuple(Household(id=h, group_ids=frozenset({"g"})) for h in ids),
+            programs=(
+                Program(id="a", cost=1.0, covers=frozenset(ids[:256])),
+                Program(id="b", cost=1.0, covers=frozenset(ids[256:])),
+            ),
+            budget=1.0,
+            groups=(Group(id="g", members=frozenset(ids)),),
+        )
+        _, plain = opt_randomized(inst)
+        strategy, pruned = opt_randomized(inst, prune_dominated=True)
+        assert plain == pytest.approx(256 / 257, abs=1e-12)
+        assert pruned == plain
+        assert [s.selected for s, _ in strategy.atoms] == [(1, 0)]
+
     def test_beats_any_explicit_distribution(self, rng):
         # the optimum must weakly dominate hand-built distributions: uniform
         # over the feasible space and a point mass on the deterministic best
         for _ in range(8):
             inst = random_instance(rng, max_programs=7)
             space = enumerate_feasible(inst)
-            ratios = np.array(
-                [
-                    [evaluate(inst, s).group_ratios[g.id] for g in inst.groups]
-                    for s in space.feasible
-                ]
-            )
+            outcomes = [evaluate(inst, DeterministicStrategy(row)) for row in space.selections]
+            ratios = np.array([[o.group_ratios[g.id] for g in inst.groups] for o in outcomes])
             _, value = opt_randomized(inst)
             uniform_value = float(ratios.mean(axis=0).min())
             assert value >= uniform_value - 1e-9
@@ -146,3 +173,124 @@ class TestOptRandomized:
                     mix[gid] += weight * r
             attained = min(mix.values())
             assert attained == pytest.approx(value, abs=1e-7)
+
+
+def naive_feasible(instance):
+    """Reference enumeration: depth-first search, 0 before 1, pruned on budget."""
+    n_j = len(instance.programs)
+    costs = instance.costs
+    budget = instance.budget + AFFORDABILITY_TOL
+    out = []
+    prefix = [0] * n_j
+
+    def descend(j, cost):
+        if j == n_j:
+            out.append(tuple(prefix))
+            return
+        descend(j + 1, cost)
+        if cost + costs[j] <= budget:
+            prefix[j] = 1
+            descend(j + 1, cost + costs[j])
+            prefix[j] = 0
+
+    descend(0, 0.0)
+    return out
+
+
+def naive_opt_deterministic(instance):
+    """Reference: evaluate every feasible selection, keep strictly better
+    (equity, -cost) pairs in enumeration order."""
+    best = None
+    for selected in naive_feasible(instance):
+        outcome = evaluate(instance, DeterministicStrategy(selected))
+        if best is None or (outcome.equity, -outcome.total_cost) > (best.equity, -best.total_cost):
+            best = outcome
+    return best
+
+
+def naive_opt_randomized(instance, prune_dominated):
+    """Reference: the distribution LP over per-selection `evaluate` outcomes,
+    with dominance checked pair by pair on covered sets and costs."""
+    outcomes = [evaluate(instance, DeterministicStrategy(s)) for s in naive_feasible(instance)]
+
+    def dominates(l, k):
+        a, b = outcomes[l], outcomes[k]
+        duplicate = a.covered == b.covered and abs(a.total_cost - b.total_cost) < 1e-15
+        return b.covered <= a.covered and a.total_cost <= b.total_cost and (not duplicate or l < k)
+
+    keep = [
+        k
+        for k in range(len(outcomes))
+        if not (prune_dominated and any(dominates(l, k) for l in range(len(outcomes)) if l != k))
+    ]
+    n_groups, n_atoms = len(instance.groups), len(keep)
+    c = np.zeros(1 + n_atoms)
+    c[0] = 1.0
+    rows = np.zeros((n_groups + 1, 1 + n_atoms))
+    rhs = np.zeros(n_groups + 1)
+    for g, group in enumerate(instance.groups):
+        rows[g, 0] = 1.0
+        rows[g, 1:] = [-outcomes[k].group_ratios[group.id] for k in keep]
+    rows[n_groups, 1:] = 1.0
+    rhs[n_groups] = 1.0
+    senses = [simplex.LESS_EQUAL] * n_groups + [simplex.EQUAL]
+    result = simplex.solve(c, rows, rhs, senses, upper_bounds=[1.0] + [None] * n_atoms)
+    atoms = [
+        (outcomes[keep[i]].strategy.selected, float(w))
+        for i, w in enumerate(result.x[1:])
+        if w > 1e-12
+    ]
+    return atoms, float(result.x[0]) if n_groups else 1.0
+
+
+def tie_heavy_instance(rng):
+    """Costs in {0.5, 1}, 1-2 household covers and 0-3 groups: many
+    selections share the best equity and the cheapest cost."""
+    n_i = int(rng.integers(2, 7))
+    n_j = int(rng.integers(2, 9))
+    n_g = int(rng.integers(0, 4))
+    households = tuple(
+        Household(
+            id=f"h{i}",
+            group_ids=frozenset(f"g{g}" for g in range(n_g) if (i + g) % n_g == 0 or i % 3 == g),
+        )
+        for i in range(n_i)
+    )
+    programs = tuple(
+        Program(
+            id=f"p{j}",
+            cost=float(rng.choice([0.5, 1.0])),
+            covers=frozenset(
+                f"h{i}" for i in rng.choice(n_i, size=int(rng.integers(1, 3)), replace=False)
+            ),
+        )
+        for j in range(n_j)
+    )
+    budget = float(rng.choice([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]))
+    return Instance(
+        households=households, programs=programs, budget=budget, groups=derive_groups(households)
+    )
+
+
+class TestMatchesNaiveReference:
+    def test_tie_heavy_instances(self):
+        rng = np.random.default_rng(2718)
+        group_counts = set()
+        for _ in range(300):
+            inst = tie_heavy_instance(rng)
+            group_counts.add(len(inst.groups))
+            space = enumerate_feasible(inst)
+            assert [tuple(row) for row in space.selections.tolist()] == naive_feasible(inst)
+
+            outcome, value = opt_deterministic(inst)
+            reference = naive_opt_deterministic(inst)
+            assert outcome.strategy == reference.strategy
+            assert outcome.total_cost == reference.total_cost
+            assert value == reference.equity
+
+            for prune in (False, True):
+                strategy, value = opt_randomized(inst, prune_dominated=prune)
+                atoms, reference_value = naive_opt_randomized(inst, prune)
+                assert [(s.selected, w) for s, w in strategy.atoms] == atoms
+                assert value == reference_value
+        assert {0, 1} <= group_counts and max(group_counts) >= 2
