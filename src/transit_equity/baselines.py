@@ -87,43 +87,53 @@ def greedy(instance: Instance) -> StrategyOutcome:
     return evaluate(instance, DeterministicStrategy(tuple(selected.tolist())))
 
 
-def uniform(instance: Instance, rng: int | np.random.Generator) -> StrategyOutcome:
-    """Repeatedly pick uniformly at random among the not-yet-selected programs
-    that still fit the remaining budget. Reproducible given an integer seed.
+def uniform_selection(instance: Instance, rng: np.random.Generator) -> np.ndarray:
+    """The bool program selection `uniform` evaluates.
 
     Once a program becomes unaffordable it stays so (the remaining budget only
     shrinks), so the candidate pool is filtered lazily: a full pass happens
-    only when the budget drops below the costliest survivor.
+    only when the budget drops below the costliest survivor. The loop runs on
+    Python ints and floats; each pick is one `rng.integers(len(alive))` call.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
-    n_j = len(instance.programs)
     n_i = len(instance.households)
-    costs = instance.costs
+    costs = instance.costs.tolist()
     indptr, indices = instance.program_households
+    bounds, households = indptr.tolist(), indices.tolist()
 
-    alive = np.arange(n_j)
-    max_alive = float(costs.max(initial=0.0))
-    selected = np.zeros(n_j, dtype=bool)
-    covered = np.zeros(n_i, dtype=bool)
+    alive = list(range(len(costs)))
+    max_alive = max(costs, default=0.0)
+    picks = []
+    covered = bytearray(n_i)
     n_covered = 0
     remaining = float(instance.budget)
 
-    while alive.size and n_covered < n_i:
+    while alive and n_covered < n_i:
         if max_alive > remaining + AFFORDABILITY_TOL:
-            alive = alive[costs[alive] <= remaining + AFFORDABILITY_TOL]
-            if alive.size == 0:
+            limit = remaining + AFFORDABILITY_TOL
+            alive = [j for j in alive if costs[j] <= limit]
+            if not alive:
                 break
-            max_alive = float(costs[alive].max())
-        r = int(rng.integers(alive.size))
-        pick = int(alive[r])
+            max_alive = max(costs[j] for j in alive)
+        r = int(rng.integers(len(alive)))
+        pick = alive[r]
         alive[r] = alive[-1]
-        alive = alive[:-1]
-        selected[pick] = True
-        remaining -= float(costs[pick])
-        idx = indices[indptr[pick] : indptr[pick + 1]]
-        fresh = idx[~covered[idx]]
-        covered[fresh] = True
-        n_covered += fresh.size
+        alive.pop()
+        picks.append(pick)
+        remaining -= costs[pick]
+        for i in households[bounds[pick] : bounds[pick + 1]]:
+            if not covered[i]:
+                covered[i] = 1
+                n_covered += 1
 
+    selected = np.zeros(len(costs), dtype=bool)
+    selected[picks] = True
+    return selected
+
+
+def uniform(instance: Instance, rng: int | np.random.Generator) -> StrategyOutcome:
+    """Repeatedly pick uniformly at random among the not-yet-selected programs
+    that still fit the remaining budget. Reproducible given an integer seed."""
+    if isinstance(rng, (int, np.integer)):
+        rng = np.random.default_rng(int(rng))
+    selected = uniform_selection(instance, rng)
     return evaluate(instance, DeterministicStrategy(tuple(selected.tolist())))

@@ -7,6 +7,15 @@ the worst-group mean coverage ratio across trials (the Monte Carlo estimate
 of the randomized objective), with a normal-approximation 95% confidence
 interval taken from the trial spread of that worst group.
 
+Everything that does not depend on the budget is built once per scenario:
+the city (or the instance read from `instance_dir`; the combined scenario is
+the bus-only instance with ride-hail programs injected), its coverage
+incidence, and its normalized programs and households. A cell swaps in its
+budget with `Instance.with_budget`, divides it in `normalize`, builds the
+LP's sparse matrix and solves it. Randomized trials run the selection
+kernels (`ras_selection`, `uniform_selection`) and aggregate costs and group
+ratios in arrays; only greedy's single outcome goes through `evaluate`.
+
 Seed derivation: trial t of algorithm a (index within the algorithms tuple)
 in cell (budget index b, scenario index s) uses
 numpy.random.SeedSequence((master_seed, s, b, a, t)), so every trial is
@@ -16,7 +25,6 @@ independently reproducible and trials may run in any order or in parallel.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .baselines import greedy, uniform
+from .baselines import greedy, uniform_selection
 from .geo import (
     CostParams,
     SyntheticCityParams,
@@ -37,7 +45,7 @@ from .geo import (
 from .instance_io import read_instance
 from .lp import build_lp, solve_lp
 from .model import Instance, StrategyOutcome, inject_ride_hailing, normalize
-from .rounding import ras
+from .rounding import ras_selection
 
 SCENARIOS = ("bus_only", "combined")
 ALGORITHMS = ("ras", "greedy", "uniform")
@@ -109,8 +117,7 @@ class ExperimentReport:
 def _base_instances(config: ExperimentConfig) -> dict[str, Instance]:
     """One template instance per scenario; the budget is swapped per sweep point."""
     if config.instance_dir is not None:
-        base = read_instance(config.instance_dir)
-        variants = {"bus_only": base, "combined": inject_ride_hailing(base)}
+        bus_only = read_instance(config.instance_dir)
     else:
         households, stops, guideline = synthetic_city(config.synthetic, config.synthetic_seed)
         eligible = eligibility_filter(households, stops)
@@ -118,18 +125,13 @@ def _base_instances(config: ExperimentConfig) -> dict[str, Instance]:
         routes = generate_routes(
             sites, stops, config.route_count, config.route_seed, config.cost_params
         )
-        variants = {
-            name: build_instance(
-                eligible,
-                routes,
-                budget=0.0,
-                guideline=guideline,
-                include_ride_hail=(name == "combined"),
-                params=config.cost_params,
-            )
-            for name in SCENARIOS
-        }
-    return {name: variants[name] for name in config.scenarios}
+        bus_only = build_instance(
+            eligible, routes, budget=0.0, guideline=guideline, params=config.cost_params
+        )
+    return {
+        name: bus_only if name == "bus_only" else inject_ride_hailing(bus_only)
+        for name in config.scenarios
+    }
 
 
 def _trial_rng(config: ExperimentConfig, s: int, b: int, a: int, t: int) -> np.random.Generator:
@@ -146,25 +148,34 @@ class _CellStats:
 
 def _run_randomized(
     instance: Instance,
-    runner: Callable[[np.random.Generator], StrategyOutcome],
+    select: Callable[[np.random.Generator], np.ndarray],
     rngs: Sequence[np.random.Generator],
 ) -> _CellStats:
-    n_groups = len(instance.groups)
-    ratios = np.empty((len(rngs), max(1, n_groups)))
-    costs = np.empty(len(rngs))
+    """Run one bool program selection per generator and aggregate the trials.
+
+    Each trial's cost and group ratios are the floats `evaluate` would report
+    for its selection: the selected costs summed by `costs[selected].sum()`,
+    and each group's covered-member count divided by the group size.
+    """
+    n_trials = len(rngs)
+    costs = np.empty(n_trials)
+    covered = np.empty((n_trials, len(instance.households)), dtype=bool)
     for t, rng in enumerate(rngs):
-        outcome = runner(rng)
-        costs[t] = outcome.total_cost
-        if n_groups:
-            ratios[t] = [outcome.group_ratios[g.id] for g in instance.groups]
-        else:
-            ratios[t] = 1.0
-    ddof = 1 if len(rngs) > 1 else 0
+        selected = select(rng)
+        costs[t] = instance.costs[selected].sum()
+        covered[t] = instance.covered_mask(selected)
+    if instance.groups:
+        ratios = np.column_stack(
+            [np.count_nonzero(covered[:, idx], axis=1) / idx.size for idx in instance.group_indices]
+        )
+    else:
+        ratios = np.ones((n_trials, 1))
+    ddof = 1 if n_trials > 1 else 0
     return _CellStats(
         group_means=ratios.mean(axis=0),
         group_stds=ratios.std(axis=0, ddof=ddof),
         costs=costs,
-        trials=len(rngs),
+        trials=n_trials,
     )
 
 
@@ -202,17 +213,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     for s, scenario in enumerate(config.scenarios):
         base = bases[scenario]
         for b, budget in enumerate(config.budgets):
-            instance = dataclasses.replace(base, budget=float(budget))
-            norm, scale = normalize(instance, allow_small_budget=config.allow_small_budget)
+            norm, scale = normalize(
+                base.with_budget(float(budget)), allow_small_budget=config.allow_small_budget
+            )
             solution = solve_lp(build_lp(norm), solver=config.solver)
             t_star = solution.objective
             for a, algorithm in enumerate(config.algorithms):
                 if algorithm == "ras":
                     rngs = [_trial_rng(config, s, b, a, t) for t in range(config.trials)]
-                    stats = _run_randomized(norm, lambda rng: ras(norm, solution, rng), rngs)
+                    stats = _run_randomized(
+                        norm, lambda rng: ras_selection(norm, solution, rng), rngs
+                    )
                 elif algorithm == "uniform":
                     rngs = [_trial_rng(config, s, b, a, t) for t in range(config.trials)]
-                    stats = _run_randomized(norm, lambda rng: uniform(norm, rng), rngs)
+                    stats = _run_randomized(norm, lambda rng: uniform_selection(norm, rng), rngs)
                 else:
                     outcome = greedy(norm)
                     if norm.groups:

@@ -390,13 +390,18 @@ def build_instance(
         )
 
     programs: list[Program] = []
+    # the full- and half-day variants of a route share its stops: rank once per chain
+    ranked_by_stops: dict[tuple[StopSite, ...], list[int]] = {}
     for route in routes:
-        order: dict[int, int] = {}
-        for pos, stop in enumerate(route.stops):
-            d = great_circle_miles(lat, lon, stop.lat, stop.lon)
-            for i in np.flatnonzero(d <= CLUSTER_RADIUS_MILES):
-                order.setdefault(int(i), pos)
-        ranked = sorted(order, key=lambda i: (order[i], households[i].id))
+        ranked = ranked_by_stops.get(route.stops)
+        if ranked is None:
+            order: dict[int, int] = {}
+            for pos, stop in enumerate(route.stops):
+                d = great_circle_miles(lat, lon, stop.lat, stop.lon)
+                for i in np.flatnonzero(d <= CLUSTER_RADIUS_MILES):
+                    order.setdefault(int(i), pos)
+            ranked = sorted(order, key=lambda i: (order[i], households[i].id))
+            ranked_by_stops[route.stops] = ranked
         if route.daily_hours is Schedule.HALF:
             ranked = ranked[::2]
         if not ranked:

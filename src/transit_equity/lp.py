@@ -17,6 +17,7 @@ the same signature.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -46,17 +47,33 @@ class LpRow:
 
 @dataclass(frozen=True, eq=False)
 class LpModel:
-    """Sparse row-form model. Variable layout: [t, x_0..x_{J-1}, y_0..y_{I-1}]."""
+    """Sparse row-form model. Variable layout: [t, x_0..x_{J-1}, y_0..y_{I-1}].
+
+    The constraint matrix is CSR `(data, indices, indptr)` over the rows
+    budget, cover:<household> in household order, equity:<group> in group
+    order, each row's entries in the order `rows` lists them; `rhs` holds the
+    right-hand sides. Every variable is boxed in [0, 1].
+    """
 
     instance: Instance
     n_programs: int
     n_households: int
-    rows: tuple[LpRow, ...]
-    upper_bounds: tuple[float, ...]
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    rhs: np.ndarray
 
     @property
     def n_vars(self) -> int:
         return 1 + self.n_programs + self.n_households
+
+    @property
+    def n_rows(self) -> int:
+        return self.rhs.size
+
+    @property
+    def upper_bounds(self) -> tuple[float, ...]:
+        return (1.0,) * self.n_vars
 
     def x_index(self, j: int) -> int:
         return 1 + j
@@ -69,28 +86,37 @@ class LpModel:
         c[0] = 1.0
         return c
 
+    @cached_property
+    def rows(self) -> tuple[LpRow, ...]:
+        inst = self.instance
+        labels = ["budget"]
+        labels += [f"cover:{h.id}" for h in inst.households]
+        labels += [f"equity:{g.id}" for g in inst.groups]
+        bounds = self.indptr.tolist()
+        indices, data, rhs = self.indices.tolist(), self.data.tolist(), self.rhs.tolist()
+        return tuple(
+            LpRow(
+                label=label,
+                indices=tuple(indices[start:end]),
+                coefficients=tuple(data[start:end]),
+                rhs=rhs[r],
+            )
+            for r, (label, start, end) in enumerate(zip(labels, bounds, bounds[1:]))
+        )
+
     def dense_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        a = np.zeros((len(self.rows), self.n_vars))
-        b = np.zeros(len(self.rows))
-        for r, row in enumerate(self.rows):
-            a[r, list(row.indices)] = row.coefficients
-            b[r] = row.rhs
-        return a, b
+        a = np.zeros((self.n_rows, self.n_vars))
+        a[np.repeat(np.arange(self.n_rows), np.diff(self.indptr)), self.indices] = self.data
+        return a, self.rhs.copy()
 
     def scipy_matrix(self):
         from scipy.sparse import csr_matrix
 
-        data, cols, indptr = [], [], [0]
-        for row in self.rows:
-            data.extend(row.coefficients)
-            cols.extend(row.indices)
-            indptr.append(len(data))
         a = csr_matrix(
-            (np.array(data), np.array(cols), np.array(indptr)),
-            shape=(len(self.rows), self.n_vars),
+            (self.data.copy(), self.indices.copy(), self.indptr.copy()),
+            shape=(self.n_rows, self.n_vars),
         )
-        b = np.array([row.rhs for row in self.rows])
-        return a, b
+        return a, self.rhs.copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,44 +129,53 @@ class FractionalSolution:
     objective: float
 
 
+def _headed_rows(heads: np.ndarray, indptr: np.ndarray, body: np.ndarray) -> np.ndarray:
+    """Concatenate the rows [heads[r], *body[indptr[r]:indptr[r + 1]]]."""
+    head_at = indptr[:-1] + np.arange(heads.size)
+    is_head = np.zeros(heads.size + body.size, dtype=bool)
+    is_head[head_at] = True
+    out = np.empty(is_head.size, dtype=np.result_type(heads, body))
+    out[is_head] = heads
+    out[~is_head] = body
+    return out
+
+
 def build_lp(instance: Instance) -> LpModel:
     n_j = len(instance.programs)
     n_i = len(instance.households)
-    rows: list[LpRow] = []
+    y0 = 1 + n_j
 
-    budget_idx = tuple(range(1, 1 + n_j))
-    rows.append(
-        LpRow(
-            label="budget",
-            indices=budget_idx,
-            coefficients=tuple(float(p.cost) for p in instance.programs),
-            rhs=float(instance.budget),
-        )
-    )
+    # cover:<household i>: y_i, then each x_j of a program covering i, ascending
+    cover_ptr, coverers = instance.household_programs
+    cover_indices = _headed_rows(y0 + np.arange(n_i), cover_ptr, 1 + coverers)
+    cover_data = _headed_rows(np.ones(n_i), cover_ptr, np.full(coverers.size, -1.0))
 
-    indptr, coverers = instance.household_programs
-    for i, h in enumerate(instance.households):
-        row = (1 + coverers[indptr[i] : indptr[i + 1]]).tolist()
-        indices = (1 + n_j + i,) + tuple(row)
-        coefficients = (1.0,) + (-1.0,) * len(row)
-        rows.append(
-            LpRow(label=f"cover:{h.id}", indices=indices, coefficients=coefficients, rhs=0.0)
-        )
+    # equity:<group g>: t, then each member's y_i with weight -1/|g|, ascending
+    members = instance.group_indices
+    sizes = np.fromiter(map(len, members), dtype=np.intp, count=len(members))
+    member_ptr = np.zeros(sizes.size + 1, dtype=np.intp)
+    np.cumsum(sizes, out=member_ptr[1:])
+    member_idx = np.concatenate(members, dtype=np.intp) if members else np.empty(0, np.intp)
+    equity_indices = _headed_rows(np.zeros(sizes.size, np.intp), member_ptr, y0 + member_idx)
+    equity_data = _headed_rows(np.ones(sizes.size), member_ptr, np.repeat(-1.0 / sizes, sizes))
 
-    for g, members in zip(instance.groups, instance.group_indices):
-        weight = -1.0 / len(members)
-        indices = (0,) + tuple(1 + n_j + int(i) for i in members)
-        coefficients = (1.0,) + (weight,) * len(members)
-        rows.append(
-            LpRow(label=f"equity:{g.id}", indices=indices, coefficients=coefficients, rhs=0.0)
-        )
-
+    indices = np.concatenate([np.arange(1, y0), cover_indices, equity_indices])
+    data = np.concatenate([instance.costs, cover_data, equity_data])
+    row_lengths = np.concatenate([[n_j], 1 + np.diff(cover_ptr), 1 + sizes])
+    indptr = np.zeros(row_lengths.size + 1, dtype=np.intp)
+    np.cumsum(row_lengths, out=indptr[1:])
+    rhs = np.zeros(row_lengths.size)
+    rhs[0] = instance.budget
+    for arr in (data, indices, indptr, rhs):
+        arr.setflags(write=False)
     return LpModel(
         instance=instance,
         n_programs=n_j,
         n_households=n_i,
-        rows=tuple(rows),
-        upper_bounds=tuple([1.0] * (1 + n_j + n_i)),
+        data=data,
+        indices=indices,
+        indptr=indptr,
+        rhs=rhs,
     )
 
 
@@ -150,7 +185,7 @@ def _solve_embedded(model: LpModel) -> tuple[np.ndarray, float]:
         model.objective(),
         a,
         b,
-        senses=[simplex.LESS_EQUAL] * len(model.rows),
+        senses=[simplex.LESS_EQUAL] * model.n_rows,
         upper_bounds=list(model.upper_bounds),
     )
     if result.status != "optimal":
@@ -166,7 +201,7 @@ def _solve_highs(model: LpModel) -> tuple[np.ndarray, float]:
         -model.objective(),
         A_ub=a,
         b_ub=b,
-        bounds=[(0.0, ub) for ub in model.upper_bounds],
+        bounds=(0.0, 1.0),
         method="highs",
     )
     if not res.success:

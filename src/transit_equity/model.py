@@ -29,14 +29,23 @@ ID_SEPARATOR = ";"
 
 def _check_id(what: str, value: str) -> None:
     """Reject an id the instance CSVs cannot carry: a list field splits on
-    ID_SEPARATOR and drops empty entries."""
-    if not value or ID_SEPARATOR in value:
-        raise ValueError(f"{what} id must be nonempty and free of {ID_SEPARATOR!r}, got {value!r}")
+    ID_SEPARATOR and drops empty entries, and Python 3.10's csv writer cannot
+    write NUL."""
+    if not value or ID_SEPARATOR in value or "\x00" in value:
+        raise ValueError(
+            f"{what} id must be nonempty and free of {ID_SEPARATOR!r} and NUL, got {value!r}"
+        )
+
+
+def _check_budget(budget: float) -> None:
+    if not 0 <= budget < math.inf:
+        raise ValueError(f"budget must be finite and >= 0, got {budget!r}")
 
 
 class BudgetTooSmallError(ValueError):
     """Normalized budget fell below 1, outside the regime the rounding
-    guarantees assume. Callers may re-run with allow_small_budget=True."""
+    guarantees assume. Callers may re-run with allow_small_budget=True (the
+    CLI's --allow-small-budget)."""
 
 
 class ProgramKind(str, Enum):
@@ -124,8 +133,7 @@ class Instance:
         object.__setattr__(self, "households", tuple(self.households))
         object.__setattr__(self, "programs", tuple(self.programs))
         object.__setattr__(self, "groups", tuple(self.groups))
-        if not 0 <= self.budget < math.inf:
-            raise ValueError(f"budget must be finite and >= 0, got {self.budget!r}")
+        _check_budget(self.budget)
         ids = [h.id for h in self.households]
         known = set(ids)
         if len(known) != len(ids):
@@ -151,6 +159,25 @@ class Instance:
                 raise ValueError(f"group {g.id} has unknown members")
             if set(g.members) != by_group[g.id]:
                 raise ValueError(f"group {g.id} membership disagrees with household group_ids")
+
+    def with_budget(self, budget: float) -> "Instance":
+        """This instance at another budget. Only the budget is validated; the
+        copy shares the cached costs, incidence, group indices and household
+        index, and what `normalize` derives, with this instance and with every
+        other copy made this way."""
+        _check_budget(budget)
+        for name in _BUDGET_FREE_CACHES:
+            getattr(self, name)
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__)
+        object.__setattr__(out, "budget", budget)
+        return out
+
+    @cached_property
+    def _derived(self) -> dict[str, object]:
+        """Budget-independent results of functions over this instance (see
+        `normalize`), shared by its `with_budget` copies."""
+        return {}
 
     @cached_property
     def household_index(self) -> dict[str, int]:
@@ -211,6 +238,16 @@ class Instance:
         return mask
 
 
+_BUDGET_FREE_CACHES = (
+    "household_index",
+    "costs",
+    "program_households",
+    "household_programs",
+    "group_indices",
+    "_derived",
+)
+
+
 @dataclass(frozen=True)
 class DeterministicStrategy:
     """A binary selection over the instance's programs, in program order."""
@@ -255,23 +292,33 @@ def normalize(
     the scale factor (multiply scaled money by it to recover raw units).
     Rejects a normalized budget below 1 unless allow_small_budget is set,
     since the rounding guarantees assume max cost <= 1 <= B.
+
+    The scaled programs and households do not depend on the budget: they are
+    built once and shared by every `with_budget` copy of the instance, so on
+    such a copy this only divides the budget.
     """
     if not instance.programs:
         raise ValueError("cannot normalize an instance with no programs")
-    scale = max(p.cost for p in instance.programs)
-    if scale <= 0:
-        raise ValueError("cannot normalize: max program cost is 0")
+    derived = instance._derived
+    if "normalize" not in derived:
+        scale = max(p.cost for p in instance.programs)
+        if scale <= 0:
+            raise ValueError("cannot normalize: max program cost is 0")
+        households = tuple(
+            h if h.ride_hail_cost is None else replace(h, ride_hail_cost=h.ride_hail_cost / scale)
+            for h in instance.households
+        )
+        programs = tuple(replace(p, cost=p.cost / scale) for p in instance.programs)
+        scaled = replace(instance, households=households, programs=programs, budget=0.0)
+        derived["normalize"] = (scaled, scale)
+    scaled, scale = derived["normalize"]
     new_budget = instance.budget / scale
     if new_budget < 1 and not allow_small_budget:
         raise BudgetTooSmallError(
-            f"normalized budget {new_budget:.6g} < 1; pass allow_small_budget=True to proceed"
+            f"normalized budget {new_budget:.6g} < 1; pass allow_small_budget=True"
+            " (CLI: --allow-small-budget) to proceed"
         )
-    households = tuple(
-        h if h.ride_hail_cost is None else replace(h, ride_hail_cost=h.ride_hail_cost / scale)
-        for h in instance.households
-    )
-    programs = tuple(replace(p, cost=p.cost / scale) for p in instance.programs)
-    return replace(instance, households=households, programs=programs, budget=new_budget), scale
+    return scaled.with_budget(new_budget), scale
 
 
 def inject_ride_hailing(instance: Instance) -> Instance:

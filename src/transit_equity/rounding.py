@@ -179,6 +179,21 @@ def _round_values(
     raise RuntimeError("rounding failed to terminate")  # unreachable: each step fixes an entry
 
 
+def ras_selection(
+    instance: Instance,
+    x_star: FractionalSolution | Sequence[float] | np.ndarray,
+    rng: np.random.Generator,
+    pair_policy: PairPolicy = lowest_index_pair,
+) -> np.ndarray:
+    """One realization of the randomized allocation strategy as a bool
+    selection over the programs: the rounding `ras` evaluates."""
+    values = np.array(_values_of(x_star), dtype=float)
+    if values.size != len(instance.programs):
+        raise ValueError("fractional vector length does not match the program count")
+    costs = np.asarray(instance.costs, dtype=float)
+    return _round_values(values, costs, rng, pair_policy) > 0.5
+
+
 def ras(
     instance: Instance,
     x_star: FractionalSolution | Sequence[float] | np.ndarray,
@@ -193,13 +208,8 @@ def ras(
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
-    values = np.array(_values_of(x_star), dtype=float)
-    if values.size != len(instance.programs):
-        raise ValueError("fractional vector length does not match the program count")
-    costs = np.asarray(instance.costs, dtype=float)
-    rounded = _round_values(values, costs, rng, pair_policy)
-    strategy = DeterministicStrategy(tuple(int(v) for v in np.rint(rounded)))
-    return evaluate(instance, strategy)
+    selected = ras_selection(instance, x_star, rng, pair_policy)
+    return evaluate(instance, DeterministicStrategy(tuple(selected.tolist())))
 
 
 def _values_of(x_star) -> np.ndarray:

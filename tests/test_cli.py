@@ -185,6 +185,11 @@ class TestInputErrors:
         assert captured.err.startswith("error: normalized budget 0.5 < 1")
         assert captured.err.count("\n") == 1
 
+    def test_small_budget_error_names_the_cli_flag(self, instance_dir, capsys):
+        code = run_cli(["solve-lp", "--instance", instance_dir, "--budget", "0.5"])
+        assert code == 2
+        assert "--allow-small-budget" in capsys.readouterr().err
+
     def test_oracle_on_too_many_programs(self, tmp_path, capsys):
         households = (Household(id="a", group_ids=frozenset({"g"})),)
         programs = tuple(

@@ -88,6 +88,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="group id must be nonempty"):
             Group(id=bad, members=frozenset({"a"}))
 
+    def test_nul_in_ids_rejected(self):
+        # Python 3.10's csv writer cannot write NUL, so such an id would not round-trip
+        with pytest.raises(ValueError, match="household id .* NUL"):
+            Household(id="a\x00b")
+        with pytest.raises(ValueError, match="program id .* NUL"):
+            Program(id="\x00", cost=1.0, covers=frozenset({"a"}))
+        with pytest.raises(ValueError, match="group id .* NUL"):
+            Group(id="g\x00", members=frozenset({"a"}))
+
     def test_reserved_prefix_rejected_on_bus_lines(self):
         with pytest.raises(ValueError, match="reserved"):
             Program(id="ride-hail:a", cost=1.0, covers=frozenset({"a"}))
@@ -164,6 +173,38 @@ class TestNormalize:
             tuple(int(rng.integers(2)) for _ in inst.programs)
         )
         assert is_feasible(raw, strategy, tol=1e-9 * scale) == is_feasible(norm, strategy)
+
+
+class TestWithBudget:
+    def test_shares_caches_and_changes_only_the_budget(self, small_instance):
+        copy = small_instance.with_budget(0.75)
+        assert copy.budget == 0.75 and small_instance.budget == 1.5
+        assert copy == dataclasses.replace(small_instance, budget=0.75)
+        for name in ("costs", "program_households", "household_programs", "group_indices",
+                     "household_index"):
+            assert getattr(copy, name) is getattr(small_instance, name)
+        assert copy.with_budget(2.0).costs is small_instance.costs
+
+    def test_normalized_programs_and_households_shared(self, small_instance):
+        programs = tuple(dataclasses.replace(p, cost=4 * p.cost) for p in small_instance.programs)
+        raw = dataclasses.replace(small_instance, programs=programs)
+        low, scale_low = normalize(raw.with_budget(4.0))
+        high, scale_high = normalize(raw.with_budget(8.0))
+        assert (low.budget, high.budget) == (1.0, 2.0) and scale_low == scale_high == 4.0
+        assert low.programs is high.programs and low.households is high.households
+        assert low.costs is high.costs
+        assert low == normalize(dataclasses.replace(raw, budget=4.0))[0]
+
+    def test_small_budget_still_checked_per_copy(self):
+        raw = make_instance([4.0], budget=8.0)
+        normalize(raw.with_budget(8.0))
+        with pytest.raises(BudgetTooSmallError):
+            normalize(raw.with_budget(2.0))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_bad_budget_rejected(self, small_instance, value):
+        with pytest.raises(ValueError, match="budget must be finite and >= 0"):
+            small_instance.with_budget(value)
 
 
 class TestInjectRideHailing:

@@ -1,0 +1,363 @@
+"""Naive references for the budget sweep and the kernels it runs on.
+
+The references rebuild everything per cell and per trial, the plain way: a
+fresh validated instance per budget, `normalize` by replacing every program
+and household, the LP assembled row by row from the coverage sets, a
+`StrategyOutcome` per trial, and the combined scenario built by its own
+`build_instance` call. The sweep and its kernels must give exactly the same
+floats.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from scipy.optimize import linprog
+from scipy.sparse import csr_matrix
+
+from transit_equity import experiment
+from transit_equity.baselines import greedy, uniform, uniform_selection
+from transit_equity.experiment import ExperimentConfig, emit, run_experiment
+from transit_equity.generators import random_instance
+from transit_equity.geo import (
+    CostParams,
+    SyntheticCityParams,
+    build_instance,
+    cluster_stops,
+    eligibility_filter,
+    generate_routes,
+    synthetic_city,
+)
+from transit_equity.instance_io import read_instance, write_instance
+from transit_equity.lp import LpRow, build_lp, solve_lp
+from transit_equity.model import (
+    AFFORDABILITY_TOL,
+    BudgetTooSmallError,
+    DeterministicStrategy,
+    Group,
+    Household,
+    Instance,
+    Program,
+    derive_groups,
+    evaluate,
+    inject_ride_hailing,
+)
+from transit_equity.rounding import ras
+
+TINY_CITY = SyntheticCityParams(n_households=400, grid_rows=6, grid_cols=6)
+COST_PARAMS = CostParams(rides_per_quarter=364)
+
+
+def naive_normalize(instance, allow_small_budget):
+    scale = max(p.cost for p in instance.programs)
+    budget = instance.budget / scale
+    if budget < 1 and not allow_small_budget:
+        raise BudgetTooSmallError(f"normalized budget {budget:.6g} < 1")
+    households = tuple(
+        h if h.ride_hail_cost is None
+        else dataclasses.replace(h, ride_hail_cost=h.ride_hail_cost / scale)
+        for h in instance.households
+    )
+    programs = tuple(dataclasses.replace(p, cost=p.cost / scale) for p in instance.programs)
+    return (
+        dataclasses.replace(instance, households=households, programs=programs, budget=budget),
+        scale,
+    )
+
+
+def naive_lp_rows(instance):
+    """The benchmark LP's rows from the coverage and membership sets."""
+    n_j = len(instance.programs)
+    position = {h.id: i for i, h in enumerate(instance.households)}
+    rows = [
+        LpRow(
+            label="budget",
+            indices=tuple(range(1, 1 + n_j)),
+            coefficients=tuple(float(p.cost) for p in instance.programs),
+            rhs=float(instance.budget),
+        )
+    ]
+    for i, h in enumerate(instance.households):
+        coverers = [1 + j for j, p in enumerate(instance.programs) if h.id in p.covers]
+        rows.append(
+            LpRow(
+                label=f"cover:{h.id}",
+                indices=(1 + n_j + i, *coverers),
+                coefficients=(1.0,) + (-1.0,) * len(coverers),
+                rhs=0.0,
+            )
+        )
+    for g in instance.groups:
+        members = sorted(position[m] for m in g.members)
+        rows.append(
+            LpRow(
+                label=f"equity:{g.id}",
+                indices=(0, *(1 + n_j + i for i in members)),
+                coefficients=(1.0,) + (-1.0 / len(members),) * len(members),
+                rhs=0.0,
+            )
+        )
+    return rows
+
+
+def row_built_csr(rows):
+    data, indices, indptr = [], [], [0]
+    for row in rows:
+        data.extend(row.coefficients)
+        indices.extend(row.indices)
+        indptr.append(len(data))
+    b = np.array([row.rhs for row in rows])
+    return np.array(data, dtype=float), np.array(indices), np.array(indptr), b
+
+
+def row_built_highs(model):
+    """HiGHS on the row-built matrix, one (0, 1) bound per variable."""
+    rows = naive_lp_rows(model.instance)
+    data, indices, indptr, b = row_built_csr(rows)
+    a = csr_matrix((data, indices, indptr), shape=(len(rows), model.n_vars))
+    res = linprog(
+        -model.objective(),
+        A_ub=a,
+        b_ub=b,
+        bounds=[(0.0, 1.0)] * model.n_vars,
+        method="highs",
+    )
+    assert res.success
+    return np.asarray(res.x), float(-res.fun)
+
+
+def naive_uniform(instance, rng):
+    """Uniform's selection with a numpy candidate pool and per-pick slices."""
+    n_j = len(instance.programs)
+    costs = instance.costs
+    alive = np.arange(n_j)
+    max_alive = float(costs.max(initial=0.0))
+    selected = np.zeros(n_j, dtype=bool)
+    covered = set()
+    remaining = float(instance.budget)
+    while alive.size and len(covered) < len(instance.households):
+        if max_alive > remaining + AFFORDABILITY_TOL:
+            alive = alive[costs[alive] <= remaining + AFFORDABILITY_TOL]
+            if alive.size == 0:
+                break
+            max_alive = float(costs[alive].max())
+        r = int(rng.integers(alive.size))
+        pick = int(alive[r])
+        alive[r] = alive[-1]
+        alive = alive[:-1]
+        selected[pick] = True
+        remaining -= float(costs[pick])
+        covered |= instance.programs[pick].covers
+    return selected
+
+
+def naive_run_experiment(config):
+    """The sweep with every cell and every trial built from scratch."""
+    if config.instance_dir is not None:
+        bus_only = read_instance(config.instance_dir)
+        variants = {"bus_only": bus_only, "combined": inject_ride_hailing(bus_only)}
+    else:
+        households, stops, guideline = synthetic_city(config.synthetic, config.synthetic_seed)
+        eligible = eligibility_filter(households, stops)
+        routes = generate_routes(
+            cluster_stops(eligible), stops, config.route_count, config.route_seed,
+            config.cost_params,
+        )
+        variants = {
+            name: build_instance(
+                eligible, routes, budget=0.0, guideline=guideline,
+                include_ride_hail=(name == "combined"), params=config.cost_params,
+            )
+            for name in experiment.SCENARIOS
+        }
+    rows = []
+    for s, scenario in enumerate(config.scenarios):
+        for b, budget in enumerate(config.budgets):
+            instance = dataclasses.replace(variants[scenario], budget=float(budget))
+            norm, scale = naive_normalize(instance, config.allow_small_budget)
+            solution = solve_lp(build_lp(norm), solver=row_built_highs)
+            for a, algorithm in enumerate(config.algorithms):
+                if algorithm == "greedy":
+                    outcomes = [greedy(norm)]
+                else:
+                    outcomes = []
+                    for t in range(config.trials):
+                        rng = experiment._trial_rng(config, s, b, a, t)
+                        if algorithm == "ras":
+                            outcomes.append(ras(norm, solution, rng))
+                        else:
+                            selected = naive_uniform(norm, rng)
+                            outcomes.append(
+                                evaluate(norm, DeterministicStrategy(tuple(selected.tolist())))
+                            )
+                ratios = np.array(
+                    [[o.group_ratios[g.id] for g in norm.groups] or [1.0] for o in outcomes]
+                )
+                ddof = 1 if len(outcomes) > 1 else 0
+                stats = experiment._CellStats(
+                    group_means=ratios.mean(axis=0),
+                    group_stds=ratios.std(axis=0, ddof=ddof),
+                    costs=np.array([o.total_cost for o in outcomes]),
+                    trials=len(outcomes),
+                )
+                rows.append(
+                    experiment._row_from_stats(
+                        budget, scenario, algorithm, stats, solution.objective, scale,
+                        norm.budget,
+                    )
+                )
+    return experiment.ExperimentReport(rows=tuple(rows))
+
+
+def assert_same_report(config, tmp_path):
+    fast, slow = run_experiment(config), naive_run_experiment(config)
+    assert fast.rows == slow.rows
+    for name, report in (("fast", fast), ("slow", slow)):
+        emit(report, tmp_path / name)
+    for name in ("results.csv", "plot_data.json"):
+        assert (tmp_path / "fast" / name).read_bytes() == (tmp_path / "slow" / name).read_bytes()
+    return fast
+
+
+class TestSweepReference:
+    def test_synthetic_city_both_scenarios(self, tmp_path):
+        config = ExperimentConfig(
+            budgets=(0.5e6, 1e6, 3e6),
+            trials=25,
+            seed=3,
+            synthetic=TINY_CITY,
+            route_count=4,
+            cost_params=COST_PARAMS,
+        )
+        report = assert_same_report(config, tmp_path)
+        assert {r.scenario for r in report.rows} == {"bus_only", "combined"}
+
+    def test_instance_dir_by_household_size_at_fractional_budgets(self, tmp_path):
+        households, stops, guideline = synthetic_city(TINY_CITY, 1)
+        eligible = eligibility_filter(households, stops)
+        routes = generate_routes(cluster_stops(eligible), stops, 4, 1, COST_PARAMS)
+        instance = build_instance(
+            eligible, routes, budget=0.0, guideline=guideline,
+            group_by="household_size", params=COST_PARAMS,
+        )
+        write_instance(instance, tmp_path / "instance")
+        config = ExperimentConfig(
+            budgets=(0.25e6, 0.5e6, 1e6, 1.5e6),
+            trials=25,
+            seed=4,
+            instance_dir=str(tmp_path / "instance"),
+        )
+        assert_same_report(config, tmp_path)
+        # the LP optimum is fractional in these cells, so ras really twists
+        base = read_instance(tmp_path / "instance")
+        fractional = 0
+        for variant in (base, inject_ride_hailing(base)):
+            for budget in config.budgets:
+                norm, _ = naive_normalize(dataclasses.replace(variant, budget=budget), False)
+                x = solve_lp(build_lp(norm), solver="highs").x_star
+                fractional += int(((x > 0.0) & (x < 1.0)).any())
+        assert fractional >= 6
+
+
+def uncovered_household():
+    return Instance(
+        households=tuple(Household(id=h, group_ids=frozenset({"g"})) for h in "abc"),
+        programs=(
+            Program(id="p", cost=1.0, covers=frozenset({"a", "b"})),
+            Program(id="q", cost=0.5, covers=frozenset({"b"})),
+        ),
+        budget=1.0,
+        groups=(Group(id="g", members=frozenset("abc")),),
+    )
+
+
+def no_groups():
+    return Instance(
+        households=tuple(Household(id=h) for h in "ab"),
+        programs=(Program(id="p", cost=1.0, covers=frozenset({"b", "a"})),),
+        budget=1.0,
+        groups=(),
+    )
+
+
+def overlapping_groups():
+    households = (
+        Household(id="z", group_ids=frozenset({"g1", "g2"})),
+        Household(id="y", group_ids=frozenset({"g2"})),
+        Household(id="x", group_ids=frozenset({"g1", "g2"})),
+    )
+    return Instance(
+        households=households,
+        programs=(
+            Program(id="p", cost=0.25, covers=frozenset({"x"})),
+            Program(id="q", cost=1.0, covers=frozenset({"y", "z"})),
+        ),
+        budget=1.0,
+        groups=derive_groups(households),
+    )
+
+
+def assert_lp_equals_row_built(instance):
+    model = build_lp(instance)
+    rows = naive_lp_rows(instance)
+    data, indices, indptr, b = row_built_csr(rows)
+    assert model.data.dtype == np.float64 and model.rhs.dtype == np.float64
+    assert model.data.tobytes() == data.tobytes()
+    assert model.indices.astype(np.int64).tobytes() == indices.astype(np.int64).tobytes()
+    assert model.indptr.astype(np.int64).tobytes() == indptr.astype(np.int64).tobytes()
+    assert model.rhs.tobytes() == b.tobytes()
+    assert model.rows == tuple(rows)
+
+    dense = np.zeros((len(rows), model.n_vars))
+    for r, row in enumerate(rows):
+        dense[r, list(row.indices)] = row.coefficients
+    a, rhs = model.dense_matrix()
+    assert a.tobytes() == dense.tobytes() and rhs.tobytes() == b.tobytes()
+
+    scipy_a, scipy_b = model.scipy_matrix()
+    assert scipy_a.toarray().tobytes() == dense.tobytes()
+    assert scipy_b.tobytes() == b.tobytes()
+
+
+class TestBuildLpKernel:
+    @pytest.mark.parametrize("make", [uncovered_household, no_groups, overlapping_groups])
+    def test_edge_cases_equal_row_built(self, make):
+        assert_lp_equals_row_built(make())
+
+    def test_random_suite_equals_row_built(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            assert_lp_equals_row_built(random_instance(rng))
+
+
+def uniform_suite():
+    rng = np.random.default_rng(77)
+    for k in range(300):
+        instance = random_instance(rng, max_households=10, max_programs=12)
+        if k % 3 == 0:
+            # tie-heavy costs and small covers
+            programs = tuple(
+                dataclasses.replace(p, cost=float(rng.choice([0.5, 1.0])))
+                for p in instance.programs
+            )
+            instance = dataclasses.replace(instance, programs=programs)
+        budget = float(rng.choice([0.0, 0.5, instance.budget, 2 * instance.budget, 100.0]))
+        yield instance.with_budget(budget)
+
+
+class TestUniformKernel:
+    def test_matches_numpy_pool_selection_and_rng_state(self):
+        for seed, instance in enumerate(uniform_suite()):
+            fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            fast = uniform_selection(instance, fast_rng)
+            slow = naive_uniform(instance, slow_rng)
+            assert fast.dtype == bool and np.array_equal(fast, slow)
+            assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+    def test_wrapper_evaluates_the_kernel_selection(self):
+        for seed, instance in enumerate(uniform_suite()):
+            if seed >= 30:
+                break
+            outcome = uniform(instance, seed)
+            selected = uniform_selection(instance, np.random.default_rng(seed))
+            assert outcome.strategy.selected == tuple(int(v) for v in selected)
