@@ -26,22 +26,11 @@ from .oracles import (
     opt_deterministic,
     opt_randomized,
 )
-from .rounding import (
-    AllocationVector,
-    ExactRoundingStats,
-    TwistStep,
-    exact_expectation,
-    plan_twist,
-    ras,
-    round_single,
-    trajectory_leaves,
-    twist,
-)
+from .rounding import ExactRoundingStats, exact_expectation, ras, trajectory_leaves
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllocationVector",
     "BudgetTooSmallError",
     "DeterministicStrategy",
     "ExactRoundingStats",
@@ -57,7 +46,6 @@ __all__ = [
     "RandomizedStrategy",
     "StrategyOutcome",
     "StrategySpace",
-    "TwistStep",
     "build_lp",
     "compare_scenarios",
     "disjoint_singletons_instance",
@@ -72,15 +60,12 @@ __all__ = [
     "normalize",
     "opt_deterministic",
     "opt_randomized",
-    "plan_twist",
     "random_instance",
     "ras",
     "read_instance",
-    "round_single",
     "run_experiment",
     "solve_lp",
     "trajectory_leaves",
-    "twist",
     "uniform",
     "verify_solution",
     "write_instance",

@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -176,13 +177,10 @@ def _cmd_ingest(args) -> int:
     sites = cluster_stops(eligible)
     routes = generate_routes(sites, stops, args.routes, args.seed, params)
     instance = build_instance(
-        eligible,
-        routes,
-        budget=args.budget,
-        guideline=guideline,
-        include_ride_hail=(args.scenario == "combined"),
-        params=params,
+        eligible, routes, budget=args.budget, guideline=guideline, params=params
     )
+    if args.scenario == "combined":
+        instance = inject_ride_hailing(instance)
     write_instance(instance, args.out)
     print(f"eligible_households {len(eligible)}")
     print(f"candidate_stops {len(sites)}")
@@ -191,11 +189,33 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-# The keys an experiment config file may set, one per flag.
-CONFIG_KEYS = frozenset(
-    ("budgets", "scenarios", "algorithms", "trials", "seed", "instance",
-     "synthetic_seed", "route_seed", "rides_per_quarter", "solver")
-)
+def _floats(value: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in value.split(","))
+
+
+def _names(value: str) -> tuple[str, ...]:
+    return tuple(value.split(","))
+
+
+def _cost_params(value: str) -> CostParams:
+    return CostParams(rides_per_quarter=int(value))
+
+
+# Each key an experiment config file may set, named as its flag: the
+# ExperimentConfig field it fills and the parser of its value (also the
+# flag's type). A key set neither way keeps the ExperimentConfig default.
+CONFIG_FIELDS: dict[str, tuple[str, Callable[[str], object]]] = {
+    "budgets": ("budgets", _floats),
+    "scenarios": ("scenarios", _names),
+    "algorithms": ("algorithms", _names),
+    "trials": ("trials", int),
+    "seed": ("seed", int),
+    "instance": ("instance_dir", str),
+    "synthetic_seed": ("synthetic_seed", int),
+    "route_seed": ("route_seed", int),
+    "rides_per_quarter": ("cost_params", _cost_params),
+    "solver": ("solver", str),
+}
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -208,7 +228,7 @@ def _parse_config_file(path: str) -> dict[str, str]:
             raise ValueError(f"config line without '=': {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in CONFIG_KEYS:
+        if key not in CONFIG_FIELDS:
             raise ValueError(f"{path}: unknown config key {key!r}")
         values[key] = value.strip()
     return values
@@ -216,41 +236,17 @@ def _parse_config_file(path: str) -> dict[str, str]:
 
 def _cmd_experiment(args) -> int:
     file_values = _parse_config_file(args.config) if args.config else {}
-
-    def pick(key: str, flag_value, parse):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return parse(file_values[key])
-        return None
-
-    budgets = pick("budgets", args.budgets, lambda v: [float(x) for x in v.split(",")])
-    if budgets is None:
+    if args.budgets is None and "budgets" not in file_values:
         print("experiment: budgets are required (flag --budgets or config budgets=)", file=sys.stderr)
         return 2
-    scenarios = pick("scenarios", args.scenarios, lambda v: v.split(","))
-    algorithms = pick("algorithms", args.algorithms, lambda v: v.split(","))
-    trials = pick("trials", args.trials, int)
-    seed = pick("seed", args.seed, int)
-    instance_dir = pick("instance", args.instance, str)
-    synthetic_seed = pick("synthetic_seed", args.synthetic_seed, int)
-    route_seed = pick("route_seed", args.route_seed, int)
-    rides = pick("rides_per_quarter", args.rides_per_quarter, int)
-    solver = pick("solver", args.solver, str)
-
-    config = exp.ExperimentConfig(
-        budgets=tuple(budgets),
-        scenarios=tuple(scenarios) if scenarios is not None else exp.SCENARIOS,
-        algorithms=tuple(algorithms) if algorithms is not None else exp.ALGORITHMS,
-        trials=trials if trials is not None else 1000,
-        seed=seed if seed is not None else 0,
-        instance_dir=instance_dir,
-        synthetic_seed=synthetic_seed if synthetic_seed is not None else 0,
-        route_seed=route_seed if route_seed is not None else 0,
-        cost_params=CostParams(rides_per_quarter=rides) if rides is not None else CostParams(),
-        solver=solver if solver is not None else "highs",
-        allow_small_budget=args.allow_small_budget,
-    )
+    fields = {}
+    for key, (field, parse) in CONFIG_FIELDS.items():
+        value = getattr(args, key)
+        if value is None and key in file_values:
+            value = parse(file_values[key])
+        if value is not None:
+            fields[field] = value
+    config = exp.ExperimentConfig(**fields, allow_small_budget=args.allow_small_budget)
     report = exp.run_experiment(config)
     results, plot = exp.emit(report, args.out)
     print(f"results {results}")
@@ -319,15 +315,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="budget sweep with Monte Carlo trials")
     p.add_argument("--config", default=None, help="flat key=value config file")
-    p.add_argument("--budgets", type=lambda v: [float(x) for x in v.split(",")], default=None)
-    p.add_argument("--scenarios", type=lambda v: v.split(","), default=None)
-    p.add_argument("--algorithms", type=lambda v: v.split(","), default=None)
+    p.add_argument("--budgets", type=_floats, default=None)
+    p.add_argument("--scenarios", type=_names, default=None)
+    p.add_argument("--algorithms", type=_names, default=None)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--instance", default=None, help="instance directory (default: synthetic)")
     p.add_argument("--synthetic-seed", type=int, default=None)
     p.add_argument("--route-seed", type=int, default=None)
-    p.add_argument("--rides-per-quarter", type=int, default=None)
+    p.add_argument("--rides-per-quarter", type=_cost_params, default=None)
     p.add_argument("--solver", choices=["simplex", "highs"], default=None)
     p.add_argument("--allow-small-budget", action="store_true")
     p.add_argument("--out", required=True, help="output directory")

@@ -13,6 +13,7 @@ simplification throughout.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -66,8 +67,10 @@ class GeoHousehold:
     def __post_init__(self) -> None:
         if not (-90 <= self.lat <= 90 and -180 <= self.lon <= 180):
             raise ValueError(f"household {self.id}: coordinates out of range")
-        if self.income < 0:
-            raise ValueError(f"household {self.id}: income must be >= 0")
+        if not 0 <= self.income < math.inf:
+            raise ValueError(
+                f"household {self.id}: income must be finite and >= 0, got {self.income!r}"
+            )
         if self.household_size < 1:
             raise ValueError(f"household {self.id}: household_size must be >= 1")
 
@@ -103,6 +106,12 @@ class PovertyGuideline:
 
     def __post_init__(self) -> None:
         pairs = tuple(sorted((int(s), float(v)) for s, v in self.thresholds))
+        for size, value in pairs:
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"guideline threshold for household size {size} must be finite and > 0,"
+                    f" got {value!r}"
+                )
         sizes = [s for s, _ in pairs]
         if len(set(sizes)) != len(sizes):
             raise ValueError("duplicate household sizes in guideline")
@@ -363,7 +372,6 @@ def build_instance(
     guideline: PovertyGuideline,
     *,
     group_by: str = "race",
-    include_ride_hail: bool = False,
     params: CostParams = CostParams(),
 ) -> Instance:
     """Assemble the coverage instance.
@@ -371,9 +379,9 @@ def build_instance(
     A route program covers the households within the 0.25-mile clustering
     radius of any of its stops; half-day variants cover every other such
     household in stop order. Groups partition households by the chosen
-    categorical attribute. Virtual ride-hail programs are appended only when
-    include_ride_hail is set. Route variants covering no household are
-    dropped (they can never help)."""
+    categorical attribute. The instance holds bus lines only; the combined
+    scenario is `model.inject_ride_hailing` of it. Route variants covering no
+    household are dropped (they can never help)."""
     lat = np.array([h.lat for h in households])
     lon = np.array([h.lon for h in households])
 
@@ -415,17 +423,12 @@ def build_instance(
             )
         )
 
-    instance = Instance(
+    return Instance(
         households=tuple(model_households),
         programs=tuple(programs),
         budget=float(budget),
         groups=derive_groups(model_households),
     )
-    if include_ride_hail:
-        from .model import inject_ride_hailing
-
-        instance = inject_ride_hailing(instance)
-    return instance
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +554,7 @@ def _check_header(path: Path, fieldnames, columns: list[str]) -> None:
 
 def read_geo_households(path: str | Path) -> list[GeoHousehold]:
     path = Path(path)
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         _check_header(path, reader.fieldnames, GEO_HOUSEHOLD_COLUMNS)
         return [
@@ -569,7 +572,7 @@ def read_geo_households(path: str | Path) -> list[GeoHousehold]:
 
 def read_transit_stops(path: str | Path) -> list[TransitStop]:
     path = Path(path)
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         _check_header(path, reader.fieldnames, TRANSIT_STOP_COLUMNS)
         return [
@@ -580,7 +583,7 @@ def read_transit_stops(path: str | Path) -> list[TransitStop]:
 
 def read_poverty_guideline(path: str | Path) -> PovertyGuideline:
     path = Path(path)
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         _check_header(path, reader.fieldnames, POVERTY_GUIDELINE_COLUMNS)
         return PovertyGuideline(
@@ -589,7 +592,7 @@ def read_poverty_guideline(path: str | Path) -> PovertyGuideline:
 
 
 def write_geo_households(households: Iterable[GeoHousehold], path: str | Path) -> None:
-    with Path(path).open("w", newline="") as fh:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(GEO_HOUSEHOLD_COLUMNS)
         for h in households:
@@ -597,7 +600,7 @@ def write_geo_households(households: Iterable[GeoHousehold], path: str | Path) -
 
 
 def write_transit_stops(stops: Iterable[TransitStop], path: str | Path) -> None:
-    with Path(path).open("w", newline="") as fh:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRANSIT_STOP_COLUMNS)
         for s in stops:
@@ -605,7 +608,7 @@ def write_transit_stops(stops: Iterable[TransitStop], path: str | Path) -> None:
 
 
 def write_poverty_guideline(guideline: PovertyGuideline, path: str | Path) -> None:
-    with Path(path).open("w", newline="") as fh:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(POVERTY_GUIDELINE_COLUMNS)
         for size, value in guideline.thresholds:

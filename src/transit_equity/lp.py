@@ -26,7 +26,6 @@ import numpy as np
 from . import simplex
 from .model import Instance
 
-CONSTRAINT_TOL = 1e-9
 OBJECTIVE_TOL = 1e-7
 SNAP_EPS = 1e-9
 
@@ -74,9 +73,6 @@ class LpModel:
     @property
     def upper_bounds(self) -> tuple[float, ...]:
         return (1.0,) * self.n_vars
-
-    def x_index(self, j: int) -> int:
-        return 1 + j
 
     def y_index(self, i: int) -> int:
         return 1 + self.n_programs + i
@@ -215,10 +211,13 @@ _SOLVERS: dict[str, Callable[[LpModel], tuple[np.ndarray, float]]] = {
 }
 
 
-def _snap(values: np.ndarray, eps: float = SNAP_EPS) -> np.ndarray:
+def snap(values: np.ndarray) -> np.ndarray:
+    """A copy of `values` clipped to [0, 1], with every entry within SNAP_EPS
+    of 0 or 1 set to exactly 0 or 1: the LP solution and the rounding's start
+    vector both go through it."""
     out = np.clip(values, 0.0, 1.0)
-    out[out <= eps] = 0.0
-    out[out >= 1.0 - eps] = 1.0
+    out[out <= SNAP_EPS] = 0.0
+    out[out >= 1.0 - SNAP_EPS] = 1.0
     return out
 
 
@@ -229,8 +228,8 @@ def solve_lp(
     """Solve the benchmark LP to optimality (1e-9 feasibility, 1e-7 objective)."""
     fn = _SOLVERS[solver] if isinstance(solver, str) else solver
     x_full, objective = fn(model)
-    x = _snap(x_full[1 : 1 + model.n_programs])
-    y = _snap(x_full[1 + model.n_programs :])
+    x = snap(x_full[1 : 1 + model.n_programs])
+    y = snap(x_full[1 + model.n_programs :])
     x.setflags(write=False)
     y.setflags(write=False)
     return FractionalSolution(x_star=x, y_star=y, objective=float(min(1.0, max(0.0, objective))))

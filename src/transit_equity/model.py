@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -258,14 +258,6 @@ class DeterministicStrategy:
         object.__setattr__(self, "selected", tuple(int(v) for v in self.selected))
         if any(v not in (0, 1) for v in self.selected):
             raise ValueError("selection entries must be 0 or 1")
-
-    @classmethod
-    def from_ids(cls, instance: Instance, program_ids: Iterable[str]) -> "DeterministicStrategy":
-        wanted = set(program_ids)
-        unknown = wanted - {p.id for p in instance.programs}
-        if unknown:
-            raise ValueError(f"unknown program ids {sorted(unknown)}")
-        return cls(tuple(1 if p.id in wanted else 0 for p in instance.programs))
 
     def selected_ids(self, instance: Instance) -> tuple[str, ...]:
         return tuple(p.id for p, v in zip(instance.programs, self.selected) if v)

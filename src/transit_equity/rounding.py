@@ -17,10 +17,11 @@ beta  = max{e > 0 : X_p - e >= 0, X_q + c_p e / c_q <= 1}:
 
 and the pair moves up with probability beta / (alpha + beta).
 
-`exact_expectation` enumerates the full binary trajectory tree under a fixed
-deterministic pair-selection policy, yielding exact per-program marginals,
-per-household coverage probabilities, expected cost, and the worst-group
-expected coverage ratio.
+The pair is always the two lowest-index fractional entries. One step
+function, `_step`, does both the sampling (`ras`) and the exact enumeration
+of the binary trajectory tree (`trajectory_leaves`), which yields exact
+per-program marginals, per-household coverage probabilities, expected cost,
+and the worst-group expected coverage ratio.
 """
 
 from __future__ import annotations
@@ -30,175 +31,87 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .lp import FractionalSolution
+from .lp import SNAP_EPS, FractionalSolution, snap
 from .model import DeterministicStrategy, Instance, StrategyOutcome, evaluate
 
-SNAP_EPS = 1e-9
 MAX_EXACT_PROGRAMS = 24
 
-PairPolicy = Callable[[np.ndarray], tuple[int, int]]
 
-
-def lowest_index_pair(fractional: np.ndarray) -> tuple[int, int]:
-    """Default pair policy: the two fractional entries with the lowest indices."""
-    return int(fractional[0]), int(fractional[1])
-
-
-@dataclass(frozen=True, eq=False)
-class AllocationVector:
-    """A (possibly fractional, mid-rounding) opening vector with its costs."""
-
-    values: np.ndarray
-    costs: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float)
-        costs = np.array(self.costs, dtype=float)
-        if values.shape != costs.shape or values.ndim != 1:
-            raise ValueError("values and costs must be 1-d arrays of equal length")
-        if ((values < -SNAP_EPS) | (values > 1 + SNAP_EPS)).any():
+def _values_of(x_star, costs: np.ndarray) -> np.ndarray:
+    """The rounding's start vector: a snapped copy of x*, every free program
+    opened. A raw vector must match the costs and lie in [0, 1] (to within
+    SNAP_EPS); a NaN entry is rejected."""
+    if isinstance(x_star, FractionalSolution):
+        values = x_star.x_star
+    else:
+        values = np.asarray(x_star, dtype=float)
+        if not ((values >= -SNAP_EPS) & (values <= 1.0 + SNAP_EPS)).all():
             raise ValueError("allocation values must lie in [0, 1]")
-        _snap_inplace(values)
-        values.setflags(write=False)
-        costs.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "costs", costs)
-
-    def weighted_sum(self) -> float:
-        return float(np.dot(self.costs, self.values))
-
-    def fractional_indices(self) -> np.ndarray:
-        v = self.values
-        return np.flatnonzero((v > 0.0) & (v < 1.0))
-
-    def is_integral(self) -> bool:
-        return self.fractional_indices().size == 0
+    if values.shape != costs.shape:
+        raise ValueError(
+            "fractional vector and program costs must be 1-d arrays of equal length, "
+            f"got shapes {values.shape} and {costs.shape}"
+        )
+    values = snap(values)
+    values[costs <= 0.0] = 1.0  # a free program is always opened
+    return values
 
 
-@dataclass(frozen=True)
-class TwistStep:
-    """One planned pairwise rounding step."""
+def _step(
+    v: np.ndarray, costs: np.ndarray, up: Callable[[float], bool]
+) -> tuple[float, float] | None:
+    """Advance `v` in place by one rounding step; None once `v` is integral.
 
-    p: int
-    q: int
-    alpha: float
-    beta: float
-
-    @property
-    def prob_up(self) -> float:
-        return self.beta / (self.alpha + self.beta)
-
-
-def _snap_inplace(values: np.ndarray, eps: float = SNAP_EPS) -> None:
-    np.clip(values, 0.0, 1.0, out=values)
-    values[values <= eps] = 0.0
-    values[values >= 1.0 - eps] = 1.0
-
-
-def _plan(v: np.ndarray, c: np.ndarray, p: int, q: int) -> TwistStep:
-    if p == q:
-        raise ValueError("twist requires two distinct indices")
-    for k in (p, q):
-        if not 0.0 < v[k] < 1.0:
-            raise ValueError(f"twist entry {k} is not strictly fractional")
-        if c[k] <= 0.0:
-            raise ValueError(f"twist entry {k} has nonpositive cost")
-    ratio = c[q] / c[p]
+    With two or more fractional entries it twists the lowest-index pair p < q,
+    otherwise it rounds the lone fractional entry on its own. It returns the
+    branch weights (up, down), whose ratio to their sum is each branch's
+    probability, and takes the up branch iff `up(probability of up)`.
+    """
+    frac = np.flatnonzero((v > 0.0) & (v < 1.0))
+    if frac.size == 0:
+        return None
+    p = int(frac[0])
+    if frac.size == 1:
+        weights = (v[p], 1.0 - v[p])
+        v[p] = 1.0 if up(v[p]) else 0.0
+        return weights
+    q = int(frac[1])
+    ratio = costs[q] / costs[p]
     alpha = min(1.0 - v[p], v[q] * ratio)
     beta = min(v[p], (1.0 - v[q]) * ratio)
-    return TwistStep(p=p, q=q, alpha=float(alpha), beta=float(beta))
-
-
-def plan_twist(vector: AllocationVector, p: int, q: int) -> TwistStep:
-    return _plan(vector.values, vector.costs, p, q)
-
-
-def _apply_twist(values: np.ndarray, costs: np.ndarray, step: TwistStep, up: bool) -> None:
-    p, q = step.p, step.q
-    ratio = costs[p] / costs[q]
-    if up:
-        values[p] += step.alpha
-        values[q] -= ratio * step.alpha
+    if up(beta / (alpha + beta)):
+        v[p] += alpha
+        v[q] -= costs[p] / costs[q] * alpha
     else:
-        values[p] -= step.beta
-        values[q] += ratio * step.beta
-    for k in (p, q):
-        if values[k] <= SNAP_EPS:
-            values[k] = 0.0
-        elif values[k] >= 1.0 - SNAP_EPS:
-            values[k] = 1.0
-
-
-def twist(vector: AllocationVector, p: int, q: int, coin: float) -> AllocationVector:
-    """Apply one pairwise step; moves up iff coin < beta/(alpha+beta).
-
-    At least one of the pair becomes integral, and c_p X_p + c_q X_q is
-    conserved in both branches.
-    """
-    step = plan_twist(vector, p, q)
-    values = np.array(vector.values, dtype=float)
-    _apply_twist(values, vector.costs, step, up=coin < step.prob_up)
-    return AllocationVector(values=values, costs=vector.costs)
-
-
-def round_single(vector: AllocationVector, j: int, coin: float) -> AllocationVector:
-    """Round the last remaining fractional entry to 1 with probability X_j.
-
-    An entry already within the integrality tolerance of 0 or 1 is returned
-    unchanged (no coin is consumed by callers in that case).
-    """
-    frac = vector.fractional_indices()
-    if frac.size > 1:
-        raise ValueError(f"round_single requires at most one fractional entry, found {frac.size}")
-    values = np.array(vector.values, dtype=float)
-    if frac.size == 1 and int(frac[0]) == j:
-        values[j] = 1.0 if coin < values[j] else 0.0
-    return AllocationVector(values=values, costs=vector.costs)
-
-
-def _round_values(
-    values: np.ndarray,
-    costs: np.ndarray,
-    rng: np.random.Generator,
-    pair_policy: PairPolicy,
-) -> np.ndarray:
-    """In-place rounding loop shared by the public entry points."""
-    _snap_inplace(values)
-    values[costs <= 0.0] = 1.0  # a free program is always opened
-    for _ in range(values.size + 1):
-        frac = np.flatnonzero((values > 0.0) & (values < 1.0))
-        if frac.size >= 2:
-            p, q = pair_policy(frac)
-            step = _plan(values, costs, p, q)
-            _apply_twist(values, costs, step, up=rng.random() < step.prob_up)
-        elif frac.size == 1:
-            j = int(frac[0])
-            values[j] = 1.0 if rng.random() < values[j] else 0.0
-        else:
-            return values
-    raise RuntimeError("rounding failed to terminate")  # unreachable: each step fixes an entry
+        v[p] -= beta
+        v[q] += costs[p] / costs[q] * beta
+    for k in (p, q):  # `snap`, on the two entries the twist moved
+        if v[k] <= SNAP_EPS:
+            v[k] = 0.0
+        elif v[k] >= 1.0 - SNAP_EPS:
+            v[k] = 1.0
+    return beta, alpha
 
 
 def ras_selection(
     instance: Instance,
     x_star: FractionalSolution | Sequence[float] | np.ndarray,
     rng: np.random.Generator,
-    pair_policy: PairPolicy = lowest_index_pair,
 ) -> np.ndarray:
     """One realization of the randomized allocation strategy as a bool
-    selection over the programs: the rounding `ras` evaluates."""
-    values = np.array(_values_of(x_star), dtype=float)
-    if values.size != len(instance.programs):
-        raise ValueError("fractional vector length does not match the program count")
+    selection over the programs: the rounding `ras` evaluates. One coin
+    `rng.random()` per step."""
     costs = np.asarray(instance.costs, dtype=float)
-    return _round_values(values, costs, rng, pair_policy) > 0.5
+    values = _values_of(x_star, costs)
+    while _step(values, costs, lambda prob_up: rng.random() < prob_up) is not None:
+        pass
+    return values > 0.5
 
 
 def ras(
     instance: Instance,
     x_star: FractionalSolution | Sequence[float] | np.ndarray,
     rng: int | np.random.Generator,
-    pair_policy: PairPolicy = lowest_index_pair,
 ) -> StrategyOutcome:
     """Run one realization of the randomized allocation strategy.
 
@@ -208,53 +121,30 @@ def ras(
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
-    selected = ras_selection(instance, x_star, rng, pair_policy)
+    selected = ras_selection(instance, x_star, rng)
     return evaluate(instance, DeterministicStrategy(tuple(selected.tolist())))
 
 
-def _values_of(x_star) -> np.ndarray:
-    if isinstance(x_star, FractionalSolution):
-        return x_star.x_star
-    return np.asarray(x_star, dtype=float)
-
-
 def trajectory_leaves(
-    values: Sequence[float] | np.ndarray,
+    values: FractionalSolution | Sequence[float] | np.ndarray,
     costs: Sequence[float] | np.ndarray,
-    pair_policy: PairPolicy = lowest_index_pair,
 ) -> Iterator[tuple[float, np.ndarray]]:
-    """Enumerate (probability, integral vector) over every rounding trajectory
-    under the given deterministic pair policy. Probabilities sum to 1."""
-    start = np.array(values, dtype=float)
+    """Enumerate (probability, integral vector) over every rounding
+    trajectory. Probabilities sum to 1."""
     costs = np.asarray(costs, dtype=float)
-    _snap_inplace(start)
-    start[costs <= 0.0] = 1.0
 
     def recurse(v: np.ndarray, prob: float) -> Iterator[tuple[float, np.ndarray]]:
-        frac = np.flatnonzero((v > 0.0) & (v < 1.0))
-        if frac.size >= 2:
-            p, q = pair_policy(frac)
-            step = _plan(v, costs, p, q)
-            up = v.copy()
-            _apply_twist(up, costs, step, up=True)
-            down = v.copy()
-            _apply_twist(down, costs, step, up=False)
-            denominator = step.alpha + step.beta
-            yield from recurse(up, prob * step.beta / denominator)
-            yield from recurse(down, prob * step.alpha / denominator)
-        elif frac.size == 1:
-            j = int(frac[0])
-            pj = v[j]
-            up = v.copy()
-            up[j] = 1.0
-            down = v.copy()
-            down[j] = 0.0
-            yield from recurse(up, prob * pj)
-            yield from recurse(down, prob * (1.0 - pj))
-        else:
+        down = v.copy()
+        weights = _step(v, costs, lambda _: True)
+        if weights is None:
             yield prob, v
+            return
+        _step(down, costs, lambda _: False)
+        total = weights[0] + weights[1]
+        yield from recurse(v, prob * weights[0] / total)
+        yield from recurse(down, prob * weights[1] / total)
 
-    yield from recurse(start, 1.0)
+    yield from recurse(_values_of(values, costs), 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,7 +162,6 @@ class ExactRoundingStats:
 def exact_expectation(
     instance: Instance,
     x_star: FractionalSolution | Sequence[float] | np.ndarray,
-    pair_policy: PairPolicy = lowest_index_pair,
 ) -> ExactRoundingStats:
     """Exact expectations over the full trajectory tree (needs |J| <= 24)."""
     n_j = len(instance.programs)
@@ -280,9 +169,6 @@ def exact_expectation(
         raise ValueError(
             f"exact enumeration supports at most {MAX_EXACT_PROGRAMS} programs, got {n_j}"
         )
-    values = _values_of(x_star)
-    if values.size != n_j:
-        raise ValueError("fractional vector length does not match the program count")
     costs = np.asarray(instance.costs, dtype=float)
 
     x_mean = np.zeros(n_j)
@@ -291,7 +177,7 @@ def exact_expectation(
     prob_over = 0.0
     max_cost = 0.0
     total_prob = 0.0
-    for prob, leaf in trajectory_leaves(values, costs, pair_policy):
+    for prob, leaf in trajectory_leaves(x_star, costs):
         sel = leaf > 0.5
         cost = float(costs[sel].sum())
         x_mean += prob * leaf

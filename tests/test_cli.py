@@ -111,6 +111,27 @@ class TestIngest:
         code = run_cli(["ingest", "--budget", "1", "--out", str(tmp_path / "x")])
         assert code == 2
 
+    def test_zero_guideline_threshold_is_one_line_error(self, capsys, tmp_path):
+        geo = tmp_path / "geo"
+        assert run_cli(
+            ["ingest", "--synthetic", "--budget", "1", "--routes", "3", "--dump-geo", str(geo),
+             "--out", str(tmp_path / "inst")]
+        ) == 0
+        (geo / "poverty_guideline.csv").write_text("household_size,fpl_100\n1,0.0\n2,20000.0\n")
+        capsys.readouterr()
+        out_dir = tmp_path / "from_csv"
+        code = run_cli(
+            ["ingest", "--households", str(geo / "geo_households.csv"),
+             "--stops", str(geo / "transit_stops.csv"),
+             "--guideline", str(geo / "poverty_guideline.csv"),
+             "--budget", "1", "--out", str(out_dir)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must be finite and > 0" in err
+        assert not out_dir.exists()
+
 
 class TestExperimentCommand:
     ARGS = [

@@ -1,7 +1,10 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from transit_equity.geo import (
     CandidateRoute,
@@ -29,7 +32,7 @@ from transit_equity.geo import (
     write_poverty_guideline,
     write_transit_stops,
 )
-from transit_equity.model import ProgramKind
+from transit_equity.model import ProgramKind, inject_ride_hailing
 
 BASE_LAT, BASE_LON = 41.8, -87.7
 MILES_PER_DEG_LAT = 3958.7613 * math.pi / 180.0
@@ -146,6 +149,17 @@ class TestSubsidy:
     def test_thresholds_must_increase(self):
         with pytest.raises(ValueError, match="increase"):
             PovertyGuideline(thresholds=((1, 10000.0), (2, 9000.0)))
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_threshold_must_be_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            PovertyGuideline(thresholds=((1, value), (2, 20000.0)))
+
+    @pytest.mark.parametrize("income", [math.nan, math.inf, -1.0])
+    def test_income_must_be_finite_and_nonnegative(self, income):
+        # NaN used to get tier 2 and inf tier 1
+        with pytest.raises(ValueError, match="income must be finite and >= 0"):
+            household_at("x", 0, 0, income=income)
 
 
 class TestClustering:
@@ -294,8 +308,8 @@ class TestBuildInstance:
 
     def test_combined_adds_virtuals_for_everyone(self):
         households, routes = self.make_routes_and_households()
-        inst = build_instance(
-            households, routes, budget=5e5, guideline=GUIDELINE, include_ride_hail=True
+        inst = inject_ride_hailing(
+            build_instance(households, routes, budget=5e5, guideline=GUIDELINE)
         )
         virtuals = [p for p in inst.programs if p.kind is ProgramKind.VIRTUAL_RIDE_HAIL]
         assert len(virtuals) == len(households)
@@ -365,6 +379,59 @@ def test_geo_csv_round_trip(tmp_path):
     assert read_geo_households(tmp_path / "geo_households.csv") == households
     assert read_transit_stops(tmp_path / "transit_stops.csv") == stops
     assert read_poverty_guideline(tmp_path / "poverty_guideline.csv") == guideline
+
+
+GEO_TEXT = st.text(
+    st.one_of(
+        st.sampled_from([",", '"', "'", ";", " ", "\n", "\r", "\t", "é", "中", "🚌"]),
+        st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+    ),
+    max_size=6,
+)
+LATS, LONS = st.floats(-90, 90), st.floats(-180, 180)
+
+
+@st.composite
+def geo_inputs(draw):
+    """Geo households and stops with adversarial ids and race labels, and a guideline."""
+    households = draw(
+        st.lists(
+            st.builds(
+                GeoHousehold, id=GEO_TEXT, lat=LATS, lon=LONS, income=st.floats(0, 1e7),
+                household_size=st.integers(1, 12), race=GEO_TEXT,
+            ),
+            max_size=5,
+        )
+    )
+    stops = draw(
+        st.lists(
+            st.builds(
+                TransitStop, id=GEO_TEXT, kind=st.sampled_from(["bus", "rail"]), lat=LATS,
+                lon=LONS,
+            ),
+            max_size=5,
+        )
+    )
+    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=8, unique=True))
+    values = draw(
+        st.lists(st.floats(1.0, 1e6), min_size=len(sizes), max_size=len(sizes), unique=True)
+    )
+    guideline = PovertyGuideline(thresholds=tuple(zip(sorted(sizes), sorted(values))))
+    return households, stops, guideline
+
+
+@given(geo_inputs())
+@settings(max_examples=60, deadline=None)
+def test_geo_csv_round_trip_with_adversarial_text(inputs):
+    households, stops, guideline = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_geo_households(households, tmp / "geo_households.csv")
+        write_transit_stops(stops, tmp / "transit_stops.csv")
+        write_poverty_guideline(guideline, tmp / "poverty_guideline.csv")
+        assert read_geo_households(tmp / "geo_households.csv") == households
+        assert read_transit_stops(tmp / "transit_stops.csv") == stops
+        assert read_poverty_guideline(tmp / "poverty_guideline.csv") == guideline
 
 
 def test_geo_csv_header_check(tmp_path):

@@ -3,9 +3,10 @@
 The references rebuild everything per cell and per trial, the plain way: a
 fresh validated instance per budget, `normalize` by replacing every program
 and household, the LP assembled row by row from the coverage sets, a
-`StrategyOutcome` per trial, and the combined scenario built by its own
-`build_instance` call. The sweep and its kernels must give exactly the same
-floats.
+`StrategyOutcome` per trial, and each scenario built by its own
+`build_instance` call. The rounding's reference plans each twist, then
+applies it to a copy per branch. The sweep and its kernels must give exactly
+the same floats.
 """
 
 import dataclasses
@@ -42,7 +43,7 @@ from transit_equity.model import (
     evaluate,
     inject_ride_hailing,
 )
-from transit_equity.rounding import ras
+from transit_equity.rounding import ras, ras_selection, trajectory_leaves
 
 TINY_CITY = SyntheticCityParams(n_households=400, grid_rows=6, grid_cols=6)
 COST_PARAMS = CostParams(rides_per_quarter=364)
@@ -163,13 +164,12 @@ def naive_run_experiment(config):
             cluster_stops(eligible), stops, config.route_count, config.route_seed,
             config.cost_params,
         )
-        variants = {
-            name: build_instance(
-                eligible, routes, budget=0.0, guideline=guideline,
-                include_ride_hail=(name == "combined"), params=config.cost_params,
+        variants = {}
+        for name in experiment.SCENARIOS:
+            instance = build_instance(
+                eligible, routes, budget=0.0, guideline=guideline, params=config.cost_params
             )
-            for name in experiment.SCENARIOS
-        }
+            variants[name] = inject_ride_hailing(instance) if name == "combined" else instance
     rows = []
     for s, scenario in enumerate(config.scenarios):
         for b, budget in enumerate(config.budgets):
@@ -361,3 +361,131 @@ class TestUniformKernel:
             outcome = uniform(instance, seed)
             selected = uniform_selection(instance, np.random.default_rng(seed))
             assert outcome.strategy.selected == tuple(int(v) for v in selected)
+
+
+def naive_start(values, costs):
+    start = np.array(values, dtype=float)
+    np.clip(start, 0.0, 1.0, out=start)
+    start[start <= 1e-9] = 0.0
+    start[start >= 1.0 - 1e-9] = 1.0
+    start[costs <= 0.0] = 1.0
+    return start
+
+
+def naive_plan(v, costs, p, q):
+    """(alpha, beta) of the twist of the pair p < q."""
+    ratio = costs[q] / costs[p]
+    return float(min(1.0 - v[p], v[q] * ratio)), float(min(v[p], (1.0 - v[q]) * ratio))
+
+
+def naive_apply_twist(v, costs, p, q, alpha, beta, up):
+    ratio = costs[p] / costs[q]
+    if up:
+        v[p] += alpha
+        v[q] -= ratio * alpha
+    else:
+        v[p] -= beta
+        v[q] += ratio * beta
+    for k in (p, q):
+        if v[k] <= 1e-9:
+            v[k] = 0.0
+        elif v[k] >= 1.0 - 1e-9:
+            v[k] = 1.0
+
+
+def naive_leaves(values, costs):
+    """Every trajectory of the lowest-index-pair rounding, one copy per branch."""
+    costs = np.asarray(costs, dtype=float)
+    out = []
+
+    def recurse(v, prob):
+        frac = np.flatnonzero((v > 0.0) & (v < 1.0))
+        if frac.size >= 2:
+            p, q = int(frac[0]), int(frac[1])
+            alpha, beta = naive_plan(v, costs, p, q)
+            up, down = v.copy(), v.copy()
+            naive_apply_twist(up, costs, p, q, alpha, beta, up=True)
+            naive_apply_twist(down, costs, p, q, alpha, beta, up=False)
+            recurse(up, prob * beta / (alpha + beta))
+            recurse(down, prob * alpha / (alpha + beta))
+        elif frac.size == 1:
+            j = int(frac[0])
+            up, down = v.copy(), v.copy()
+            up[j], down[j] = 1.0, 0.0
+            recurse(up, prob * v[j])
+            recurse(down, prob * (1.0 - v[j]))
+        else:
+            out.append((prob, v))
+
+    recurse(naive_start(values, costs), 1.0)
+    return out
+
+
+def naive_ras_selection(instance, values, rng):
+    """The sampler: one coin per twist and one for a lone fractional entry."""
+    costs = np.asarray(instance.costs, dtype=float)
+    v = naive_start(values, costs)
+    while True:
+        frac = np.flatnonzero((v > 0.0) & (v < 1.0))
+        if frac.size >= 2:
+            p, q = int(frac[0]), int(frac[1])
+            alpha, beta = naive_plan(v, costs, p, q)
+            naive_apply_twist(v, costs, p, q, alpha, beta, up=rng.random() < beta / (alpha + beta))
+        elif frac.size == 1:
+            j = int(frac[0])
+            v[j] = 1.0 if rng.random() < v[j] else 0.0
+        else:
+            return v > 0.5
+
+
+def rounding_suite():
+    """(instance, start vector): an LP optimum, a random fractional vector and
+    (where costs allow) a vector whose first twist lands near a bound, per
+    seeded instance; every fourth instance has free programs."""
+    rng = np.random.default_rng(5150)
+    for k in range(300):
+        instance = random_instance(rng, max_programs=9)
+        n_j = len(instance.programs)
+        if k % 4 == 0:
+            free = rng.choice(n_j, size=int(rng.integers(1, 3)), replace=False)
+            programs = tuple(
+                dataclasses.replace(p, cost=0.0) if j in free else p
+                for j, p in enumerate(instance.programs)
+            )
+            instance = dataclasses.replace(instance, programs=programs)
+        yield instance, solve_lp(build_lp(instance)).x_star
+        values = rng.uniform(0.0, 1.0, n_j)
+        # exact and near-integral entries, and overshoot within the tolerance
+        edges = np.array([0.0, 1.0, 5e-10, 1.0 - 5e-10, -5e-10, 1.0 + 5e-10])
+        picks = rng.random(n_j) < 0.25
+        values[picks] = rng.choice(edges, size=int(picks.sum()))
+        yield instance, values
+        # a first twist that lands one of its pair within 1e-9 of a bound
+        costs = instance.costs
+        if costs[0] > 0.0 and costs[1] > 0.0:
+            values = rng.uniform(0.0, 1.0, n_j)
+            values[0] = rng.uniform(0.5, 1.0)
+            values[1] = costs[0] / costs[1] * (1.0 - values[0]) + rng.choice([-7e-10, 7e-10])
+            if 1e-8 < values[1] < 1.0 - 1e-8:
+                yield instance, values
+
+
+class TestRoundingReference:
+    def test_leaves_match_bit_for_bit(self):
+        count = 0
+        for instance, values in rounding_suite():
+            fast = list(trajectory_leaves(values, instance.costs))
+            slow = naive_leaves(values, instance.costs)
+            assert [p for p, _ in fast] == [p for p, _ in slow]
+            assert [v.tobytes() for _, v in fast] == [v.tobytes() for _, v in slow]
+            count += len(fast) > 1
+        assert count >= 300  # most vectors really branch
+
+    def test_ras_selection_matches_selection_and_rng_state(self):
+        for seed, (instance, values) in enumerate(rounding_suite()):
+            fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                fast = ras_selection(instance, values, fast_rng)
+                slow = naive_ras_selection(instance, values, slow_rng)
+                assert fast.dtype == bool and np.array_equal(fast, slow)
+            assert fast_rng.bit_generator.state == slow_rng.bit_generator.state

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -8,61 +9,70 @@ from transit_equity.generators import random_instance
 from transit_equity.lp import build_lp, solve_lp
 from transit_equity.model import Group, Household, Instance, Program
 from transit_equity.rounding import (
-    AllocationVector,
+    _step,
+    _values_of,
     exact_expectation,
-    lowest_index_pair,
-    plan_twist,
     ras,
-    round_single,
     trajectory_leaves,
-    twist,
 )
 
 
-def vec(values, costs):
-    return AllocationVector(values=np.array(values, float), costs=np.array(costs, float))
+def step(values, costs, coin=0.0):
+    """One rounding step from the snapped start vector of (values, costs).
+
+    Returns (weights, prob_up, vector after); the step goes up iff
+    coin < prob_up. weights and prob_up are None when no step was left."""
+    c = np.array(costs, float)
+    v = _values_of(np.array(values, float), c)
+    seen = []
+
+    def up(prob):
+        seen.append(prob)
+        return coin < prob
+
+    weights = _step(v, c, up)
+    return weights, (seen[0] if seen else None), v
+
+
+def weighted_sum(values, costs):
+    return float(np.dot(costs, values))
 
 
 class TestPlanTwist:
+    # weights are (beta, alpha): the up branch has weight beta
     def test_symmetric_unit_costs(self):
-        step = plan_twist(vec([0.5, 0.5], [1, 1]), 0, 1)
-        assert step.alpha == 0.5 and step.beta == 0.5
-        assert step.prob_up == 0.5
+        (beta, alpha), prob_up, _ = step([0.5, 0.5], [1, 1])
+        assert alpha == 0.5 and beta == 0.5
+        assert prob_up == 0.5
 
     def test_unequal_costs(self):
-        step = plan_twist(vec([0.5, 0.5], [1, 2]), 0, 1)
-        assert step.alpha == 0.5 and step.beta == 0.5
+        (beta, alpha), _, _ = step([0.5, 0.5], [1, 2])
+        assert alpha == 0.5 and beta == 0.5
 
     def test_asymmetric_values(self):
-        step = plan_twist(vec([0.9, 0.2], [1, 1]), 0, 1)
-        assert step.alpha == pytest.approx(0.1)
-        assert step.beta == pytest.approx(0.8)
-        assert step.prob_up == pytest.approx(0.8 / 0.9)
-
-    def test_rejects_integral_entry(self):
-        with pytest.raises(ValueError, match="fractional"):
-            plan_twist(vec([1.0, 0.5], [1, 1]), 0, 1)
-
-    def test_rejects_same_index(self):
-        with pytest.raises(ValueError, match="distinct"):
-            plan_twist(vec([0.5, 0.5], [1, 1]), 1, 1)
+        (beta, alpha), prob_up, _ = step([0.9, 0.2], [1, 1])
+        assert alpha == pytest.approx(0.1)
+        assert beta == pytest.approx(0.8)
+        assert prob_up == pytest.approx(0.8 / 0.9)
 
 
 class TestTwist:
     def test_unit_cost_outcomes(self):
-        up = twist(vec([0.5, 0.5], [1, 1]), 0, 1, coin=0.49)
-        assert up.values.tolist() == [1.0, 0.0]
-        down = twist(vec([0.5, 0.5], [1, 1]), 0, 1, coin=0.51)
-        assert down.values.tolist() == [0.0, 1.0]
+        _, _, up = step([0.5, 0.5], [1, 1], coin=0.49)
+        assert up.tolist() == [1.0, 0.0]
+        _, _, down = step([0.5, 0.5], [1, 1], coin=0.51)
+        assert down.tolist() == [0.0, 1.0]
 
     def test_weighted_branches_conserve_cost(self):
-        start = vec([0.5, 0.5], [1, 2])
-        up = twist(start, 0, 1, coin=0.0)
-        down = twist(start, 0, 1, coin=0.999)
-        assert up.values.tolist() == [1.0, 0.25]
-        assert down.values.tolist() == [0.0, 0.75]
+        start, costs = [0.5, 0.5], [1, 2]
+        _, _, up = step(start, costs, coin=0.0)
+        _, _, down = step(start, costs, coin=0.999)
+        assert up.tolist() == [1.0, 0.25]
+        assert down.tolist() == [0.0, 0.75]
         for after in (up, down):
-            assert after.weighted_sum() == pytest.approx(start.weighted_sum(), abs=1e-12)
+            assert weighted_sum(after, costs) == pytest.approx(
+                weighted_sum(start, costs), abs=1e-12
+            )
 
     @given(
         st.floats(0.01, 0.99),
@@ -73,24 +83,21 @@ class TestTwist:
     )
     @settings(max_examples=150, deadline=None)
     def test_properties_hold_for_any_pair(self, vp, vq, cp, cq, coin):
-        start = vec([vp, vq], [cp, cq])
-        after = twist(start, 0, 1, coin)
+        costs = [cp, cq]
+        _, _, after = step([vp, vq], costs, coin)
         # P1: at least one entry becomes integral
-        assert (after.values == 0.0).any() or (after.values == 1.0).any()
+        assert (after == 0.0).any() or (after == 1.0).any()
         # P3 case 1: cost-weighted sum conserved
-        assert after.weighted_sum() == pytest.approx(start.weighted_sum(), abs=1e-9)
+        assert weighted_sum(after, costs) == pytest.approx(weighted_sum([vp, vq], costs), abs=1e-9)
         # entries stay in the box
-        assert ((after.values >= 0) & (after.values <= 1)).all()
+        assert ((after >= 0) & (after <= 1)).all()
 
     @given(st.floats(0.01, 0.99), st.floats(0.01, 0.99), st.floats(0.05, 1.0), st.floats(0.05, 1.0))
     @settings(max_examples=150, deadline=None)
     def test_expectation_invariant(self, vp, vq, cp, cq):
         # P2 over the two branches, and the exact pairwise product decrease
-        start = vec([vp, vq], [cp, cq])
-        step = plan_twist(start, 0, 1)
-        up = twist(start, 0, 1, coin=0.0).values
-        down = twist(start, 0, 1, coin=0.999999).values
-        p_up = step.prob_up
+        _, p_up, up = step([vp, vq], [cp, cq], coin=0.0)
+        _, _, down = step([vp, vq], [cp, cq], coin=0.999999)
         mean = p_up * up + (1 - p_up) * down
         assert mean == pytest.approx([vp, vq], abs=1e-9)
         prod_after = p_up * (1 - up[0]) * (1 - up[1]) + (1 - p_up) * (1 - down[0]) * (1 - down[1])
@@ -99,25 +106,20 @@ class TestTwist:
 
 class TestRoundSingle:
     def test_branches(self):
-        v = vec([1.0, 0.3], [1, 1])
-        assert round_single(v, 1, coin=0.29).values.tolist() == [1.0, 1.0]
-        assert round_single(v, 1, coin=0.31).values.tolist() == [1.0, 0.0]
+        assert step([1.0, 0.3], [1, 1], coin=0.29)[2].tolist() == [1.0, 1.0]
+        assert step([1.0, 0.3], [1, 1], coin=0.31)[2].tolist() == [1.0, 0.0]
 
     def test_within_tolerance_is_already_integral(self):
-        v = vec([1.0, 1.0 - 1e-12], [1, 1])
-        out = round_single(v, 1, coin=0.9999)
-        assert out.values.tolist() == [1.0, 1.0]
-
-    def test_rejects_two_fractional(self):
-        with pytest.raises(ValueError, match="one fractional"):
-            round_single(vec([0.5, 0.3], [1, 1]), 1, 0.5)
+        weights, prob_up, out = step([1.0, 1.0 - 1e-12], [1, 1], coin=0.9999)
+        assert out.tolist() == [1.0, 1.0]
+        assert weights is None and prob_up is None  # no coin consumed
 
     def test_expected_cost_unchanged_worst_case_bounded(self):
-        v = vec([0.5], [1.0])
-        up, down = round_single(v, 0, 0.4), round_single(v, 0, 0.6)
-        expected = 0.5 * up.weighted_sum() + 0.5 * down.weighted_sum()
-        assert expected == pytest.approx(v.weighted_sum(), abs=1e-12)
-        assert up.weighted_sum() - v.weighted_sum() == pytest.approx(0.5)
+        v, costs = [0.5], [1.0]
+        up, down = step(v, costs, 0.4)[2], step(v, costs, 0.6)[2]
+        expected = 0.5 * weighted_sum(up, costs) + 0.5 * weighted_sum(down, costs)
+        assert expected == pytest.approx(weighted_sum(v, costs), abs=1e-12)
+        assert weighted_sum(up, costs) - weighted_sum(v, costs) == pytest.approx(0.5)
 
 
 class TestRas:
@@ -227,33 +229,30 @@ class TestExactExpectation:
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_custom_pair_policy(self, rng):
-        # expectations are policy-invariant even though trajectories differ
+        # expectations are pair-order-invariant even though trajectories
+        # differ: with the programs reversed, the lowest-index pair is the
+        # original's highest pair
         inst = random_instance(rng)
         sol = solve_lp(build_lp(inst))
+        reversed_inst = dataclasses.replace(inst, programs=inst.programs[::-1])
 
-        def highest_pair(frac):
-            return int(frac[-1]), int(frac[-2])
-
-        a = exact_expectation(inst, sol, pair_policy=lowest_index_pair)
-        b = exact_expectation(inst, sol, pair_policy=highest_pair)
-        assert a.x_mean == pytest.approx(b.x_mean, abs=1e-9)
+        a = exact_expectation(inst, sol)
+        b = exact_expectation(reversed_inst, sol.x_star[::-1])
+        assert a.x_mean == pytest.approx(b.x_mean[::-1], abs=1e-9)
         assert a.expected_cost == pytest.approx(b.expected_cost, abs=1e-9)
 
 
 def _count_events(values, costs, eps=1e-9):
-    """(twists, singles) along every rounding trajectory, mirroring the pair
-    policy but tracking step counts instead of probabilities."""
-    from transit_equity.rounding import _apply_twist, _plan
-
+    """(twists, singles) along every rounding trajectory, taking the same
+    steps but tracking step counts instead of probabilities."""
     out = []
 
     def rec(v, twists, singles):
         frac = np.flatnonzero((v > eps) & (v < 1 - eps))
         if frac.size >= 2:
-            step = _plan(v, costs, int(frac[0]), int(frac[1]))
             for up in (True, False):
                 w = v.copy()
-                _apply_twist(w, costs, step, up=up)
+                _step(w, costs, lambda _: up)
                 rec(w, twists + 1, singles)
         elif frac.size == 1:
             out.append((twists, singles + 1))
@@ -327,8 +326,15 @@ class TestTheoryProperties:
         assert np.abs(mean - sol.x_star).max() <= 4.0 * np.sqrt(0.25 / n)
 
 
-def test_allocation_vector_validation():
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        AllocationVector(values=np.array([1.5]), costs=np.array([1.0]))
-    with pytest.raises(ValueError, match="equal length"):
-        AllocationVector(values=np.array([0.5]), costs=np.array([1.0, 2.0]))
+def test_allocation_vector_validation(small_instance):
+    # a raw vector is checked where it enters ras and exact_expectation
+    for run in (
+        lambda x: ras(small_instance, x, 0),
+        lambda x: exact_expectation(small_instance, x),
+    ):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            run(np.array([1.5, 0.0, 0.0]))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            run(np.array([0.5, np.nan, 0.0]))
+        with pytest.raises(ValueError, match="equal length"):
+            run(np.array([0.5]))
