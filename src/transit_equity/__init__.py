@@ -16,7 +16,6 @@ from .model import (
     StrategyOutcome,
     evaluate,
     inject_ride_hailing,
-    is_feasible,
     normalize,
 )
 from .oracles import (
@@ -56,7 +55,6 @@ __all__ = [
     "exact_expectation",
     "greedy",
     "inject_ride_hailing",
-    "is_feasible",
     "normalize",
     "opt_deterministic",
     "opt_randomized",

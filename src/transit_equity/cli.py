@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 from typing import Callable
@@ -19,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import experiment as exp
-from .baselines import greedy, uniform
+from .baselines import greedy, uniform_selection
 from .geo import (
     CostParams,
     SyntheticCityParams,
@@ -39,7 +40,7 @@ from .instance_io import read_instance, write_instance
 from .lp import build_lp, dump_lp, solve_lp, verify_solution
 from .model import inject_ride_hailing, normalize
 from .oracles import opt_deterministic, opt_randomized
-from .rounding import ras
+from .rounding import ras_selection
 
 
 def _load(args) -> tuple:
@@ -70,7 +71,7 @@ def _add_instance_args(parser: argparse.ArgumentParser) -> None:
 def _cmd_solve_lp(args) -> int:
     instance, scale = _load(args)
     model = build_lp(instance)
-    solution = solve_lp(model, solver=args.solver)
+    solution = solve_lp(model)
     if args.dump_lp:
         dump_lp(model, args.dump_lp)
     violations = verify_solution(instance, solution)
@@ -82,39 +83,39 @@ def _cmd_solve_lp(args) -> int:
     return 0
 
 
-def _run_trials(args, runner, instance) -> list:
-    outcomes = []
-    for t in range(args.trials):
-        rng = np.random.default_rng(np.random.SeedSequence((args.seed, t)))
-        outcomes.append(runner(rng))
-    return outcomes
-
-
-def _summarize(instance, outcomes, lp_value: float | None) -> None:
-    if instance.groups:
-        ratios = np.array(
-            [[o.group_ratios[g.id] for g in instance.groups] for o in outcomes]
-        )
-        equity = float(ratios.mean(axis=0).min())
-    else:
-        equity = 1.0
-    costs = np.array([o.total_cost for o in outcomes])
-    print(f"trials {len(outcomes)}")
-    print(f"mean_equity {equity:.9f}")
-    if lp_value is not None:
-        ratio = equity / lp_value if lp_value > 1e-12 else 1.0
-        print(f"approx_ratio {ratio:.9f}")
-    print(f"mean_cost {costs.mean():.9f}")
-    print(f"max_cost {costs.max():.9f}")
-
-
-def _cmd_ras(args) -> int:
+def _cmd_trials(args) -> int:
+    """ras / uniform: --trials seeded trials through the experiment's trial
+    loop as one cell; trial t draws from SeedSequence((seed, t))."""
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     instance, _ = _load(args)
-    solution = solve_lp(build_lp(instance), solver=args.solver)
-    outcomes = _run_trials(args, lambda rng: ras(instance, solution, rng), instance)
-    _summarize(instance, outcomes, solution.objective)
+    if args.command == "ras":
+        solution = solve_lp(build_lp(instance))
+        kernel = functools.partial(ras_selection, instance, solution)
+    else:
+        solution = None
+        kernel = functools.partial(uniform_selection, instance)
+    selections = []
+
+    def select(rng: np.random.Generator) -> np.ndarray:
+        selections.append(kernel(rng))  # kept for --trial-log
+        return selections[-1]
+
+    rngs = [
+        np.random.default_rng(np.random.SeedSequence((args.seed, t))) for t in range(args.trials)
+    ]
+    stats = exp.run_trials(instance, select, rngs)
+    equity = float(stats.group_means.min())
+    print(f"trials {stats.trials}")
+    print(f"mean_equity {equity:.9f}")
+    if solution is not None:
+        print(f"approx_ratio {exp.approx_ratio(equity, solution.objective):.9f}")
+    print(f"mean_cost {stats.costs.mean():.9f}")
+    print(f"max_cost {stats.costs.max():.9f}")
     if args.trial_log:
-        exp.write_trial_log(instance, outcomes, args.trial_log)
+        exp.write_trial_log(
+            instance, selections, stats.costs, stats.ratios.min(axis=1), args.trial_log
+        )
     return 0
 
 
@@ -125,16 +126,8 @@ def _cmd_greedy(args) -> int:
     print(f"cost {outcome.total_cost:.9f}")
     print(f"selected {';'.join(outcome.strategy.selected_ids(instance))}")
     if args.trial_log:
-        exp.write_trial_log(instance, [outcome], args.trial_log)
-    return 0
-
-
-def _cmd_uniform(args) -> int:
-    instance, _ = _load(args)
-    outcomes = _run_trials(args, lambda rng: uniform(instance, rng), instance)
-    _summarize(instance, outcomes, None)
-    if args.trial_log:
-        exp.write_trial_log(instance, outcomes, args.trial_log)
+        log = ([outcome.strategy.selected], [outcome.total_cost], [outcome.equity])
+        exp.write_trial_log(instance, *log, args.trial_log)
     return 0
 
 
@@ -142,7 +135,7 @@ def _cmd_oracle(args) -> int:
     instance, _ = _load(args)
     _, value_d = opt_deterministic(instance)
     _, value_r = opt_randomized(instance)
-    solution = solve_lp(build_lp(instance), solver=args.solver)
+    solution = solve_lp(build_lp(instance))
     print(f"opt_deterministic {value_d:.9f}")
     print(f"opt_randomized {value_r:.9f}")
     print(f"lp_value {solution.objective:.9f}")
@@ -214,7 +207,6 @@ CONFIG_FIELDS: dict[str, tuple[str, Callable[[str], object]]] = {
     "synthetic_seed": ("synthetic_seed", int),
     "route_seed": ("route_seed", int),
     "rides_per_quarter": ("cost_params", _cost_params),
-    "solver": ("solver", str),
 }
 
 
@@ -266,17 +258,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-lp", help="solve the benchmark LP")
     _add_instance_args(p)
-    p.add_argument("--solver", choices=["simplex", "highs"], default="simplex")
     p.add_argument("--dump-lp", default=None, help="write the model in LP text format")
     p.set_defaults(fn=_cmd_solve_lp)
 
     p = sub.add_parser("ras", help="run the randomized allocation strategy")
     _add_instance_args(p)
-    p.add_argument("--solver", choices=["simplex", "highs"], default="simplex")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--trial-log", default=None, help="write per-trial outcomes CSV")
-    p.set_defaults(fn=_cmd_ras)
+    p.set_defaults(fn=_cmd_trials)
 
     p = sub.add_parser("greedy", help="run the greedy baseline")
     _add_instance_args(p)
@@ -288,11 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--trial-log", default=None)
-    p.set_defaults(fn=_cmd_uniform)
+    p.set_defaults(fn=_cmd_trials)
 
     p = sub.add_parser("oracle", help="exact optimal values on a small instance")
     _add_instance_args(p)
-    p.add_argument("--solver", choices=["simplex", "highs"], default="simplex")
     p.add_argument("--out", default=None, help="write (opt_d, opt_r, lp) CSV")
     p.set_defaults(fn=_cmd_oracle)
 
@@ -324,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--synthetic-seed", type=int, default=None)
     p.add_argument("--route-seed", type=int, default=None)
     p.add_argument("--rides-per-quarter", type=_cost_params, default=None)
-    p.add_argument("--solver", choices=["simplex", "highs"], default=None)
     p.add_argument("--allow-small-budget", action="store_true")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(fn=_cmd_experiment)

@@ -12,9 +12,11 @@ the city (or the instance read from `instance_dir`; the combined scenario is
 the bus-only instance with ride-hail programs injected), its coverage
 incidence, and its normalized programs and households. A cell swaps in its
 budget with `Instance.with_budget`, divides it in `normalize`, builds the
-LP's sparse matrix and solves it. Randomized trials run the selection
-kernels (`ras_selection`, `uniform_selection`) and aggregate costs and group
-ratios in arrays; only greedy's single outcome goes through `evaluate`.
+LP's sparse matrix and solves it. Randomized trials go through `run_trials`,
+which runs a selection kernel (`ras_selection`, `uniform_selection`) per
+trial and aggregates costs and group ratios in arrays; CLI `ras` and
+`uniform` run it as one cell. Only greedy's single outcome goes through
+`evaluate`.
 
 Seed derivation: trial t of algorithm a (index within the algorithms tuple)
 in cell (budget index b, scenario index s) uses
@@ -43,8 +45,8 @@ from .geo import (
     synthetic_city,
 )
 from .instance_io import read_instance
-from .lp import build_lp, solve_lp
-from .model import Instance, StrategyOutcome, inject_ride_hailing, normalize
+from .lp import build_lp, check_backend, solve_lp
+from .model import Instance, inject_ride_hailing, normalize
 from .rounding import ras_selection
 
 SCENARIOS = ("bus_only", "combined")
@@ -78,7 +80,8 @@ class ExperimentConfig:
     route_count: int = 20
     route_seed: int = 0
     cost_params: CostParams = CostParams()
-    solver: str = "highs"
+    # LP backend override; None lets solve_lp choose by model size
+    solver: str | None = None
     allow_small_budget: bool = False
 
     def __post_init__(self) -> None:
@@ -86,6 +89,7 @@ class ExperimentConfig:
             raise ValueError("budgets must be nonempty")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        check_backend(self.solver)
         unknown = set(self.scenarios) - set(SCENARIOS)
         if unknown:
             raise ValueError(f"unknown scenarios {sorted(unknown)}")
@@ -144,9 +148,10 @@ class _CellStats:
     group_stds: np.ndarray
     costs: np.ndarray
     trials: int
+    ratios: np.ndarray | None = None  # (trials, groups), from run_trials
 
 
-def _run_randomized(
+def run_trials(
     instance: Instance,
     select: Callable[[np.random.Generator], np.ndarray],
     rngs: Sequence[np.random.Generator],
@@ -176,7 +181,13 @@ def _run_randomized(
         group_stds=ratios.std(axis=0, ddof=ddof),
         costs=costs,
         trials=n_trials,
+        ratios=ratios,
     )
+
+
+def approx_ratio(equity: float, lp_value: float) -> float:
+    """equity / lp_value, or 1.0 when the LP value is 0."""
+    return equity / lp_value if lp_value > 1e-12 else 1.0
 
 
 def _row_from_stats(
@@ -191,13 +202,12 @@ def _row_from_stats(
     worst = int(np.argmin(stats.group_means))
     mean_equity = float(stats.group_means[worst])
     half_width = Z_95 * float(stats.group_stds[worst]) / np.sqrt(stats.trials)
-    ratio = mean_equity / lp_value if lp_value > 1e-12 else 1.0
     return ReportRow(
         budget=budget,
         scenario=scenario,
         algorithm=algorithm,
         mean_equity=mean_equity,
-        approx_ratio=float(ratio),
+        approx_ratio=float(approx_ratio(mean_equity, lp_value)),
         ci_low=mean_equity - half_width,
         ci_high=mean_equity + half_width,
         mean_cost=float(stats.costs.mean()) * scale,
@@ -221,12 +231,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             for a, algorithm in enumerate(config.algorithms):
                 if algorithm == "ras":
                     rngs = [_trial_rng(config, s, b, a, t) for t in range(config.trials)]
-                    stats = _run_randomized(
-                        norm, lambda rng: ras_selection(norm, solution, rng), rngs
-                    )
+                    stats = run_trials(norm, lambda rng: ras_selection(norm, solution, rng), rngs)
                 elif algorithm == "uniform":
                     rngs = [_trial_rng(config, s, b, a, t) for t in range(config.trials)]
-                    stats = _run_randomized(norm, lambda rng: uniform_selection(norm, rng), rngs)
+                    stats = run_trials(norm, lambda rng: uniform_selection(norm, rng), rngs)
                 else:
                     outcome = greedy(norm)
                     if norm.groups:
@@ -330,19 +338,15 @@ def emit(report: ExperimentReport, out_dir: str | Path) -> tuple[Path, Path]:
 
 def write_trial_log(
     instance: Instance,
-    outcomes: Sequence[StrategyOutcome],
+    selections: Sequence[Sequence[bool]],
+    costs: Sequence[float],
+    equities: Sequence[float],
     path: str | Path,
 ) -> None:
     """Per-trial outcome log: trial, selected program ids, cost, equity."""
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["trial", "selected", "cost", "equity"])
-        for t, outcome in enumerate(outcomes):
-            writer.writerow(
-                [
-                    t,
-                    ";".join(outcome.strategy.selected_ids(instance)),
-                    _fmt(outcome.total_cost),
-                    _fmt(outcome.equity),
-                ]
-            )
+        for t, (selected, cost, equity) in enumerate(zip(selections, costs, equities)):
+            ids = (instance.programs[j].id for j in np.flatnonzero(selected))
+            writer.writerow([t, ";".join(ids), _fmt(cost), _fmt(equity)])

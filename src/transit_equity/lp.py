@@ -9,9 +9,8 @@ openings x_j and coverage levels y_i:
          t - sum_{i in g} y_i / |g| <= 0          (equity, one per group)
          0 <= t, x_j, y_i <= 1                    (box bounds; y_i <= 1 lives here)
 
-The embedded dense simplex is the default solver; scipy's HiGHS backend can
-be swapped in for large instances via solver="highs" or any callable with
-the same signature.
+`solve_lp` picks the backend from the model's size: the embedded dense
+simplex up to SIMPLEX_MAX_CELLS, scipy's HiGHS above it.
 """
 
 from __future__ import annotations
@@ -28,6 +27,10 @@ from .model import Instance
 
 OBJECTIVE_TOL = 1e-7
 SNAP_EPS = 1e-9
+# Largest rows x (vars + rows) sent to the embedded dense simplex. Timed against
+# HiGHS on 2 CPUs, their medians cross near 3,500 (README, "Design notes").
+SIMPLEX_MAX_CELLS = 3000
+BACKENDS = ("simplex", "highs")
 
 
 class LpSolveError(RuntimeError):
@@ -205,10 +208,10 @@ def _solve_highs(model: LpModel) -> tuple[np.ndarray, float]:
     return np.asarray(res.x), float(-res.fun)
 
 
-_SOLVERS: dict[str, Callable[[LpModel], tuple[np.ndarray, float]]] = {
-    "simplex": _solve_embedded,
-    "highs": _solve_highs,
-}
+def check_backend(solver: str | None) -> None:
+    """Reject a backend name other than None (automatic) or one of BACKENDS."""
+    if solver is not None and solver not in BACKENDS:
+        raise ValueError(f"unknown LP solver {solver!r}; valid: {', '.join(BACKENDS)}")
 
 
 def snap(values: np.ndarray) -> np.ndarray:
@@ -222,12 +225,19 @@ def snap(values: np.ndarray) -> np.ndarray:
 
 
 def solve_lp(
-    model: LpModel,
-    solver: str | Callable[[LpModel], tuple[np.ndarray, float]] = "simplex",
+    model: LpModel, solver: str | Callable[[LpModel], tuple[np.ndarray, float]] | None = None
 ) -> FractionalSolution:
-    """Solve the benchmark LP to optimality (1e-9 feasibility, 1e-7 objective)."""
-    fn = _SOLVERS[solver] if isinstance(solver, str) else solver
-    x_full, objective = fn(model)
+    """Solve the benchmark LP to optimality (1e-9 feasibility, 1e-7 objective).
+    The backend follows from the model's size (SIMPLEX_MAX_CELLS) unless
+    `solver` names one of BACKENDS or is a callable."""
+    if not callable(solver):
+        check_backend(solver)
+        cells = model.n_rows * (model.n_vars + model.n_rows)
+        if solver == "simplex" or (solver is None and cells <= SIMPLEX_MAX_CELLS):
+            solver = _solve_embedded
+        else:
+            solver = _solve_highs
+    x_full, objective = solver(model)
     x = snap(x_full[1 : 1 + model.n_programs])
     y = snap(x_full[1 + model.n_programs :])
     x.setflags(write=False)

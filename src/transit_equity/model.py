@@ -365,11 +365,6 @@ def evaluate(instance: Instance, strategy: DeterministicStrategy) -> StrategyOut
     )
 
 
-def is_feasible(instance: Instance, strategy: DeterministicStrategy, tol: float = 1e-9) -> bool:
-    sel = np.array(strategy.selected, dtype=bool)
-    return float(instance.costs[sel].sum()) <= instance.budget + tol
-
-
 def derive_groups(households: Sequence[Household]) -> tuple[Group, ...]:
     """Build the group list implied by household group_ids, sorted by id."""
     members: dict[str, set[str]] = {}

@@ -301,8 +301,6 @@ def test_criterion_10_experiment_determinism(tmp_path):
                     "50",
                     "--seed",
                     "99",
-                    "--solver",
-                    "highs",
                     "--out",
                     str(tmp_path / run),
                 ],

@@ -144,8 +144,6 @@ class TestExperimentCommand:
         "25",
         "--seed",
         "4",
-        "--solver",
-        "simplex",
     ]
 
     def test_runs_on_instance_dir(self, instance_dir, tmp_path, capsys):
@@ -165,7 +163,6 @@ class TestExperimentCommand:
             "scenarios=bus_only\n"
             "trials=5\n"
             "seed=123\n"
-            "solver=simplex\n"
         )
         code = run_cli(
             [
@@ -210,6 +207,14 @@ class TestInputErrors:
         code = run_cli(["solve-lp", "--instance", instance_dir, "--budget", "0.5"])
         assert code == 2
         assert "--allow-small-budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["ras", "uniform"])
+    def test_zero_trials_is_one_line_error(self, instance_dir, capsys, command):
+        code = run_cli([command, "--instance", instance_dir, "--trials", "0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --trials must be >= 1, got 0\n"
 
     def test_oracle_on_too_many_programs(self, tmp_path, capsys):
         households = (Household(id="a", group_ids=frozenset({"g"})),)

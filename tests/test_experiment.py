@@ -123,6 +123,8 @@ class TestRunExperiment:
             ExperimentConfig(budgets=(1.0,), trials=0)
         with pytest.raises(ValueError, match="scenarios"):
             ExperimentConfig(budgets=(1.0,), scenarios=("bogus",))
+        with pytest.raises(ValueError, match="'higs'; valid: simplex, highs"):
+            ExperimentConfig(budgets=(1.0,), solver="higs")
 
 
 class TestCompareScenarios:
@@ -197,7 +199,13 @@ def test_trial_log_schema(tmp_path, singletons):
     sol = solve_lp(build_lp(norm))
     outcomes = [ras(norm, sol, seed) for seed in range(5)]
     path = tmp_path / "log.csv"
-    write_trial_log(norm, outcomes, path)
+    write_trial_log(
+        norm,
+        [o.strategy.selected for o in outcomes],
+        [o.total_cost for o in outcomes],
+        [o.equity for o in outcomes],
+        path,
+    )
     with path.open() as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["trial", "selected", "cost", "equity"]

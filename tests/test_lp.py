@@ -3,8 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from transit_equity import simplex
 from transit_equity.generators import random_instance
 from transit_equity.lp import (
+    SIMPLEX_MAX_CELLS,
     FractionalSolution,
     build_lp,
     dump_lp,
@@ -83,13 +85,52 @@ class TestSolveLp:
 
     @pytest.mark.parametrize("solver", ["simplex", "highs"])
     def test_solvers_agree(self, rng, solver):
-        for _ in range(10):
-            inst = random_instance(rng)
-            model = build_lp(inst)
+        # every size up to the cut, where solve_lp's default is the simplex
+        largest = 0
+        for _ in range(60):
+            while True:
+                inst = random_instance(
+                    rng,
+                    max_households=int(rng.integers(2, 45)),
+                    max_programs=int(rng.integers(2, 45)),
+                )
+                model = build_lp(inst)
+                cells = model.n_rows * (model.n_vars + model.n_rows)
+                if cells <= SIMPLEX_MAX_CELLS:
+                    break
+            largest = max(largest, cells)
             ours = solve_lp(model, solver="simplex")
             other = solve_lp(model, solver=solver)
             assert ours.objective == pytest.approx(other.objective, abs=1e-7)
             assert not verify_solution(inst, other)
+        assert largest > 0.8 * SIMPLEX_MAX_CELLS
+
+    @pytest.fixture
+    def simplex_calls(self, monkeypatch):
+        calls = []
+        solve = simplex.solve
+        monkeypatch.setattr(simplex, "solve", lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+        return calls
+
+    def test_small_model_goes_to_simplex(self, singletons, simplex_calls):
+        assert solve_lp(build_lp(singletons)).objective == pytest.approx(0.5, abs=1e-7)
+        assert simplex_calls == [1]
+
+    def test_default_solves_simplex_stall(self, simplex_calls):
+        # 153 rows: the dense simplex pivots ~197k times on this model and then
+        # gives up; above the size cut solve_lp sends it to HiGHS
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            inst = random_instance(rng, max_households=200, max_programs=100)
+        assert (len(inst.households), len(inst.programs)) == (149, 73)
+        sol = solve_lp(build_lp(inst))
+        assert sol.objective == pytest.approx(1.0, abs=1e-7)
+        assert verify_solution(inst, sol) == []
+        assert simplex_calls == []
+
+    def test_unknown_solver_rejected(self, singletons):
+        with pytest.raises(ValueError, match="'higs'; valid: simplex, highs"):
+            solve_lp(build_lp(singletons), solver="higs")
 
     def test_upper_bounds_everywhere(self, rng):
         inst = random_instance(rng)

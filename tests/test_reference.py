@@ -5,10 +5,12 @@ fresh validated instance per budget, `normalize` by replacing every program
 and household, the LP assembled row by row from the coverage sets, a
 `StrategyOutcome` per trial, and each scenario built by its own
 `build_instance` call. The rounding's reference plans each twist, then
-applies it to a copy per branch. The sweep and its kernels must give exactly
-the same floats.
+applies it to a copy per branch. CLI `ras` and `uniform` are checked against
+a loop that evaluates each trial's outcome. The sweep and its kernels must
+give exactly the same floats.
 """
 
+import csv
 import dataclasses
 
 import numpy as np
@@ -18,6 +20,7 @@ from scipy.sparse import csr_matrix
 
 from transit_equity import experiment
 from transit_equity.baselines import greedy, uniform, uniform_selection
+from transit_equity.cli import main
 from transit_equity.experiment import ExperimentConfig, emit, run_experiment
 from transit_equity.generators import random_instance
 from transit_equity.geo import (
@@ -42,6 +45,7 @@ from transit_equity.model import (
     derive_groups,
     evaluate,
     inject_ride_hailing,
+    normalize,
 )
 from transit_equity.rounding import ras, ras_selection, trajectory_leaves
 
@@ -489,3 +493,51 @@ class TestRoundingReference:
                 slow = naive_ras_selection(instance, values, slow_rng)
                 assert fast.dtype == bool and np.array_equal(fast, slow)
             assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+def naive_cli_trials(instance, run, seed, trials, lp_value):
+    """CLI `ras`/`uniform` output as one `StrategyOutcome` per trial gives it:
+    the summary lines and the trial-log rows."""
+    outcomes = [
+        run(np.random.default_rng(np.random.SeedSequence((seed, t)))) for t in range(trials)
+    ]
+    ratios = np.array(
+        [[o.group_ratios[g.id] for g in instance.groups] or [1.0] for o in outcomes]
+    )
+    equity = float(ratios.mean(axis=0).min())
+    costs = np.array([o.total_cost for o in outcomes])
+    lines = [f"trials {trials}", f"mean_equity {equity:.9f}"]
+    if lp_value is not None:
+        lines.append(f"approx_ratio {equity / lp_value if lp_value > 1e-12 else 1.0:.9f}")
+    lines += [f"mean_cost {costs.mean():.9f}", f"max_cost {costs.max():.9f}"]
+    log = [["trial", "selected", "cost", "equity"]] + [
+        [str(t), ";".join(o.strategy.selected_ids(instance)), f"{o.total_cost:.12g}",
+         f"{o.equity:.12g}"]
+        for t, o in enumerate(outcomes)
+    ]
+    return lines, log
+
+
+class TestCliTrialsReference:
+    @pytest.mark.parametrize("command", ["ras", "uniform"])
+    def test_summary_and_trial_log_match_per_trial_outcomes(self, command, tmp_path, capsys):
+        rng = np.random.default_rng(31)
+        instances = [random_instance(rng, max_households=30, max_programs=20) for _ in range(8)]
+        instances += [no_groups(), overlapping_groups()]
+        for k, instance in enumerate(instances):
+            write_instance(instance, tmp_path / f"inst{k}")
+            norm, _ = normalize(read_instance(tmp_path / f"inst{k}"))
+            if command == "ras":
+                solution = solve_lp(build_lp(norm))
+                lines, log = naive_cli_trials(
+                    norm, lambda g: ras(norm, solution, g), k, 40, solution.objective
+                )
+            else:
+                lines, log = naive_cli_trials(norm, lambda g: uniform(norm, g), k, 40, None)
+            path = tmp_path / f"log{k}.csv"
+            argv = [command, "--instance", str(tmp_path / f"inst{k}"), "--seed", str(k),
+                    "--trials", "40", "--trial-log", str(path)]
+            assert main(argv) == 0
+            assert capsys.readouterr().out.splitlines() == lines
+            with path.open(newline="") as fh:
+                assert list(csv.reader(fh)) == log
