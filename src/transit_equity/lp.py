@@ -10,7 +10,8 @@ openings x_j and coverage levels y_i:
          0 <= t, x_j, y_i <= 1                    (box bounds; y_i <= 1 lives here)
 
 `solve_lp` picks the backend from the model's size: the embedded dense
-simplex up to SIMPLEX_MAX_CELLS, scipy's HiGHS above it.
+simplex up to SIMPLEX_MAX_CELLS, scipy's HiGHS interior point above it, on
+the model with interchangeable households merged into classes.
 """
 
 from __future__ import annotations
@@ -192,20 +193,59 @@ def _solve_embedded(model: LpModel) -> tuple[np.ndarray, float]:
     return result.x, result.objective
 
 
-def _solve_highs(model: LpModel) -> tuple[np.ndarray, float]:
-    from scipy.optimize import linprog
+def _household_classes(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """Households with the same coverers and the same groups form a class:
+    `(first, inverse)` gives each class's first member and each household's
+    class. The partition does not depend on the budget, so it is computed
+    once and shared by every `with_budget` copy."""
+    derived = instance._derived
+    if "household_classes" not in derived:
+        ptr, coverers = instance.household_programs
+        degree = np.diff(ptr)
+        n_i = degree.size
+        slot = np.arange(coverers.size) - np.repeat(ptr[:-1], degree)
+        padded = np.full((n_i, int(degree.max(initial=0))), -1, dtype=np.intp)
+        padded[np.repeat(np.arange(n_i), degree), slot] = coverers
+        flags = np.zeros((n_i, len(instance.groups)), dtype=np.intp)
+        for g, members in enumerate(instance.group_indices):
+            flags[members, g] = 1
+        _, first, inverse = np.unique(
+            np.hstack([padded, flags]), axis=0, return_index=True, return_inverse=True
+        )
+        derived["household_classes"] = (first, inverse.reshape(-1))
+    return derived["household_classes"]
 
+
+def _solve_highs(model: LpModel) -> tuple[np.ndarray, float]:
+    """HiGHS interior point (with its crossover to a vertex) on the model with
+    one y per household class: a class's members are interchangeable, so its
+    y enters each equity row weighted by its member count, and the class
+    value is broadcast back to every member (duplicate-column aggregation)."""
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+
+    first, inverse = _household_classes(model.instance)
+    y0 = 1 + model.n_programs
+    # summing the y columns of a class's members gives the count weights
+    columns = np.concatenate([np.arange(y0), y0 + inverse])
+    merge = csr_matrix(
+        (np.ones(model.n_vars), (np.arange(model.n_vars), columns)),
+        shape=(model.n_vars, y0 + first.size),
+    )
+    # the budget row, each class's first cover row, every equity row
+    rows = np.concatenate([[0], 1 + first, np.arange(1 + model.n_households, model.n_rows)])
     a, b = model.scipy_matrix()
     res = linprog(
-        -model.objective(),
-        A_ub=a,
-        b_ub=b,
+        -model.objective()[: y0 + first.size],
+        A_ub=a[rows] @ merge,
+        b_ub=b[rows],
         bounds=(0.0, 1.0),
-        method="highs",
+        method="highs-ipm",
     )
     if not res.success:
         raise LpSolveError(f"HiGHS failed: {res.message}")
-    return np.asarray(res.x), float(-res.fun)
+    x = np.asarray(res.x)
+    return np.concatenate([x[:y0], x[y0 + inverse]]), float(-res.fun)
 
 
 def check_backend(solver: str | None) -> None:
@@ -229,14 +269,20 @@ def solve_lp(
 ) -> FractionalSolution:
     """Solve the benchmark LP to optimality (1e-9 feasibility, 1e-7 objective).
     The backend follows from the model's size (SIMPLEX_MAX_CELLS) unless
-    `solver` names one of BACKENDS or is a callable."""
+    `solver` names one of BACKENDS or is a callable. Naming "simplex" for a
+    model above SIMPLEX_MAX_CELLS raises ValueError before any dense array
+    is allocated."""
     if not callable(solver):
         check_backend(solver)
         cells = model.n_rows * (model.n_vars + model.n_rows)
-        if solver == "simplex" or (solver is None and cells <= SIMPLEX_MAX_CELLS):
-            solver = _solve_embedded
-        else:
-            solver = _solve_highs
+        if solver is None:
+            solver = "simplex" if cells <= SIMPLEX_MAX_CELLS else "highs"
+        if solver == "simplex" and cells > SIMPLEX_MAX_CELLS:
+            raise ValueError(
+                f"the embedded simplex takes models of at most SIMPLEX_MAX_CELLS ="
+                f" {SIMPLEX_MAX_CELLS} cells (rows x (vars + rows)); this one has {cells}"
+            )
+        solver = _solve_embedded if solver == "simplex" else _solve_highs
     x_full, objective = solver(model)
     x = snap(x_full[1 : 1 + model.n_programs])
     y = snap(x_full[1 + model.n_programs :])

@@ -176,7 +176,8 @@ class Instance:
     @cached_property
     def _derived(self) -> dict[str, object]:
         """Budget-independent results of functions over this instance (see
-        `normalize`), shared by its `with_budget` copies."""
+        `normalize` and `lp._household_classes`), shared by its `with_budget`
+        copies."""
         return {}
 
     @cached_property

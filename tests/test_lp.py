@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from transit_equity.generators import random_instance
 from transit_equity.lp import (
     SIMPLEX_MAX_CELLS,
     FractionalSolution,
+    _household_classes,
     build_lp,
     dump_lp,
     solve_lp,
@@ -19,6 +21,7 @@ from transit_equity.model import (
     Household,
     Instance,
     Program,
+    derive_groups,
     evaluate,
 )
 from transit_equity.oracles import enumerate_feasible
@@ -116,16 +119,30 @@ class TestSolveLp:
         assert solve_lp(build_lp(singletons)).objective == pytest.approx(0.5, abs=1e-7)
         assert simplex_calls == [1]
 
-    def test_default_solves_simplex_stall(self, simplex_calls):
+    @staticmethod
+    def simplex_stall_instance():
         # 153 rows: the dense simplex pivots ~197k times on this model and then
-        # gives up; above the size cut solve_lp sends it to HiGHS
+        # gives up
         rng = np.random.default_rng(7)
         for _ in range(10):
             inst = random_instance(rng, max_households=200, max_programs=100)
         assert (len(inst.households), len(inst.programs)) == (149, 73)
+        return inst
+
+    def test_default_solves_simplex_stall(self, simplex_calls):
+        # above the size cut solve_lp sends it to HiGHS
+        inst = self.simplex_stall_instance()
         sol = solve_lp(build_lp(inst))
         assert sol.objective == pytest.approx(1.0, abs=1e-7)
         assert verify_solution(inst, sol) == []
+        assert simplex_calls == []
+
+    def test_simplex_override_honours_the_cut(self, simplex_calls):
+        model = build_lp(self.simplex_stall_instance())
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=r"SIMPLEX_MAX_CELLS = 3000 cells .* has 57528$"):
+            solve_lp(model, solver="simplex")
+        assert time.perf_counter() - started < 1.0
         assert simplex_calls == []
 
     def test_unknown_solver_rejected(self, singletons):
@@ -138,6 +155,68 @@ class TestSolveLp:
         assert (sol.x_star >= 0).all() and (sol.x_star <= 1).all()
         assert (sol.y_star >= 0).all() and (sol.y_star <= 1).all()
         assert 0.0 <= sol.objective <= 1.0
+
+
+def cloned_instance(rng):
+    """A random instance with each household cloned 1-4 times, plus a household
+    in no group and one that no program covers."""
+    base = random_instance(rng, max_households=6, max_programs=6)
+    clones = {
+        h.id: [f"{h.id}.{k}" for k in range(int(rng.integers(1, 5)))] for h in base.households
+    }
+    households = [
+        Household(id=c, group_ids=h.group_ids) for h in base.households for c in clones[h.id]
+    ]
+    households += [
+        Household(id="loner"),
+        Household(id="stranded", group_ids=frozenset({base.groups[0].id})),
+    ]
+    programs = [
+        dataclasses.replace(
+            p,
+            covers=frozenset(c for hid in p.covers for c in clones[hid])
+            | (frozenset({"loner"}) if j == 0 else frozenset()),
+        )
+        for j, p in enumerate(base.programs)
+    ]
+    return Instance(
+        households=tuple(households),
+        programs=tuple(programs),
+        budget=base.budget,
+        groups=derive_groups(households),
+    )
+
+
+class TestHouseholdClasses:
+    def test_aggregated_highs_equals_simplex_on_full_model(self, rng):
+        merged = 0
+        for _ in range(40):
+            inst = cloned_instance(rng)
+            model = build_lp(inst)
+            full = solve_lp(model, solver="simplex")
+            classed = solve_lp(model, solver="highs")
+            assert classed.objective == pytest.approx(full.objective, abs=1e-9)
+            assert verify_solution(inst, classed) == []
+
+            # one class per distinct (coverers, groups), no more and no fewer
+            first, inverse = _household_classes(inst)
+            keys = [
+                (frozenset(p.id for p in inst.programs if h.id in p.covers), h.group_ids)
+                for h in inst.households
+            ]
+            assert len(set(keys)) == first.size
+            assert keys == [keys[i] for i in first[inverse]]
+            for c in range(first.size):
+                assert np.unique(classed.y_star[inverse == c]).size == 1
+            merged += len(inst.households) - first.size
+        assert merged >= 100
+
+    def test_with_budget_copies_share_one_partition(self, rng):
+        inst = cloned_instance(rng)
+        low, high = inst.with_budget(1.0), inst.with_budget(2.0)
+        for copy in (low, high):
+            assert verify_solution(copy, solve_lp(build_lp(copy), solver="highs")) == []
+        assert _household_classes(low) is _household_classes(high)
 
 
 class TestLpInvariants:

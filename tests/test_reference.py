@@ -2,12 +2,15 @@
 
 The references rebuild everything per cell and per trial, the plain way: a
 fresh validated instance per budget, `normalize` by replacing every program
-and household, the LP assembled row by row from the coverage sets, a
-`StrategyOutcome` per trial, and each scenario built by its own
+and household, the LP assembled row by row from the coverage sets and
+solved whole by HiGHS dual simplex, a `StrategyOutcome` per trial, and each scenario built by its own
 `build_instance` call. The rounding's reference plans each twist, then
 applies it to a copy per branch. CLI `ras` and `uniform` are checked against
 a loop that evaluates each trial's outcome. The sweep and its kernels must
-give exactly the same floats.
+give exactly the same floats. The one exception is the LP's optimal vertex:
+production solves over household classes and may return another optimum, so
+per cell its objective must match the row-built model's to 1e-9 and pass
+`verify_solution`, and the naive trials then round production's solution.
 """
 
 import csv
@@ -33,7 +36,7 @@ from transit_equity.geo import (
     synthetic_city,
 )
 from transit_equity.instance_io import read_instance, write_instance
-from transit_equity.lp import LpRow, build_lp, solve_lp
+from transit_equity.lp import LpRow, build_lp, solve_lp, verify_solution
 from transit_equity.model import (
     AFFORDABILITY_TOL,
     BudgetTooSmallError,
@@ -116,7 +119,8 @@ def row_built_csr(rows):
 
 
 def row_built_highs(model):
-    """HiGHS on the row-built matrix, one (0, 1) bound per variable."""
+    """HiGHS dual simplex on the row-built full matrix, one (0, 1) bound per
+    variable."""
     rows = naive_lp_rows(model.instance)
     data, indices, indptr, b = row_built_csr(rows)
     a = csr_matrix((data, indices, indptr), shape=(len(rows), model.n_vars))
@@ -179,7 +183,12 @@ def naive_run_experiment(config):
         for b, budget in enumerate(config.budgets):
             instance = dataclasses.replace(variants[scenario], budget=float(budget))
             norm, scale = naive_normalize(instance, config.allow_small_budget)
-            solution = solve_lp(build_lp(norm), solver=row_built_highs)
+            # the row-built full model fixes the optimum; production's solver may
+            # return another optimal vertex, which the naive trials then round
+            reference = solve_lp(build_lp(norm), solver=row_built_highs)
+            solution = solve_lp(build_lp(norm))
+            assert abs(solution.objective - reference.objective) <= 1e-9
+            assert verify_solution(norm, solution) == []
             for a, algorithm in enumerate(config.algorithms):
                 if algorithm == "greedy":
                     outcomes = [greedy(norm)]
