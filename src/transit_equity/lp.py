@@ -10,8 +10,11 @@ openings x_j and coverage levels y_i:
          0 <= t, x_j, y_i <= 1                    (box bounds; y_i <= 1 lives here)
 
 `solve_lp` picks the backend from the model's size: the embedded dense
-simplex up to SIMPLEX_MAX_CELLS, scipy's HiGHS interior point above it, on
-the model with interchangeable households merged into classes.
+simplex up to SIMPLEX_MAX_CELLS, scipy's HiGHS dual simplex above it. HiGHS
+gets the model with interchangeable households merged into classes (same
+shared coverers, same private-program cost, same groups), each class's
+private programs merged with them; the solution is spread back over the
+members by water-filling (`_solve_highs`).
 """
 
 from __future__ import annotations
@@ -121,8 +124,8 @@ class LpModel:
 
 @dataclass(frozen=True, eq=False)
 class FractionalSolution:
-    """An optimal fractional benchmark solution (cleaned: entries clamped to
-    [0,1] and values within 1e-9 of a bound snapped onto it)."""
+    """An optimal fractional benchmark solution (cleaned by `snap`: x, y and
+    the objective clamped to [0,1], values within 1e-9 of a bound set onto it)."""
 
     x_star: np.ndarray
     y_star: np.ndarray
@@ -193,59 +196,105 @@ def _solve_embedded(model: LpModel) -> tuple[np.ndarray, float]:
     return result.x, result.objective
 
 
-def _household_classes(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
-    """Households with the same coverers and the same groups form a class:
-    `(first, inverse)` gives each class's first member and each household's
-    class. The partition does not depend on the budget, so it is computed
-    once and shared by every `with_budget` copy."""
+def _household_classes(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Interchangeable households: `(first, inverse, private)` gives each
+    class's first member, each household's class, and each household's
+    private program (the first program covering it alone; -1 when none).
+
+    Members of a class have the same shared coverers (every coverer but the
+    private program), the same private-program cost (or none) and the same
+    groups, so they and their private programs can be merged. The
+    partition does not depend on the budget, so it is computed once and
+    shared by every `with_budget` copy."""
     derived = instance._derived
     if "household_classes" not in derived:
         ptr, coverers = instance.household_programs
-        degree = np.diff(ptr)
-        n_i = degree.size
-        slot = np.arange(coverers.size) - np.repeat(ptr[:-1], degree)
+        n_i = ptr.size - 1
+        owner = np.repeat(np.arange(n_i), np.diff(ptr))
+        alone = np.flatnonzero(np.diff(instance.program_households[0])[coverers] == 1)
+        # each household's first single-household coverer (coverers ascend)
+        holders, at = np.unique(owner[alone], return_index=True)
+        private = np.full(n_i, -1, dtype=np.intp)
+        private[holders] = coverers[alone[at]]
+        tier = np.full(n_i, -1, dtype=np.intp)
+        tier[holders] = np.unique(instance.costs[private[holders]], return_inverse=True)[1]
+
+        shared = np.ones(coverers.size, dtype=bool)
+        shared[alone[at]] = False
+        degree = np.bincount(owner[shared], minlength=n_i)
+        slot = np.arange(degree.sum()) - np.repeat(np.cumsum(degree) - degree, degree)
         padded = np.full((n_i, int(degree.max(initial=0))), -1, dtype=np.intp)
-        padded[np.repeat(np.arange(n_i), degree), slot] = coverers
+        padded[owner[shared], slot] = coverers[shared]
         flags = np.zeros((n_i, len(instance.groups)), dtype=np.intp)
         for g, members in enumerate(instance.group_indices):
             flags[members, g] = 1
-        _, first, inverse = np.unique(
-            np.hstack([padded, flags]), axis=0, return_index=True, return_inverse=True
-        )
-        derived["household_classes"] = (first, inverse.reshape(-1))
+        key = np.hstack([padded, tier[:, None], flags])
+        _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+        derived["household_classes"] = (first, inverse.reshape(-1), private)
     return derived["household_classes"]
 
 
 def _solve_highs(model: LpModel) -> tuple[np.ndarray, float]:
-    """HiGHS interior point (with its crossover to a vertex) on the model with
-    one y per household class: a class's members are interchangeable, so its
-    y enters each equity row weighted by its member count, and the class
-    value is broadcast back to every member (duplicate-column aggregation)."""
+    """HiGHS dual simplex on the model with each household class merged.
+
+    A class's members are interchangeable, so one y column per class enters
+    each equity row weighted by its member count, and one x column per class
+    stands for its members' private programs (budget coefficient count x
+    cost). Any optimum averaged over a class stays optimal, so this is exact
+    (duplicate-column aggregation). Back on the full model, each class's
+    private coverage is water-filled over its members in household order, up
+    to what their shared cover leaves below 1, and y_i is set to
+    min(1, cover of i): t, the budget and every cover row still hold, and a
+    class with no or full shared cover gets at most one fractional entry."""
     from scipy.optimize import linprog
     from scipy.sparse import csr_matrix
 
-    first, inverse = _household_classes(model.instance)
-    y0 = 1 + model.n_programs
-    # summing the y columns of a class's members gives the count weights
-    columns = np.concatenate([np.arange(y0), y0 + inverse])
+    inst = model.instance
+    first, inverse, private = _household_classes(inst)
+    n_j, y0 = model.n_programs, 1 + model.n_programs
+    holders = np.flatnonzero(private >= 0)
+    kept = np.setdiff1d(np.arange(n_j), private[holders])
+    has_x = private[first] >= 0
+    x_column = kept.size + np.cumsum(has_x)
+    y_base = 1 + kept.size + int(has_x.sum())
+    # the reduced column of every full variable: t, kept x, class x, class y
+    columns = np.zeros(model.n_vars, dtype=np.intp)
+    columns[1 + kept] = 1 + np.arange(kept.size)
+    columns[1 + private[holders]] = x_column[inverse[holders]]
+    columns[y0:] = y_base + inverse
     merge = csr_matrix(
         (np.ones(model.n_vars), (np.arange(model.n_vars), columns)),
-        shape=(model.n_vars, y0 + first.size),
+        shape=(model.n_vars, y_base + first.size),
     )
     # the budget row, each class's first cover row, every equity row
     rows = np.concatenate([[0], 1 + first, np.arange(1 + model.n_households, model.n_rows)])
     a, b = model.scipy_matrix()
     res = linprog(
-        -model.objective()[: y0 + first.size],
+        -model.objective()[: y_base + first.size],
         A_ub=a[rows] @ merge,
         b_ub=b[rows],
         bounds=(0.0, 1.0),
-        method="highs-ipm",
     )
     if not res.success:
         raise LpSolveError(f"HiGHS failed: {res.message}")
-    x = np.asarray(res.x)
-    return np.concatenate([x[:y0], x[y0 + inverse]]), float(-res.fun)
+    reduced = np.asarray(res.x)
+
+    x = np.zeros(n_j)
+    x[kept] = reduced[1 : 1 + kept.size]
+    ptr, households = inst.program_households
+    # shared cover per household, then water-fill each class's private x
+    cover = np.bincount(households, np.repeat(x, np.diff(ptr)), minlength=model.n_households)
+    cap = np.clip(1.0 - cover[holders], 0.0, 1.0)
+    size = np.bincount(inverse)
+    order = np.argsort(inverse, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size) - np.repeat(np.cumsum(size) - size, size)
+    n = size[inverse[holders]]
+    placed = np.minimum(n * reduced[x_column[inverse[holders]]], n * cap)
+    fill = np.clip(placed - rank[holders] * cap, 0.0, cap)
+    x[private[holders]] = fill
+    cover[holders] += fill
+    return np.concatenate([reduced[:1], x, np.minimum(1.0, cover)]), float(-res.fun)
 
 
 def check_backend(solver: str | None) -> None:
@@ -256,8 +305,8 @@ def check_backend(solver: str | None) -> None:
 
 def snap(values: np.ndarray) -> np.ndarray:
     """A copy of `values` clipped to [0, 1], with every entry within SNAP_EPS
-    of 0 or 1 set to exactly 0 or 1: the LP solution and the rounding's start
-    vector both go through it."""
+    of 0 or 1 set to exactly 0 or 1: the LP solution (x, y and the objective)
+    and the rounding's start vector all go through it."""
     out = np.clip(values, 0.0, 1.0)
     out[out <= SNAP_EPS] = 0.0
     out[out >= 1.0 - SNAP_EPS] = 1.0
@@ -288,7 +337,7 @@ def solve_lp(
     y = snap(x_full[1 + model.n_programs :])
     x.setflags(write=False)
     y.setflags(write=False)
-    return FractionalSolution(x_star=x, y_star=y, objective=float(min(1.0, max(0.0, objective))))
+    return FractionalSolution(x_star=x, y_star=y, objective=float(snap(np.array([objective]))[0]))
 
 
 @dataclass(frozen=True)

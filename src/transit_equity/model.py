@@ -175,9 +175,11 @@ class Instance:
 
     @cached_property
     def _derived(self) -> dict[str, object]:
-        """Budget-independent results of functions over this instance (see
-        `normalize` and `lp._household_classes`), shared by its `with_budget`
-        copies."""
+        """Budget-independent results of functions over this instance,
+        shared by its `with_budget` copies: the normalized programs and
+        households (`normalize`) and the household classes the HiGHS path
+        merges, keyed on shared coverers, private-program cost and groups
+        (`lp._household_classes`)."""
         return {}
 
     @cached_property

@@ -6,6 +6,15 @@ import pytest
 
 from transit_equity import simplex
 from transit_equity.generators import random_instance
+from transit_equity.geo import (
+    CostParams,
+    SyntheticCityParams,
+    build_instance,
+    cluster_stops,
+    eligibility_filter,
+    generate_routes,
+    synthetic_city,
+)
 from transit_equity.lp import (
     SIMPLEX_MAX_CELLS,
     FractionalSolution,
@@ -23,6 +32,7 @@ from transit_equity.model import (
     Program,
     derive_groups,
     evaluate,
+    inject_ride_hailing,
 )
 from transit_equity.oracles import enumerate_feasible
 
@@ -187,36 +197,114 @@ def cloned_instance(rng):
     )
 
 
+RIDE_HAIL_TIERS = (0.2, 0.45, 0.7)
+
+
+def ride_hail_instance(rng, *, equal_tiers):
+    """`cloned_instance` in the combined scenario: every household gets a
+    ride-hail program at one of RIDE_HAIL_TIERS. A second household is
+    covered only by its own ride-hail program, and a bus line covers the
+    first household alone, so that household has two single-household
+    programs (the bus line first). With `equal_tiers` clones share their
+    original's tier, otherwise each draws its own."""
+    inst = cloned_instance(rng)
+    tiers = {}
+
+    def tier(hid):
+        key = hid.split(".")[0] if equal_tiers else hid
+        return tiers.setdefault(key, float(rng.choice(RIDE_HAIL_TIERS)))
+
+    households = list(inst.households)
+    stranded = next(h for h in households if h.id == "stranded")
+    households.append(dataclasses.replace(stranded, id="stranded.1"))
+    households = [dataclasses.replace(h, ride_hail_cost=tier(h.id)) for h in households]
+    solo = Program(id="solo", cost=0.5, covers=frozenset({households[0].id}))
+    return inject_ride_hailing(
+        Instance(
+            households=tuple(households),
+            programs=(solo,) + inst.programs,
+            budget=inst.budget,
+            groups=derive_groups(households),
+        )
+    )
+
+
+def check_classes(inst):
+    """Solve `inst` over household classes, check it against the embedded
+    simplex on the full model and against a naive partition, and return the
+    number of households merged away."""
+    model = build_lp(inst)
+    full = solve_lp(model, solver="simplex")
+    classed = solve_lp(model, solver="highs")
+    assert classed.objective == pytest.approx(full.objective, abs=1e-9)
+    assert verify_solution(inst, classed) == []
+
+    # naive key: shared coverers, private-program cost, groups
+    first, inverse, private = _household_classes(inst)
+    keys, own = [], []
+    for h in inst.households:
+        coverers = [j for j, p in enumerate(inst.programs) if h.id in p.covers]
+        alone = [j for j in coverers if len(inst.programs[j].covers) == 1] + [-1]
+        own.append(alone[0])
+        cost = inst.programs[alone[0]].cost if alone[0] >= 0 else None
+        keys.append((frozenset(coverers) - {alone[0]}, cost, h.group_ids))
+    assert private.tolist() == own
+    assert len(set(keys)) == first.size
+    assert keys == [keys[i] for i in first[inverse]]
+
+    # water-filling: private x within what the shared cover leaves, and a
+    # class with no or full shared cover has at most one fractional entry
+    x = classed.x_star
+    for c, head in enumerate(first):
+        if private[head] < 0:
+            continue
+        shared = sum(x[j] for j in keys[head][0])
+        mine = x[private[inverse == c]]
+        assert (mine <= max(0.0, 1.0 - shared) + 1e-12).all()
+        if shared == 0.0 or shared >= 1.0:
+            assert ((mine > 0.0) & (mine < 1.0)).sum() <= 1
+    return len(inst.households) - first.size
+
+
 class TestHouseholdClasses:
     def test_aggregated_highs_equals_simplex_on_full_model(self, rng):
-        merged = 0
-        for _ in range(40):
-            inst = cloned_instance(rng)
-            model = build_lp(inst)
-            full = solve_lp(model, solver="simplex")
-            classed = solve_lp(model, solver="highs")
-            assert classed.objective == pytest.approx(full.objective, abs=1e-9)
-            assert verify_solution(inst, classed) == []
-
-            # one class per distinct (coverers, groups), no more and no fewer
-            first, inverse = _household_classes(inst)
-            keys = [
-                (frozenset(p.id for p in inst.programs if h.id in p.covers), h.group_ids)
-                for h in inst.households
-            ]
-            assert len(set(keys)) == first.size
-            assert keys == [keys[i] for i in first[inverse]]
-            for c in range(first.size):
-                assert np.unique(classed.y_star[inverse == c]).size == 1
-            merged += len(inst.households) - first.size
+        merged = sum(check_classes(cloned_instance(rng)) for _ in range(40))
         assert merged >= 100
 
+    def test_ride_hail_programs_merge_with_their_households(self, rng):
+        merged = {}
+        for equal_tiers in (True, False) * 30:
+            inst = ride_hail_instance(rng, equal_tiers=equal_tiers)
+            merged[equal_tiers] = merged.get(equal_tiers, 0) + check_classes(inst)
+            first, inverse, private = _household_classes(inst)
+            index = inst.household_index
+            # the first household's bus line is its private program; its
+            # ride-hail program stays a column of its own
+            assert inst.programs[private[0]].id == "solo"
+            assert (inverse == inverse[0]).sum() == 1
+            # a household only its ride-hail program covers
+            stranded = index["stranded"]
+            assert inst.programs[private[stranded]].id == "ride-hail:stranded"
+            if equal_tiers:
+                assert inverse[stranded] == inverse[index["stranded.1"]]
+        assert min(merged.values()) > 0 and sum(merged.values()) >= 100
+
     def test_with_budget_copies_share_one_partition(self, rng):
-        inst = cloned_instance(rng)
+        inst = ride_hail_instance(rng, equal_tiers=True)
         low, high = inst.with_budget(1.0), inst.with_budget(2.0)
         for copy in (low, high):
             assert verify_solution(copy, solve_lp(build_lp(copy), solver="highs")) == []
         assert _household_classes(low) is _household_classes(high)
+
+    def test_default_city_combined_merges_ride_hail_households(self):
+        # each household's own ride-hail program must not keep it apart
+        households, stops, guideline = synthetic_city(SyntheticCityParams(), 0)
+        eligible = eligibility_filter(households, stops)
+        routes = generate_routes(cluster_stops(eligible), stops, 20, 0, CostParams())
+        bus_only = build_instance(eligible, routes, budget=0.0, guideline=guideline)
+        combined = inject_ride_hailing(bus_only)
+        first, _, _ = _household_classes(combined)
+        assert first.size < len(combined.households) / 2
 
 
 class TestLpInvariants:
@@ -284,6 +372,15 @@ def test_custom_solver_callable(singletons):
     sol = solve_lp(build_lp(singletons), solver=recording_solver)
     assert sol.objective == pytest.approx(0.5, abs=1e-7)
     assert calls == [5]
+
+
+def test_objective_snapped_like_the_solution(singletons):
+    model = build_lp(singletons)
+
+    def almost_one(model):
+        return np.zeros(model.n_vars), 1.0 - 4e-15
+
+    assert solve_lp(model, solver=almost_one).objective == 1.0
 
 
 def test_dump_lp_format(tmp_path, singletons):
