@@ -160,7 +160,10 @@ def run_trials(
 
     Each trial's cost and group ratios are the floats `evaluate` would report
     for its selection: the selected costs summed by `costs[selected].sum()`,
-    and each group's covered-member count divided by the group size.
+    and each group's covered-member count divided by the group size. A group's
+    mean is its covered count summed over trials, divided by trials x group
+    size: one rounding, so a group covered alike in every trial reads exactly
+    that trial's ratio.
     """
     n_trials = len(rngs)
     costs = np.empty(n_trials)
@@ -170,14 +173,17 @@ def run_trials(
         costs[t] = instance.costs[selected].sum()
         covered[t] = instance.covered_mask(selected)
     if instance.groups:
-        ratios = np.column_stack(
-            [np.count_nonzero(covered[:, idx], axis=1) / idx.size for idx in instance.group_indices]
+        sizes = np.array([idx.size for idx in instance.group_indices])
+        counts = np.column_stack(
+            [np.count_nonzero(covered[:, idx], axis=1) for idx in instance.group_indices]
         )
     else:
-        ratios = np.ones((n_trials, 1))
+        sizes = np.ones(1, dtype=int)
+        counts = np.ones((n_trials, 1), dtype=int)
+    ratios = counts / sizes
     ddof = 1 if n_trials > 1 else 0
     return _CellStats(
-        group_means=ratios.mean(axis=0),
+        group_means=counts.sum(axis=0) / (n_trials * sizes),
         group_stds=ratios.std(axis=0, ddof=ddof),
         costs=costs,
         trials=n_trials,

@@ -81,9 +81,6 @@ class LpModel:
     def upper_bounds(self) -> tuple[float, ...]:
         return (1.0,) * self.n_vars
 
-    def y_index(self, i: int) -> int:
-        return 1 + self.n_programs + i
-
     def objective(self) -> np.ndarray:
         c = np.zeros(self.n_vars)
         c[0] = 1.0
@@ -184,13 +181,7 @@ def build_lp(instance: Instance) -> LpModel:
 
 def _solve_embedded(model: LpModel) -> tuple[np.ndarray, float]:
     a, b = model.dense_matrix()
-    result = simplex.solve(
-        model.objective(),
-        a,
-        b,
-        senses=[simplex.LESS_EQUAL] * model.n_rows,
-        upper_bounds=list(model.upper_bounds),
-    )
+    result = simplex.solve(model.objective(), a, b, upper_bounds=model.upper_bounds)
     if result.status != "optimal":
         raise LpSolveError(f"embedded simplex returned {result.status}")
     return result.x, result.objective

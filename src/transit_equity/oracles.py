@@ -4,8 +4,9 @@ Both enumerate every feasible selection into one bool selection matrix and
 score all of its rows at once. The deterministic optimum is the best row;
 only that row is realized with `evaluate`. The randomized optimum maximizes
 the worst-group expected coverage ratio over probability distributions on
-the rows, which is itself a small linear program solved with the embedded
-simplex.
+the rows, which is itself a small linear program; its one equality
+(the weights sum to 1) is substituted away so that the embedded simplex,
+which takes <= rows with nonnegative right-hand sides, solves it directly.
 """
 
 from __future__ import annotations
@@ -44,9 +45,6 @@ class RandomizedStrategy:
     probability below 1e-12 are dropped."""
 
     atoms: tuple[tuple[DeterministicStrategy, float], ...]
-
-    def total_probability(self) -> float:
-        return sum(w for _, w in self.atoms)
 
 
 def enumerate_feasible(instance: Instance) -> StrategySpace:
@@ -114,69 +112,48 @@ def opt_deterministic(instance: Instance) -> tuple[StrategyOutcome, float]:
     return best, best.equity
 
 
-def opt_randomized(
-    instance: Instance, *, prune_dominated: bool = False
-) -> tuple[RandomizedStrategy, float]:
+def opt_randomized(instance: Instance) -> tuple[RandomizedStrategy, float]:
     """Optimal distribution over feasible strategies, maximizing the
     worst-group expected coverage ratio:
 
         max t  s.t.  t <= sum_k q_k ratio[k, g]  for every group g,
                      sum_k q_k = 1,  q >= 0.
+
+    The simplex takes <= rows with nonnegative right-hand sides only, so the
+    equality is substituted away: q_0 = 1 - sum_{k>=1} q_k leaves
+
+        max t  s.t.  t - sum_{k>=1} q_k (ratio[k, g] - ratio[0, g]) <= ratio[0, g],
+                     sum_{k>=1} q_k <= 1,  q >= 0,
+
+    a linear change of coordinates of the same LP, with the same optimum.
+    Selection 0 is the empty one, so every right-hand side is 0 or 1 and the
+    slack basis (the point mass on selection 0) is feasible.
     """
     sel = enumerate_feasible(instance).selections
-    keep = np.arange(sel.shape[0])
-    ratios = _group_ratio_matrix(instance, sel)
-    if prune_dominated:
-        keep = _undominated(instance, sel)
-        ratios = ratios[keep]
-    k = keep.size
+    k = sel.shape[0]
     if k > MAX_DISTRIBUTION_ATOMS:
         raise InstanceTooLargeError(
             f"distribution LP supports at most {MAX_DISTRIBUTION_ATOMS} atoms, got {k}"
         )
+    ratios = _group_ratio_matrix(instance, sel)
     n_groups = len(instance.groups)
 
-    # variables: [t, q_1..q_k]
-    c = np.zeros(1 + k)
+    # variables: [t, q_1..q_{k-1}]
+    c = np.zeros(k)
     c[0] = 1.0
-    rows = np.zeros((n_groups + 1, 1 + k))
-    rhs = np.zeros(n_groups + 1)
-    senses = [simplex.LESS_EQUAL] * n_groups + [simplex.EQUAL]
-    for g in range(n_groups):
-        rows[g, 0] = 1.0
-        rows[g, 1:] = -ratios[:, g]
+    rows = np.zeros((n_groups + 1, k))
+    rows[:n_groups, 0] = 1.0
+    rows[:n_groups, 1:] = ratios[0, :, np.newaxis] - ratios[1:].T
     rows[n_groups, 1:] = 1.0
-    rhs[n_groups] = 1.0
-    bounds: list[float | None] = [1.0] + [None] * k
+    rhs = np.append(ratios[0], 1.0)
 
-    result = simplex.solve(c, rows, rhs, senses, upper_bounds=bounds)
+    result = simplex.solve(c, rows, rhs, upper_bounds=[1.0] + [None] * (k - 1))
     if result.status != "optimal":
         raise RuntimeError(f"distribution LP ended {result.status}")
-    weights = result.x[1:]
+    q = result.x[1:]
+    weights = np.concatenate([[1.0 - q.sum()], q])
     atoms = tuple(
-        (DeterministicStrategy(sel[keep[i]]), float(w))
-        for i, w in enumerate(weights)
-        if w > 1e-12
+        (DeterministicStrategy(sel[i]), float(w)) for i, w in enumerate(weights) if w > 1e-12
     )
     value = float(result.x[0]) if n_groups else 1.0
     return RandomizedStrategy(atoms=atoms), value
-
-
-def _undominated(instance: Instance, sel: np.ndarray) -> np.ndarray:
-    """Indices of selections not dominated by another (superset coverage at
-    equal or lower cost; exact duplicates keep their first occurrence)."""
-    # float64 counts stay exact (a uint8 product wraps at 256 households)
-    coverage = _coverage(instance, sel).astype(float)
-    costs = sel.astype(float) @ instance.costs
-    # missing[k, l] == 0 iff coverage of k is a subset of coverage of l
-    missing = coverage @ (1 - coverage).T
-    subset = missing == 0
-    cheaper_equal = costs[np.newaxis, :] <= costs[:, np.newaxis]
-    proper = subset & cheaper_equal
-    np.fill_diagonal(proper, False)
-    same_cover = (missing == 0) & (missing.T == 0)
-    same_cost = np.abs(costs[np.newaxis, :] - costs[:, np.newaxis]) < 1e-15
-    duplicate = same_cover & same_cost
-    earlier = np.tril(np.ones_like(proper, dtype=bool), k=-1)  # earlier[k, l]: l < k
-    dominated = (proper & (~duplicate | earlier)).any(axis=1)
-    return np.flatnonzero(~dominated)

@@ -1,8 +1,14 @@
-"""Dense two-phase primal simplex for small/medium linear programs.
+"""Dense primal simplex for the small linear programs of this package.
 
-Solves   maximize c.x   subject to  A x (<= | = | >=) b,  0 <= x <= ub
+Solves   maximize c.x   subject to  A x <= b,  0 <= x <= ub,  with b >= 0
 where individual upper bounds may be absent (None). Finite upper bounds are
 appended as explicit rows, so the tableau stays a plain dense array.
+
+Both callers state their LP in this form: the benchmark LP has only <= rows
+with right-hand sides B and 0, and the oracles' distribution LP substitutes
+its one equality away. With b >= 0 the slack basis (x = 0) is feasible, so
+the solve starts there and needs no phase 1; a negative right-hand side is
+rejected.
 
 Pivot selection uses Dantzig's rule with a deterministic lowest-index
 tie-break, switching permanently to Bland's anti-cycling rule once a run of
@@ -18,12 +24,7 @@ from typing import Sequence
 import numpy as np
 
 PIVOT_EPS = 1e-10
-FEASIBILITY_EPS = 1e-9
 _DEGENERATE_RUN_BEFORE_BLAND = 50
-
-LESS_EQUAL = "<="
-EQUAL = "="
-GREATER_EQUAL = ">="
 
 
 class SimplexError(RuntimeError):
@@ -32,7 +33,7 @@ class SimplexError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SimplexResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "unbounded"
     x: np.ndarray | None
     objective: float | None
 
@@ -96,134 +97,35 @@ def solve(
     c: Sequence[float],
     a: Sequence[Sequence[float]] | np.ndarray,
     b: Sequence[float],
-    senses: Sequence[str],
     upper_bounds: Sequence[float | None] | None = None,
-    max_iterations: int | None = None,
 ) -> SimplexResult:
     c = np.asarray(c, dtype=float)
     n = c.size
-    a = np.asarray(a, dtype=float).reshape(len(b), n) if len(b) else np.zeros((0, n))
     b = np.asarray(b, dtype=float)
-    senses = list(senses)
-    if len(senses) != b.size:
-        raise SimplexError("senses/b length mismatch")
+    a = np.asarray(a, dtype=float).reshape(b.size, n)
+    if (b < 0).any():
+        raise SimplexError(f"right-hand sides must be >= 0, got {b.min()}")
 
-    if upper_bounds is not None:
-        extra_rows = []
-        extra_rhs = []
-        for k, ub in enumerate(upper_bounds):
-            if ub is None:
-                continue
-            row = np.zeros(n)
-            row[k] = 1.0
-            extra_rows.append(row)
-            extra_rhs.append(float(ub))
-        if extra_rows:
-            a = np.vstack([a, np.array(extra_rows)])
-            b = np.concatenate([b, np.array(extra_rhs)])
-            senses += [LESS_EQUAL] * len(extra_rhs)
+    # one x_k <= ub row per finite bound, set by index: the distribution LP
+    # has up to 100k columns, too many for an n x n identity
+    bounded = np.array([k for k, ub in enumerate(upper_bounds or ()) if ub is not None], dtype=int)
+    m = b.size + bounded.size
 
-    m = b.size
-    a = a.copy()
-    b = b.copy()
-    flip = {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL, EQUAL: EQUAL}
-    for i in range(m):
-        if b[i] < 0:
-            a[i] *= -1.0
-            b[i] *= -1.0
-            senses[i] = flip[senses[i]]
+    # columns: [x, one slack per row | rhs]; the last row holds -c
+    tableau = np.zeros((m + 1, n + m + 1))
+    tableau[: b.size, :n] = a
+    tableau[np.arange(b.size, m), bounded] = 1.0
+    tableau[np.arange(m), n + np.arange(m)] = 1.0
+    tableau[: b.size, -1] = b
+    tableau[b.size : m, -1] = [upper_bounds[k] for k in bounded]
+    tableau[-1, :n] = -c
+    basis = list(range(n, n + m))
 
-    n_slack = sum(1 for s in senses if s == LESS_EQUAL)
-    n_surplus = sum(1 for s in senses if s == GREATER_EQUAL)
-    n_art = sum(1 for s in senses if s in (EQUAL, GREATER_EQUAL))
-    slack0 = n
-    surplus0 = n + n_slack
-    art0 = n + n_slack + n_surplus
-    width = art0 + n_art
-
-    tableau = np.zeros((m + 1, width + 1))
-    tableau[:m, :n] = a
-    tableau[:m, -1] = b
-    basis: list[int] = []
-    i_slack = i_surplus = i_art = 0
-    for i, sense in enumerate(senses):
-        if sense == LESS_EQUAL:
-            tableau[i, slack0 + i_slack] = 1.0
-            basis.append(slack0 + i_slack)
-            i_slack += 1
-        elif sense == GREATER_EQUAL:
-            tableau[i, surplus0 + i_surplus] = -1.0
-            tableau[i, art0 + i_art] = 1.0
-            basis.append(art0 + i_art)
-            i_surplus += 1
-            i_art += 1
-        else:
-            tableau[i, art0 + i_art] = 1.0
-            basis.append(art0 + i_art)
-            i_art += 1
-
-    if max_iterations is None:
-        max_iterations = 200 * (m + width + 10)
-
-    if n_art:
-        # phase 1: maximize minus the artificial sum
-        phase1_c = np.zeros(width)
-        phase1_c[art0:] = -1.0
-        _set_objective_row(tableau, basis, phase1_c)
-        status = _run_simplex(tableau, basis, max_iterations)
-        if status != "optimal":
-            raise SimplexError(f"phase 1 ended {status}")
-        residual = -tableau[-1, -1]
-        if residual > FEASIBILITY_EPS * max(1.0, float(np.abs(b).max(initial=0.0))):
-            return SimplexResult(status="infeasible", x=None, objective=None)
-        keep_rows = _drive_out_artificials(tableau, basis, art0)
-        tableau = np.delete(tableau, np.s_[art0:width], axis=1)
-        if keep_rows is not None:
-            removed = [i for i in range(m) if i not in keep_rows]
-            tableau = np.delete(tableau, removed, axis=0)
-            basis = [basis[i] for i in keep_rows]
-        width = art0
-
-    real_c = np.zeros(width)
-    real_c[:n] = c
-    _set_objective_row(tableau, basis, real_c)
-    status = _run_simplex(tableau, basis, max_iterations)
+    status = _run_simplex(tableau, basis, 200 * (2 * m + n + 10))
     if status != "optimal":
         return SimplexResult(status=status, x=None, objective=None)
 
-    x_full = np.zeros(width)
-    for row, var in enumerate(basis):
-        x_full[var] = tableau[row, -1]
+    x_full = np.zeros(n + m)
+    x_full[basis] = tableau[:-1, -1]
     x = np.maximum(x_full[:n], 0.0)
     return SimplexResult(status="optimal", x=x, objective=float(c @ x))
-
-
-def _set_objective_row(tableau: np.ndarray, basis: list[int], c_ext: np.ndarray) -> None:
-    cb = c_ext[basis]
-    tableau[-1, :-1] = cb @ tableau[:-1, :-1] - c_ext
-    tableau[-1, -1] = cb @ tableau[:-1, -1]
-
-
-def _drive_out_artificials(
-    tableau: np.ndarray, basis: list[int], art0: int
-) -> list[int] | None:
-    """Pivot basic artificial variables out; returns surviving row indices,
-    or None when every row survives."""
-    m = tableau.shape[0] - 1
-    redundant: list[int] = []
-    for row in range(m):
-        if basis[row] < art0:
-            continue
-        pivot_col = -1
-        for col in range(art0):
-            if abs(tableau[row, col]) > PIVOT_EPS:
-                pivot_col = col
-                break
-        if pivot_col >= 0:
-            _pivot(tableau, basis, row, pivot_col)
-        else:
-            # all-zero structural part: the original row was redundant
-            redundant.append(row)
-    if not redundant:
-        return None
-    return [i for i in range(m) if i not in redundant]

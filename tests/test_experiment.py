@@ -1,5 +1,6 @@
 import csv
 
+import numpy as np
 import pytest
 
 from transit_equity.experiment import (
@@ -7,16 +8,18 @@ from transit_equity.experiment import (
     ExperimentConfig,
     ExperimentReport,
     ReportRow,
+    approx_ratio,
     compare_scenarios,
     emit,
     run_experiment,
+    run_trials,
     write_trial_log,
 )
 from transit_equity.geo import CostParams, SyntheticCityParams
 from transit_equity.instance_io import write_instance
 from transit_equity.rounding import ras
 from transit_equity.lp import build_lp, solve_lp
-from transit_equity.model import normalize
+from transit_equity.model import Group, Household, Instance, Program, normalize
 
 TINY_CITY = SyntheticCityParams(n_households=400, grid_rows=6, grid_cols=6)
 
@@ -125,6 +128,26 @@ class TestRunExperiment:
             ExperimentConfig(budgets=(1.0,), scenarios=("bogus",))
         with pytest.raises(ValueError, match="'higs'; valid: simplex, highs"):
             ExperimentConfig(budgets=(1.0,), solver="higs")
+
+
+def test_identical_trials_mean_exactly_their_ratio():
+    # 15 of the 29 households of group g covered in every trial; with a second
+    # group the (trials, groups) ratio matrix is summed down strided columns,
+    # where a running sum of 15/29 over 1,000 rows drifts a few ulp above it
+    ids = [f"h{i}" for i in range(29)]
+    inst = Instance(
+        households=tuple(
+            Household(id=h, group_ids=frozenset({"g", "k"} if i < 15 else {"g"}))
+            for i, h in enumerate(ids)
+        ),
+        programs=(Program(id="p", cost=1.0, covers=frozenset(ids[:15])),),
+        budget=1.0,
+        groups=(Group(id="g", members=frozenset(ids)), Group(id="k", members=frozenset(ids[:15]))),
+    )
+    rngs = [np.random.default_rng(t) for t in range(1000)]
+    stats = run_trials(inst, lambda rng: np.ones(1, dtype=bool), rngs)
+    assert stats.group_means.tolist() == [15 / 29, 1.0]
+    assert approx_ratio(stats.group_means[0], solve_lp(build_lp(inst)).objective) <= 1.0
 
 
 class TestCompareScenarios:

@@ -59,7 +59,8 @@ class TestBuildLp:
         )
         model = build_lp(inst)
         cover_b = [r for r in model.rows if r.label == "cover:b"][0]
-        assert cover_b.indices == (model.y_index(1),)
+        # variables [t, x_p, y_a, y_b]
+        assert cover_b.indices == (1 + model.n_programs + 1,)
         assert cover_b.coefficients == (1.0,)
         assert cover_b.rhs == 0.0
         sol = solve_lp(model)

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from transit_equity import simplex
 from transit_equity.generators import random_instance
@@ -102,7 +103,7 @@ class TestOptRandomized:
         weights = {s.selected: w for s, w in strategy.atoms}
         assert weights[(1, 0)] == pytest.approx(0.5, abs=1e-9)
         assert weights[(0, 1)] == pytest.approx(0.5, abs=1e-9)
-        assert strategy.total_probability() == pytest.approx(1.0, abs=1e-9)
+        assert sum(w for _, w in strategy.atoms) == pytest.approx(1.0, abs=1e-9)
 
     def test_single_group_equals_deterministic(self, rng):
         for _ in range(12):
@@ -120,16 +121,8 @@ class TestOptRandomized:
             assert det <= ran + 1e-9
             assert ran <= lp_value + 1e-7
 
-    def test_pruning_preserves_value(self, rng):
-        for _ in range(8):
-            inst = random_instance(rng, max_programs=7)
-            _, plain = opt_randomized(inst)
-            _, pruned = opt_randomized(inst, prune_dominated=True)
-            assert plain == pytest.approx(pruned, abs=1e-7)
-
     def test_pruning_counts_past_255_households(self):
-        # "a" covers 256 households "b" does not: pruning must not treat a's
-        # coverage as a subset of b's
+        # "a" covers 256 households "b" does not: counts past a uint8's range
         ids = [f"h{k}" for k in range(257)]
         inst = Instance(
             households=tuple(Household(id=h, group_ids=frozenset({"g"})) for h in ids),
@@ -140,10 +133,8 @@ class TestOptRandomized:
             budget=1.0,
             groups=(Group(id="g", members=frozenset(ids)),),
         )
-        _, plain = opt_randomized(inst)
-        strategy, pruned = opt_randomized(inst, prune_dominated=True)
-        assert plain == pytest.approx(256 / 257, abs=1e-12)
-        assert pruned == plain
+        strategy, value = opt_randomized(inst)
+        assert value == pytest.approx(256 / 257, abs=1e-12)
         assert [s.selected for s, _ in strategy.atoms] == [(1, 0)]
 
     def test_beats_any_explicit_distribution(self, rng):
@@ -208,39 +199,52 @@ def naive_opt_deterministic(instance):
     return best
 
 
-def naive_opt_randomized(instance, prune_dominated):
+def naive_opt_randomized(instance):
     """Reference: the distribution LP over per-selection `evaluate` outcomes,
-    with dominance checked pair by pair on covered sets and costs."""
+    with q_0 = 1 - sum_{k>=1} q_k substituted as `opt_randomized` does."""
     outcomes = [evaluate(instance, DeterministicStrategy(s)) for s in naive_feasible(instance)]
-
-    def dominates(l, k):
-        a, b = outcomes[l], outcomes[k]
-        duplicate = a.covered == b.covered and abs(a.total_cost - b.total_cost) < 1e-15
-        return b.covered <= a.covered and a.total_cost <= b.total_cost and (not duplicate or l < k)
-
-    keep = [
-        k
-        for k in range(len(outcomes))
-        if not (prune_dominated and any(dominates(l, k) for l in range(len(outcomes)) if l != k))
-    ]
-    n_groups, n_atoms = len(instance.groups), len(keep)
-    c = np.zeros(1 + n_atoms)
+    n_groups, n_atoms = len(instance.groups), len(outcomes)
+    c = np.zeros(n_atoms)
     c[0] = 1.0
-    rows = np.zeros((n_groups + 1, 1 + n_atoms))
+    rows = np.zeros((n_groups + 1, n_atoms))
     rhs = np.zeros(n_groups + 1)
     for g, group in enumerate(instance.groups):
+        first = outcomes[0].group_ratios[group.id]
         rows[g, 0] = 1.0
-        rows[g, 1:] = [-outcomes[k].group_ratios[group.id] for k in keep]
+        rows[g, 1:] = [first - o.group_ratios[group.id] for o in outcomes[1:]]
+        rhs[g] = first
     rows[n_groups, 1:] = 1.0
     rhs[n_groups] = 1.0
-    senses = [simplex.LESS_EQUAL] * n_groups + [simplex.EQUAL]
-    result = simplex.solve(c, rows, rhs, senses, upper_bounds=[1.0] + [None] * n_atoms)
-    atoms = [
-        (outcomes[keep[i]].strategy.selected, float(w))
-        for i, w in enumerate(result.x[1:])
-        if w > 1e-12
-    ]
+    result = simplex.solve(c, rows, rhs, upper_bounds=[1.0] + [None] * (n_atoms - 1))
+    q = result.x[1:]
+    weights = [1.0 - q.sum(), *q]
+    atoms = [(o.strategy.selected, float(w)) for o, w in zip(outcomes, weights) if w > 1e-12]
     return atoms, float(result.x[0]) if n_groups else 1.0
+
+
+def equality_form_value(instance):
+    """scipy's optimum of the distribution LP as stated, with sum_k q_k = 1
+    kept as an equality row."""
+    if not instance.groups:
+        return 1.0
+    ratios = np.array(
+        [
+            [evaluate(instance, DeterministicStrategy(s)).group_ratios[g.id] for g in instance.groups]
+            for s in naive_feasible(instance)
+        ]
+    )
+    n_atoms, n_groups = ratios.shape
+    result = linprog(
+        np.r_[-1.0, np.zeros(n_atoms)],
+        A_ub=np.column_stack([np.ones(n_groups), -ratios.T]),
+        b_ub=np.zeros(n_groups),
+        A_eq=np.r_[0.0, np.ones(n_atoms)][np.newaxis],
+        b_eq=[1.0],
+        bounds=[(0, 1)] + [(0, None)] * n_atoms,
+        method="highs",
+    )
+    assert result.status == 0
+    return -result.fun
 
 
 def tie_heavy_instance(rng):
@@ -272,12 +276,15 @@ def tie_heavy_instance(rng):
     )
 
 
+def tie_heavy_suite():
+    rng = np.random.default_rng(2718)
+    return [tie_heavy_instance(rng) for _ in range(300)]
+
+
 class TestMatchesNaiveReference:
     def test_tie_heavy_instances(self):
-        rng = np.random.default_rng(2718)
         group_counts = set()
-        for _ in range(300):
-            inst = tie_heavy_instance(rng)
+        for inst in tie_heavy_suite():
             group_counts.add(len(inst.groups))
             space = enumerate_feasible(inst)
             assert [tuple(row) for row in space.selections.tolist()] == naive_feasible(inst)
@@ -288,9 +295,24 @@ class TestMatchesNaiveReference:
             assert outcome.total_cost == reference.total_cost
             assert value == reference.equity
 
-            for prune in (False, True):
-                strategy, value = opt_randomized(inst, prune_dominated=prune)
-                atoms, reference_value = naive_opt_randomized(inst, prune)
-                assert [(s.selected, w) for s, w in strategy.atoms] == atoms
-                assert value == reference_value
+            strategy, value = opt_randomized(inst)
+            atoms, reference_value = naive_opt_randomized(inst)
+            assert [(s.selected, w) for s, w in strategy.atoms] == atoms
+            assert value == reference_value
         assert {0, 1} <= group_counts and max(group_counts) >= 2
+
+    def test_substitution_keeps_the_equality_form_optimum(self):
+        # guards the q_0 substitution independently of the simplex: the value
+        # is scipy's on the LP with its equality row, and the atoms are a
+        # distribution whose worst-group expected ratio is that value
+        for inst in tie_heavy_suite():
+            strategy, value = opt_randomized(inst)
+            assert value == pytest.approx(equality_form_value(inst), abs=1e-9)
+            weights = np.array([w for _, w in strategy.atoms])
+            assert (weights >= 0).all()
+            assert abs(weights.sum() - 1.0) <= 1e-12
+            expected = {g.id: 0.0 for g in inst.groups}
+            for atom, weight in strategy.atoms:
+                for gid, r in evaluate(inst, atom).group_ratios.items():
+                    expected[gid] += weight * r
+            assert min(expected.values(), default=1.0) == pytest.approx(value, abs=1e-9)

@@ -160,6 +160,18 @@ def naive_uniform(instance, rng):
     return selected
 
 
+def naive_group_means(instance, outcomes):
+    """Each group's covered members summed over the trials, divided once by
+    trials x group size; 1.0 without groups."""
+    return np.array(
+        [
+            sum(len(o.covered & g.members) for o in outcomes) / (len(outcomes) * len(g.members))
+            for g in instance.groups
+        ]
+        or [1.0]
+    )
+
+
 def naive_run_experiment(config):
     """The sweep with every cell and every trial built from scratch."""
     if config.instance_dir is not None:
@@ -208,7 +220,7 @@ def naive_run_experiment(config):
                 )
                 ddof = 1 if len(outcomes) > 1 else 0
                 stats = experiment._CellStats(
-                    group_means=ratios.mean(axis=0),
+                    group_means=naive_group_means(norm, outcomes),
                     group_stds=ratios.std(axis=0, ddof=ddof),
                     costs=np.array([o.total_cost for o in outcomes]),
                     trials=len(outcomes),
@@ -510,10 +522,7 @@ def naive_cli_trials(instance, run, seed, trials, lp_value):
     outcomes = [
         run(np.random.default_rng(np.random.SeedSequence((seed, t)))) for t in range(trials)
     ]
-    ratios = np.array(
-        [[o.group_ratios[g.id] for g in instance.groups] or [1.0] for o in outcomes]
-    )
-    equity = float(ratios.mean(axis=0).min())
+    equity = float(naive_group_means(instance, outcomes).min())
     costs = np.array([o.total_cost for o in outcomes])
     lines = [f"trials {trials}", f"mean_equity {equity:.9f}"]
     if lp_value is not None:
