@@ -3,9 +3,21 @@
 Both stop when every household is covered or no remaining program fits the
 leftover budget, and both always stay within budget (unlike the randomized
 rounding strategy, which may overflow by at most one normalized cost unit).
+
+Uniform selection picks uniformly among the unselected programs that still
+fit the remaining budget. It is sampled as a scan of one uniform random
+permutation (Fisher-Yates; Knuth, TAOCP Vol. 2, 3.4.2): take each program, in
+permutation order, that fits, until every household is covered. The two have
+the same distribution. Given the picks so far, the unscanned rest of a
+uniform permutation is in uniform order, so the first of it that fits is
+uniform among the unscanned programs that fit. A skipped program never fits
+again, because the budget only shrinks, so those are exactly the unselected
+programs that fit. The budget is subtracted in pick order either way.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -87,53 +99,49 @@ def greedy(instance: Instance) -> StrategyOutcome:
     return evaluate(instance, DeterministicStrategy(tuple(selected.tolist())))
 
 
-def uniform_selection(instance: Instance, rng: np.random.Generator) -> np.ndarray:
-    """The bool program selection `uniform` evaluates.
+def uniform_selections(instance: Instance, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """The (trials, programs) bool selections `uniform` evaluates. Trial t
+    takes each program of `rngs[t].permutation(J)` that fits its remaining
+    budget, up to the one that covers its last household. The trials are
+    scanned together, one position per step, until none can afford the
+    cheapest program; they share no state, so row t is what a call with
+    `rngs[t]` alone returns."""
+    n_trials, n_j = len(rngs), len(instance.programs)
+    costs = instance.costs
+    # order[k, t]: the program trial t reaches k-th
+    order = np.empty((n_j, n_trials), dtype=np.int32)
+    for t, rng in enumerate(rngs):
+        order[:, t] = rng.permutation(n_j)
+    # taken[j, t]: the k at which trial t takes program j, n_j if it does not
+    taken = np.full((n_j, n_trials), n_j, dtype=np.int32)
+    trials = np.arange(n_trials)
+    remaining = np.full(n_trials, float(instance.budget))
+    cheapest = costs.min(initial=np.inf)
+    for k in range(n_j):
+        if remaining.max() + AFFORDABILITY_TOL < cheapest:
+            break
+        step_costs = costs[order[k]]
+        take = step_costs <= remaining + AFFORDABILITY_TOL
+        taken[order[k], trials] = np.where(take, k, n_j)
+        remaining -= np.where(take, step_costs, 0.0)
 
-    Once a program becomes unaffordable it stays so (the remaining budget only
-    shrinks), so the candidate pool is filtered lazily: a full pass happens
-    only when the budget drops below the costliest survivor. The loop runs on
-    Python ints and floats; each pick is one `rng.integers(len(alive))` call.
-    """
-    n_i = len(instance.households)
-    costs = instance.costs.tolist()
-    indptr, indices = instance.program_households
-    bounds, households = indptr.tolist(), indices.tolist()
-
-    alive = list(range(len(costs)))
-    max_alive = max(costs, default=0.0)
-    picks = []
-    covered = bytearray(n_i)
-    n_covered = 0
-    remaining = float(instance.budget)
-
-    while alive and n_covered < n_i:
-        if max_alive > remaining + AFFORDABILITY_TOL:
-            limit = remaining + AFFORDABILITY_TOL
-            alive = [j for j in alive if costs[j] <= limit]
-            if not alive:
-                break
-            max_alive = max(costs[j] for j in alive)
-        r = int(rng.integers(len(alive)))
-        pick = alive[r]
-        alive[r] = alive[-1]
-        alive.pop()
-        picks.append(pick)
-        remaining -= costs[pick]
-        for i in households[bounds[pick] : bounds[pick + 1]]:
-            if not covered[i]:
-                covered[i] = 1
-                n_covered += 1
-
-    selected = np.zeros(len(costs), dtype=bool)
-    selected[picks] = True
-    return selected
+    # a trial ends at the latest over households of each one's first covering
+    # pick (n_j if some household stays uncovered); a household no program
+    # covers means no trial ends on coverage
+    cut = np.full(n_trials, n_j - 1)
+    indptr, indices = instance.household_programs
+    if not (np.diff(indptr) == 0).any():
+        first = np.minimum.reduceat(taken[indices], indptr[:-1], axis=0)
+        np.minimum(cut, first.max(axis=0, initial=-1), out=cut)
+    return (taken <= cut).T
 
 
 def uniform(instance: Instance, rng: int | np.random.Generator) -> StrategyOutcome:
     """Repeatedly pick uniformly at random among the not-yet-selected programs
-    that still fit the remaining budget. Reproducible given an integer seed."""
+    that still fit the remaining budget, until none fits or every household
+    is covered: one trial of `uniform_selections`. Reproducible given an
+    integer seed."""
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
-    selected = uniform_selection(instance, rng)
+    selected = uniform_selections(instance, [rng])[0]
     return evaluate(instance, DeterministicStrategy(tuple(selected.tolist())))

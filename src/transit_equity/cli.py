@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import functools
 import sys
 from pathlib import Path
 from typing import Callable
@@ -20,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import experiment as exp
-from .baselines import greedy, uniform_selection
+from .baselines import greedy, uniform_selections
 from .geo import (
     CostParams,
     SyntheticCityParams,
@@ -84,27 +83,22 @@ def _cmd_solve_lp(args) -> int:
 
 
 def _cmd_trials(args) -> int:
-    """ras / uniform: --trials seeded trials through the experiment's trial
-    loop as one cell; trial t draws from SeedSequence((seed, t))."""
+    """ras / uniform: --trials seeded trials as one selection matrix, scored
+    by the experiment's `run_trials` as one cell; trial t draws from
+    SeedSequence((seed, t))."""
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     instance, _ = _load(args)
-    if args.command == "ras":
-        solution = solve_lp(build_lp(instance))
-        kernel = functools.partial(ras_selection, instance, solution)
-    else:
-        solution = None
-        kernel = functools.partial(uniform_selection, instance)
-    selections = []
-
-    def select(rng: np.random.Generator) -> np.ndarray:
-        selections.append(kernel(rng))  # kept for --trial-log
-        return selections[-1]
-
     rngs = [
         np.random.default_rng(np.random.SeedSequence((args.seed, t))) for t in range(args.trials)
     ]
-    stats = exp.run_trials(instance, select, rngs)
+    if args.command == "ras":
+        solution = solve_lp(build_lp(instance))
+        selections = np.array([ras_selection(instance, solution, rng) for rng in rngs])
+    else:
+        solution = None
+        selections = uniform_selections(instance, rngs)
+    stats = exp.run_trials(instance, selections)
     equity = float(stats.group_means.min())
     print(f"trials {stats.trials}")
     print(f"mean_equity {equity:.9f}")

@@ -12,11 +12,12 @@ the city (or the instance read from `instance_dir`; the combined scenario is
 the bus-only instance with ride-hail programs injected), its coverage
 incidence, and its normalized programs and households. A cell swaps in its
 budget with `Instance.with_budget`, divides it in `normalize`, builds the
-LP's sparse matrix and solves it. Randomized trials go through `run_trials`,
-which runs a selection kernel (`ras_selection`, `uniform_selection`) per
-trial and aggregates costs and group ratios in arrays; CLI `ras` and
-`uniform` run it as one cell. Only greedy's single outcome goes through
-`evaluate`.
+LP's sparse matrix and solves it. An algorithm's trials form one (trials,
+programs) bool selection matrix: `ras_selection` rows stacked,
+`uniform_selections` drawn in one batch, or greedy's one selection.
+`run_trials` scores the matrix, summing costs and counting covered group
+members in arrays with the floats `evaluate` gives; CLI `ras` and `uniform`
+score theirs as one cell.
 
 Seed derivation: trial t of algorithm a (index within the algorithms tuple)
 in cell (budget index b, scenario index s) uses
@@ -30,11 +31,11 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .baselines import greedy, uniform_selection
+from .baselines import greedy, uniform_selections
 from .geo import (
     CostParams,
     SyntheticCityParams,
@@ -46,7 +47,7 @@ from .geo import (
 )
 from .instance_io import read_instance
 from .lp import build_lp, check_backend, solve_lp
-from .model import Instance, inject_ride_hailing, normalize
+from .model import Instance, _check_budget, inject_ride_hailing, normalize
 from .rounding import ras_selection
 
 SCENARIOS = ("bus_only", "combined")
@@ -87,15 +88,22 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.budgets:
             raise ValueError("budgets must be nonempty")
+        for budget in self.budgets:
+            _check_budget(budget)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         check_backend(self.solver)
-        unknown = set(self.scenarios) - set(SCENARIOS)
-        if unknown:
-            raise ValueError(f"unknown scenarios {sorted(unknown)}")
-        unknown = set(self.algorithms) - set(ALGORITHMS)
-        if unknown:
-            raise ValueError(f"unknown algorithms {sorted(unknown)}")
+        for name, known in (("scenarios", SCENARIOS), ("algorithms", ALGORITHMS)):
+            unknown = set(getattr(self, name)) - set(known)
+            if unknown:
+                raise ValueError(f"unknown {name} {sorted(unknown)}")
+        # a repeated entry would write two rows for one (budget, scenario,
+        # algorithm), which plot_data.json and compare_scenarios cannot tell apart
+        for name in ("budgets", "scenarios", "algorithms"):
+            values = getattr(self, name)
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ValueError(f"repeated {name} {repeated}")
 
 
 @dataclass(frozen=True)
@@ -151,12 +159,8 @@ class _CellStats:
     ratios: np.ndarray | None = None  # (trials, groups), from run_trials
 
 
-def run_trials(
-    instance: Instance,
-    select: Callable[[np.random.Generator], np.ndarray],
-    rngs: Sequence[np.random.Generator],
-) -> _CellStats:
-    """Run one bool program selection per generator and aggregate the trials.
+def run_trials(instance: Instance, selections: np.ndarray) -> _CellStats:
+    """Aggregate the trials of a (trials, programs) bool selection matrix.
 
     Each trial's cost and group ratios are the floats `evaluate` would report
     for its selection: the selected costs summed by `costs[selected].sum()`,
@@ -165,13 +169,9 @@ def run_trials(
     size: one rounding, so a group covered alike in every trial reads exactly
     that trial's ratio.
     """
-    n_trials = len(rngs)
-    costs = np.empty(n_trials)
-    covered = np.empty((n_trials, len(instance.households)), dtype=bool)
-    for t, rng in enumerate(rngs):
-        selected = select(rng)
-        costs[t] = instance.costs[selected].sum()
-        covered[t] = instance.covered_mask(selected)
+    n_trials = len(selections)
+    costs = np.array([instance.costs[selected].sum() for selected in selections])
+    covered = np.array([instance.covered_mask(selected) for selected in selections])
     if instance.groups:
         sizes = np.array([idx.size for idx in instance.group_indices])
         counts = np.column_stack(
@@ -235,24 +235,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             solution = solve_lp(build_lp(norm), solver=config.solver)
             t_star = solution.objective
             for a, algorithm in enumerate(config.algorithms):
-                if algorithm == "ras":
-                    rngs = [_trial_rng(config, s, b, a, t) for t in range(config.trials)]
-                    stats = run_trials(norm, lambda rng: ras_selection(norm, solution, rng), rngs)
-                elif algorithm == "uniform":
-                    rngs = [_trial_rng(config, s, b, a, t) for t in range(config.trials)]
-                    stats = run_trials(norm, lambda rng: uniform_selection(norm, rng), rngs)
+                if algorithm == "greedy":
+                    selections = np.array([greedy(norm).strategy.selected], dtype=bool)
                 else:
-                    outcome = greedy(norm)
-                    if norm.groups:
-                        means = np.array([outcome.group_ratios[g.id] for g in norm.groups])
-                    else:
-                        means = np.array([1.0])
-                    stats = _CellStats(
-                        group_means=means,
-                        group_stds=np.zeros_like(means),
-                        costs=np.array([outcome.total_cost]),
-                        trials=1,
+                    rngs = [_trial_rng(config, s, b, a, t) for t in range(config.trials)]
+                    selections = (
+                        uniform_selections(norm, rngs)
+                        if algorithm == "uniform"
+                        else np.array([ras_selection(norm, solution, rng) for rng in rngs])
                     )
+                stats = run_trials(norm, selections)
                 rows.append(
                     _row_from_stats(budget, scenario, algorithm, stats, t_star, scale, norm.budget)
                 )

@@ -1,11 +1,22 @@
 import dataclasses
+import itertools
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
-from transit_equity.baselines import greedy, uniform
+from transit_equity.baselines import greedy, uniform, uniform_selections
 from transit_equity.generators import random_instance
 from transit_equity.lp import build_lp, solve_lp
-from transit_equity.model import DeterministicStrategy, Group, Household, Instance, Program, evaluate
+from transit_equity.model import (
+    AFFORDABILITY_TOL,
+    DeterministicStrategy,
+    Group,
+    Household,
+    Instance,
+    Program,
+    evaluate,
+)
 
 
 def naive_greedy(instance):
@@ -246,3 +257,70 @@ class TestUniform:
         outcome = uniform(inst, 11)
         assert len(outcome.covered) == 3
         assert sum(outcome.strategy.selected) < 30
+
+
+def pool_sampler_distribution(instance):
+    """The exact selection distribution of the pool sampler, the reference
+    definition of uniform: pick uniformly among the unselected programs that
+    fit the remaining budget, until none fits or every household is covered.
+    Probabilities are Fractions; budgets are subtracted as floats in pick
+    order, as the scan does."""
+    costs = instance.costs.tolist()
+    covers = [p.covers for p in instance.programs]
+    n_i = len(instance.households)
+    out = Counter()
+
+    def recurse(selected, remaining, covered, prob):
+        pool = [
+            j for j in range(len(costs))
+            if j not in selected and costs[j] <= remaining + AFFORDABILITY_TOL
+        ]
+        if not pool or len(covered) == n_i:
+            out[tuple(j in selected for j in range(len(costs)))] += prob
+            return
+        for j in pool:
+            recurse(selected | {j}, remaining - costs[j], covered | covers[j], prob / len(pool))
+
+    recurse(frozenset(), float(instance.budget), frozenset(), Fraction(1))
+    return out
+
+
+class FixedPermutation:
+    """Stands in for a generator whose `permutation` returns a given order."""
+
+    def __init__(self, order):
+        self.order = order
+
+    def permutation(self, n):
+        assert n == len(self.order)
+        return np.array(self.order)
+
+
+def scan_distribution(instance):
+    """The exact selection distribution of `uniform_selections`: one batched
+    call with a trial per permutation, each of probability 1/J!."""
+    orders = list(itertools.permutations(range(len(instance.programs))))
+    rows = uniform_selections(instance, [FixedPermutation(o) for o in orders])
+    counts = Counter(tuple(row.tolist()) for row in rows)
+    return Counter({sel: Fraction(n, len(orders)) for sel, n in counts.items()})
+
+
+def test_permutation_scan_has_the_pool_sampler_distribution():
+    rng = np.random.default_rng(606)
+    branching = 0
+    for k in range(48):
+        instance = random_instance(rng, max_households=6, max_programs=6)
+        if k % 3 == 0:
+            # tie-heavy costs, so budgets run out exactly on a boundary
+            programs = tuple(
+                dataclasses.replace(p, cost=float(rng.choice([0.25, 0.5, 1.0])))
+                for p in instance.programs
+            )
+            instance = dataclasses.replace(instance, programs=programs)
+        total = float(instance.costs.sum())
+        for budget in (0.0, instance.budget, 2 * instance.budget, total + 1.0):
+            case = instance.with_budget(budget)
+            expected = pool_sampler_distribution(case)
+            assert scan_distribution(case) == expected
+            branching += len(expected) > 1
+    assert branching >= 100

@@ -193,6 +193,17 @@ class TestExperimentCommand:
         assert "'trails'" in err
         assert not out_dir.exists()
 
+    def test_repeated_algorithm_is_one_line_error(self, tmp_path, capsys):
+        # rejected by the config, before the default synthetic city is built
+        out_dir = tmp_path / "exp"
+        argv = ["experiment", "--budgets", "5e6", "--algorithms", "uniform,uniform",
+                "--out", str(out_dir)]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: repeated algorithms ['uniform']\n"
+        assert not out_dir.exists()
+
 
 class TestInputErrors:
     def test_small_budget_is_one_line_error(self, instance_dir, capsys):

@@ -96,9 +96,11 @@ class TestRunExperiment:
     def test_different_seed_changes_monte_carlo(self):
         a = run_experiment(tiny_config())
         b = run_experiment(tiny_config(seed=12))
-        a_ras = [r.mean_equity for r in a.rows if r.algorithm == "uniform"]
-        b_ras = [r.mean_equity for r in b.rows if r.algorithm == "uniform"]
-        assert a_ras != b_ras
+        # the worst-group mean is a count over 40 trials, which two seeds can
+        # share; the mean cost moves with every pick
+        a_uniform = [(r.mean_equity, r.mean_cost) for r in a.rows if r.algorithm == "uniform"]
+        b_uniform = [(r.mean_equity, r.mean_cost) for r in b.rows if r.algorithm == "uniform"]
+        assert a_uniform != b_uniform
 
     def test_instance_dir_source(self, tmp_path, singletons):
         write_instance(singletons, tmp_path / "inst")
@@ -129,6 +131,28 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="'higs'; valid: simplex, highs"):
             ExperimentConfig(budgets=(1.0,), solver="higs")
 
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -1.0])
+    def test_bad_budget_rejected_before_any_city_is_built(self, budget):
+        with pytest.raises(ValueError, match="budget must be finite and >= 0"):
+            ExperimentConfig(budgets=(1e6, budget))
+
+    @pytest.mark.parametrize(
+        "field, values, message",
+        [
+            ("budgets", (5e6, 1e6, 5e6), r"repeated budgets \[5000000.0\]"),
+            (
+                "scenarios",
+                ("combined", "bus_only", "combined"),
+                r"repeated scenarios \['combined'\]",
+            ),
+            ("algorithms", ("uniform", "uniform"), r"repeated algorithms \['uniform'\]"),
+        ],
+    )
+    def test_repeated_sweep_entry_rejected(self, field, values, message):
+        fields = {"budgets": (1.0,), field: values}
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**fields)
+
 
 def test_identical_trials_mean_exactly_their_ratio():
     # 15 of the 29 households of group g covered in every trial; with a second
@@ -144,8 +168,7 @@ def test_identical_trials_mean_exactly_their_ratio():
         budget=1.0,
         groups=(Group(id="g", members=frozenset(ids)), Group(id="k", members=frozenset(ids[:15]))),
     )
-    rngs = [np.random.default_rng(t) for t in range(1000)]
-    stats = run_trials(inst, lambda rng: np.ones(1, dtype=bool), rngs)
+    stats = run_trials(inst, np.ones((1000, 1), dtype=bool))
     assert stats.group_means.tolist() == [15 / 29, 1.0]
     assert approx_ratio(stats.group_means[0], solve_lp(build_lp(inst)).objective) <= 1.0
 

@@ -13,6 +13,7 @@ per cell its objective must match the row-built model's to 1e-9 and pass
 `verify_solution`, and the naive trials then round production's solution.
 """
 
+import copy
 import csv
 import dataclasses
 
@@ -22,7 +23,7 @@ from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
 from transit_equity import experiment
-from transit_equity.baselines import greedy, uniform, uniform_selection
+from transit_equity.baselines import greedy, uniform, uniform_selections
 from transit_equity.cli import main
 from transit_equity.experiment import ExperimentConfig, emit, run_experiment
 from transit_equity.generators import random_instance
@@ -136,27 +137,19 @@ def row_built_highs(model):
 
 
 def naive_uniform(instance, rng):
-    """Uniform's selection with a numpy candidate pool and per-pick slices."""
-    n_j = len(instance.programs)
-    costs = instance.costs
-    alive = np.arange(n_j)
-    max_alive = float(costs.max(initial=0.0))
-    selected = np.zeros(n_j, dtype=bool)
+    """Uniform's selection as a plain scan of one permutation: take each
+    program that fits, until every household is covered."""
+    selected = np.zeros(len(instance.programs), dtype=bool)
     covered = set()
     remaining = float(instance.budget)
-    while alive.size and len(covered) < len(instance.households):
-        if max_alive > remaining + AFFORDABILITY_TOL:
-            alive = alive[costs[alive] <= remaining + AFFORDABILITY_TOL]
-            if alive.size == 0:
-                break
-            max_alive = float(costs[alive].max())
-        r = int(rng.integers(alive.size))
-        pick = int(alive[r])
-        alive[r] = alive[-1]
-        alive = alive[:-1]
-        selected[pick] = True
-        remaining -= float(costs[pick])
-        covered |= instance.programs[pick].covers
+    for j in rng.permutation(len(instance.programs)).tolist():
+        if len(covered) == len(instance.households):
+            break
+        program = instance.programs[j]
+        if program.cost <= remaining + AFFORDABILITY_TOL:
+            selected[j] = True
+            remaining -= program.cost
+            covered |= program.covers
     return selected
 
 
@@ -371,20 +364,35 @@ def uniform_suite():
 
 
 class TestUniformKernel:
-    def test_matches_numpy_pool_selection_and_rng_state(self):
+    def test_matches_permutation_scan_selection_and_rng_state(self):
         for seed, instance in enumerate(uniform_suite()):
             fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            fast = uniform_selection(instance, fast_rng)
+            fast = uniform_selections(instance, [fast_rng])
             slow = naive_uniform(instance, slow_rng)
-            assert fast.dtype == bool and np.array_equal(fast, slow)
+            assert fast.dtype == bool and fast.shape == (1, len(instance.programs))
+            assert np.array_equal(fast[0], slow)
             assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+    def test_batched_rows_equal_single_trial_calls(self):
+        # the scan stops for all trials at once; a trial must not depend on
+        # the others it is batched with
+        for seed, instance in enumerate(uniform_suite()):
+            if seed >= 60:
+                break
+            rngs = [np.random.default_rng((seed, t)) for t in range(7)]
+            copies = copy.deepcopy(rngs)
+            batched = uniform_selections(instance, rngs)
+            assert batched.shape == (7, len(instance.programs))
+            for row, rng, fresh in zip(batched, rngs, copies):
+                assert np.array_equal(row, uniform_selections(instance, [fresh])[0])
+                assert rng.bit_generator.state == fresh.bit_generator.state
 
     def test_wrapper_evaluates_the_kernel_selection(self):
         for seed, instance in enumerate(uniform_suite()):
             if seed >= 30:
                 break
             outcome = uniform(instance, seed)
-            selected = uniform_selection(instance, np.random.default_rng(seed))
+            selected = uniform_selections(instance, [np.random.default_rng(seed)])[0]
             assert outcome.strategy.selected == tuple(int(v) for v in selected)
 
 
