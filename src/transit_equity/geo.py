@@ -216,14 +216,24 @@ def assign_subsidy(
     Tier 1 at or above 200% of the guideline, tier 3 at or below 175%, and
     tier 2 in between; the guideline band (175%, 185%) is folded into tier 2.
     """
-    ratio = guideline.poverty_ratio(household.income, household.household_size)
-    if ratio >= TIER_1_MIN_RATIO:
-        tier = 1
-    elif ratio <= TIER_3_MAX_RATIO:
-        tier = 3
-    else:
-        tier = 2
+    tier = _subsidy_tier(guideline.poverty_ratio(household.income, household.household_size))
     return tier, params.subsidy_per_ride[tier - 1]
+
+
+def _subsidy_tier(ratio: float) -> int:
+    if ratio >= TIER_1_MIN_RATIO:
+        return 1
+    if ratio <= TIER_3_MAX_RATIO:
+        return 3
+    return 2
+
+
+def _lat_band_degrees(miles: float) -> float:
+    """Latitude half-width (degrees) outside which no point lies within
+    `miles` great-circle miles. The haversine has a >= sin^2(dphi/2), so
+    d >= R |dphi|; the relative margin covers rounding in a degree difference,
+    which keeps a prefilter on it exact."""
+    return math.degrees(miles / EARTH_RADIUS_MILES) * (1.0 + 1e-9)
 
 
 def cluster_stops(households: Sequence[GeoHousehold]) -> list[StopSite]:
@@ -231,35 +241,37 @@ def cluster_stops(households: Sequence[GeoHousehold]) -> list[StopSite]:
 
     Households are scanned in id order; each joins the first cluster whose
     centroid lies within 0.25 miles, else opens a new cluster. Centroids are
-    incrementally recomputed coordinate means. Sites more than 3.5 miles from
-    every other site are dropped afterwards (a lone site is kept: there is no
-    "other" to be far from)."""
+    incrementally recomputed coordinate means. Only centroids inside the
+    household's latitude band (`_lat_band_degrees`) can be within the radius,
+    so the haversine runs on those alone, in index order. Sites more than 3.5
+    miles from every other site are dropped afterwards (a lone site is kept:
+    there is no "other" to be far from)."""
     if not households:
         raise ValueError("cannot cluster an empty household list")
     ordered = sorted(households, key=lambda h: h.id)
-    cent_lat: list[float] = []
-    cent_lon: list[float] = []
+    band = _lat_band_degrees(CLUSTER_RADIUS_MILES)
+    cent_lat = np.empty(len(ordered))
+    cent_lon = np.empty(len(ordered))
     counts: list[int] = []
     for h in ordered:
-        if cent_lat:
-            d = great_circle_miles(
-                np.array(cent_lat), np.array(cent_lon), h.lat, h.lon
-            )
-            near = np.flatnonzero(d <= CLUSTER_RADIUS_MILES)
-        else:
-            near = np.array([], dtype=int)
+        n = len(counts)
+        near = np.flatnonzero(np.abs(cent_lat[:n] - h.lat) <= band)
+        if near.size:
+            d = great_circle_miles(cent_lat[near], cent_lon[near], h.lat, h.lon)
+            near = near[d <= CLUSTER_RADIUS_MILES]
         if near.size:
             k = int(near[0])
             counts[k] += 1
-            cent_lat[k] += (h.lat - cent_lat[k]) / counts[k]
-            cent_lon[k] += (h.lon - cent_lon[k]) / counts[k]
+            lat_k, lon_k = float(cent_lat[k]), float(cent_lon[k])
+            cent_lat[k] = lat_k + (h.lat - lat_k) / counts[k]
+            cent_lon[k] = lon_k + (h.lon - lon_k) / counts[k]
         else:
-            cent_lat.append(h.lat)
-            cent_lon.append(h.lon)
+            cent_lat[n] = h.lat
+            cent_lon[n] = h.lon
             counts.append(1)
 
-    lat = np.array(cent_lat)
-    lon = np.array(cent_lon)
+    lat = cent_lat[: len(counts)]
+    lon = cent_lon[: len(counts)]
     keep = np.ones(lat.size, dtype=bool)
     if lat.size > 1:
         for k in range(lat.size):
@@ -382,21 +394,29 @@ def build_instance(
     categorical attribute. The instance holds bus lines only; the combined
     scenario is `model.inject_ride_hailing` of it. Route variants covering no
     household are dropped (they can never help)."""
-    lat = np.array([h.lat for h in households])
-    lon = np.array([h.lon for h in households])
-
+    thresholds = dict(guideline.thresholds)
+    ride_hail_cost = {tier: ride_hail_quarterly_cost(tier, params) for tier in (1, 2, 3)}
     model_households = []
     for h in households:
-        tier, _ = assign_subsidy(h, guideline, params)
+        threshold = thresholds.get(h.household_size)
+        if threshold is None:
+            raise ValueError(f"household size {h.household_size} beyond the guideline table")
+        tier = _subsidy_tier(h.income / threshold)
         label = str(getattr(h, group_by))
         model_households.append(
             Household(
                 id=h.id,
-                ride_hail_cost=ride_hail_quarterly_cost(tier, params),
+                ride_hail_cost=ride_hail_cost[tier],
                 group_ids=frozenset({f"{group_by}:{label}"}),
             )
         )
 
+    # households sorted by latitude: a stop's radius lies inside one slice
+    band = _lat_band_degrees(CLUSTER_RADIUS_MILES)
+    lat = np.array([h.lat for h in households])
+    lon = np.array([h.lon for h in households])
+    by_lat = np.argsort(lat, kind="stable")
+    lat, lon = lat[by_lat], lon[by_lat]
     programs: list[Program] = []
     # the full- and half-day variants of a route share its stops: rank once per chain
     ranked_by_stops: dict[tuple[StopSite, ...], list[int]] = {}
@@ -405,9 +425,10 @@ def build_instance(
         if ranked is None:
             order: dict[int, int] = {}
             for pos, stop in enumerate(route.stops):
-                d = great_circle_miles(lat, lon, stop.lat, stop.lon)
-                for i in np.flatnonzero(d <= CLUSTER_RADIUS_MILES):
-                    order.setdefault(int(i), pos)
+                lo, hi = np.searchsorted(lat, (stop.lat - band, stop.lat + band))
+                d = great_circle_miles(lat[lo:hi], lon[lo:hi], stop.lat, stop.lon)
+                for i in by_lat[lo:hi][d <= CLUSTER_RADIUS_MILES].tolist():
+                    order.setdefault(i, pos)
             ranked = sorted(order, key=lambda i: (order[i], households[i].id))
             ranked_by_stops[route.stops] = ranked
         if route.daily_hours is Schedule.HALF:
@@ -504,15 +525,12 @@ def synthetic_city(
     sizes = np.clip(sizes, 1, params.max_household_size)
 
     households = [
-        GeoHousehold(
-            id=f"h{k:05d}",
-            lat=float(lat[k]),
-            lon=float(lon[k]),
-            income=float(round(incomes[k], 2)),
-            household_size=int(sizes[k]),
-            race=labels[int(races[k])],
+        GeoHousehold(id=f"h{k:05d}", lat=la, lon=lo, income=inc, household_size=size,
+                     race=labels[race])
+        for k, (la, lo, inc, size, race) in enumerate(
+            zip(lat.tolist(), lon.tolist(), np.round(incomes, 2).tolist(), sizes.tolist(),
+                races.tolist())
         )
-        for k in range(params.n_households)
     ]
 
     height = (rows - 1) * spacing

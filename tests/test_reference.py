@@ -4,7 +4,8 @@ The references rebuild everything per cell and per trial, the plain way: a
 fresh validated instance per budget, `normalize` by replacing every program
 and household, the LP assembled row by row from the coverage sets and
 solved whole by HiGHS dual simplex, a `StrategyOutcome` per trial, and each scenario built by its own
-`build_instance` call. The rounding's reference plans each twist, then
+instance-assembly call. Stop clustering and instance assembly run the
+haversine over every centroid or household. The rounding's reference plans each twist, then
 applies it to a copy per branch. CLI `ras` and `uniform` are checked against
 a loop that evaluates each trial's outcome. The sweep and its kernels must
 give exactly the same floats. The one exception is the LP's optimal vertex:
@@ -28,12 +29,24 @@ from transit_equity.cli import main
 from transit_equity.experiment import ExperimentConfig, emit, run_experiment
 from transit_equity.generators import random_instance
 from transit_equity.geo import (
+    CLUSTER_RADIUS_MILES,
+    EARTH_RADIUS_MILES,
+    STOP_ISOLATION_MILES,
+    CandidateRoute,
     CostParams,
+    GeoHousehold,
+    PovertyGuideline,
+    Schedule,
+    StopSite,
     SyntheticCityParams,
+    _lat_band_degrees,
+    assign_subsidy,
     build_instance,
     cluster_stops,
     eligibility_filter,
     generate_routes,
+    great_circle_miles,
+    ride_hail_quarterly_cost,
     synthetic_city,
 )
 from transit_equity.instance_io import read_instance, write_instance
@@ -46,6 +59,7 @@ from transit_equity.model import (
     Household,
     Instance,
     Program,
+    ProgramKind,
     derive_groups,
     evaluate,
     inject_ride_hailing,
@@ -174,12 +188,12 @@ def naive_run_experiment(config):
         households, stops, guideline = synthetic_city(config.synthetic, config.synthetic_seed)
         eligible = eligibility_filter(households, stops)
         routes = generate_routes(
-            cluster_stops(eligible), stops, config.route_count, config.route_seed,
+            naive_cluster_stops(eligible), stops, config.route_count, config.route_seed,
             config.cost_params,
         )
         variants = {}
         for name in experiment.SCENARIOS:
-            instance = build_instance(
+            instance = naive_build_instance(
                 eligible, routes, budget=0.0, guideline=guideline, params=config.cost_params
             )
             variants[name] = inject_ride_hailing(instance) if name == "combined" else instance
@@ -567,3 +581,147 @@ class TestCliTrialsReference:
             assert capsys.readouterr().out.splitlines() == lines
             with path.open(newline="") as fh:
                 assert list(csv.reader(fh)) == log
+
+
+# ---------------------------------------------------------------------------
+# geo: clustering and instance assembly against their plain loops
+
+
+def naive_cluster_stops(households):
+    """Leader clustering with the haversine over every centroid per household."""
+    ordered = sorted(households, key=lambda h: h.id)
+    cent_lat, cent_lon, counts = [], [], []
+    for h in ordered:
+        if cent_lat:
+            d = great_circle_miles(np.array(cent_lat), np.array(cent_lon), h.lat, h.lon)
+            near = np.flatnonzero(d <= CLUSTER_RADIUS_MILES)
+        else:
+            near = np.array([], dtype=int)
+        if near.size:
+            k = int(near[0])
+            counts[k] += 1
+            cent_lat[k] += (h.lat - cent_lat[k]) / counts[k]
+            cent_lon[k] += (h.lon - cent_lon[k]) / counts[k]
+        else:
+            cent_lat.append(h.lat)
+            cent_lon.append(h.lon)
+            counts.append(1)
+    lat, lon = np.array(cent_lat), np.array(cent_lon)
+    keep = np.ones(lat.size, dtype=bool)
+    if lat.size > 1:
+        for k in range(lat.size):
+            d = great_circle_miles(lat, lon, lat[k], lon[k])
+            d[k] = np.inf
+            if d.min() > STOP_ISOLATION_MILES:
+                keep[k] = False
+    return [
+        StopSite(id=f"s{k:04d}", lat=float(lat[k]), lon=float(lon[k]))
+        for k in np.flatnonzero(keep)
+    ]
+
+
+def naive_build_instance(households, routes, budget, guideline, group_by="race",
+                         params=CostParams()):
+    """The instance with `assign_subsidy` per household and, per stop, the
+    haversine over every household."""
+    lat = np.array([h.lat for h in households])
+    lon = np.array([h.lon for h in households])
+    model_households = []
+    for h in households:
+        tier, _ = assign_subsidy(h, guideline, params)
+        model_households.append(
+            Household(
+                id=h.id,
+                ride_hail_cost=ride_hail_quarterly_cost(tier, params),
+                group_ids=frozenset({f"{group_by}:{getattr(h, group_by)}"}),
+            )
+        )
+    programs = []
+    for route in routes:
+        order = {}
+        for pos, stop in enumerate(route.stops):
+            d = great_circle_miles(lat, lon, stop.lat, stop.lon)
+            for i in np.flatnonzero(d <= CLUSTER_RADIUS_MILES):
+                order.setdefault(int(i), pos)
+        ranked = sorted(order, key=lambda i: (order[i], households[i].id))
+        if route.daily_hours is Schedule.HALF:
+            ranked = ranked[::2]
+        if ranked:
+            programs.append(
+                Program(
+                    id=route.id,
+                    cost=route.quarterly_cost,
+                    covers=frozenset(households[i].id for i in ranked),
+                    kind=ProgramKind.BUS_LINE,
+                )
+            )
+    return Instance(
+        households=tuple(model_households),
+        programs=tuple(programs),
+        budget=float(budget),
+        groups=derive_groups(model_households),
+    )
+
+
+def assert_geo_equals_naive(city, seed, group_bys=("race",)):
+    households, stops, guideline = synthetic_city(city, seed)
+    eligible = eligibility_filter(households, stops)
+    sites = cluster_stops(eligible)
+    assert sites == naive_cluster_stops(eligible)
+    routes = generate_routes(sites, stops, 20, seed, COST_PARAMS)
+    for group_by in group_bys:
+        fast = build_instance(eligible, routes, 1e6, guideline, group_by=group_by,
+                              params=COST_PARAMS)
+        slow = naive_build_instance(eligible, routes, 1e6, guideline, group_by, COST_PARAMS)
+        assert fast == slow
+        assert len(fast.programs) == 40
+
+
+MILES_PER_DEGREE = EARTH_RADIUS_MILES * np.pi / 180.0
+EDGE_LAT, EDGE_LON = 41.8, -87.7
+
+
+def geo_at(hid, north_miles, east_miles):
+    """A household at a tangent-plane offset from (EDGE_LAT, EDGE_LON); due
+    north or south, its great-circle distance is |north_miles|."""
+    lat = EDGE_LAT + north_miles / MILES_PER_DEGREE
+    lon = EDGE_LON + east_miles / (MILES_PER_DEGREE * np.cos(np.radians(EDGE_LAT)))
+    return GeoHousehold(id=hid, lat=lat, lon=lon, income=30000.0, household_size=3, race="x")
+
+
+def band_edge_offsets():
+    """(north, east) miles: due north and south at the clustering radius
+    times 1 -/+ 1e-12, and at the latitude band's limit a mile east."""
+    limit = _lat_band_degrees(CLUSTER_RADIUS_MILES) * MILES_PER_DEGREE
+    edges = [(sign * CLUSTER_RADIUS_MILES * (1 + eps), 0.0)
+             for sign in (1, -1) for eps in (-1e-12, 1e-12)]
+    return edges + [(limit, 1.0), (-limit, 1.0)]
+
+
+class TestGeoReference:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_default_city(self, seed):
+        assert_geo_equals_naive(SyntheticCityParams(), seed, ("race", "household_size"))
+
+    def test_city_4x(self):
+        city = SyntheticCityParams(n_households=4 * SyntheticCityParams().n_households)
+        assert_geo_equals_naive(city, 1)
+
+    @pytest.mark.parametrize("north, east", band_edge_offsets())
+    def test_clustering_band_edges(self, north, east):
+        households = [geo_at("h0", 0.0, 0.0), geo_at("h1", north, east)]
+        assert cluster_stops(households) == naive_cluster_stops(households)
+
+    @pytest.mark.parametrize("north, east", band_edge_offsets())
+    def test_coverage_band_edges(self, north, east):
+        # ten stops half a mile apart going east; the probe sits off the first
+        stops = tuple(
+            StopSite(id=f"s{k}", lat=h.lat, lon=h.lon)
+            for k, h in enumerate(geo_at(f"s{k}", 0.0, 0.5 * k) for k in range(10))
+        )
+        routes = [CandidateRoute("r_full", stops, Schedule.FULL, 2.0),
+                  CandidateRoute("r_half", stops, Schedule.HALF, 1.0)]
+        households = [geo_at("h0", 0.0, 0.0), geo_at("h1", north, east)]
+        guideline = PovertyGuideline(thresholds=((3, 20000.0),))
+        fast = build_instance(households, routes, 1.0, guideline)
+        assert fast == naive_build_instance(households, routes, 1.0, guideline)
