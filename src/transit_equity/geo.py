@@ -40,12 +40,15 @@ TRANSIT_STOP_COLUMNS = ["id", "kind", "lat", "lon"]
 POVERTY_GUIDELINE_COLUMNS = ["household_size", "fpl_100"]
 
 
-class RouteGenerationError(RuntimeError):
+class RouteGenerationError(ValueError):
+    """The geography supplies fewer routes than requested. `routes` holds
+    the ones found, two schedule variants per chained route."""
+
     def __init__(self, requested: int, routes: list["CandidateRoute"]):
         self.requested = requested
         self.routes = routes
         super().__init__(
-            f"could only generate {len(routes)} of {requested} requested routes "
+            f"could only generate {len(routes) // 2} of {requested} requested routes "
             "under the stop-spacing and terminal constraints"
         )
 
@@ -313,9 +316,11 @@ def generate_routes(
     while consecutive stops stay within 0.75 miles, is truncated to at most 18
     stops, and must end within 0.75 miles of an existing transit stop (the
     longest valid cut of at least 10 stops is used). Raises
-    RouteGenerationError carrying the partial result when the geography cannot
-    supply enough routes.
+    RouteGenerationError (a ValueError) carrying the partial result when the
+    geography cannot supply enough routes, and ValueError when `count` < 1.
     """
+    if count < 1:
+        raise ValueError(f"route count must be >= 1, got {count}")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     lat = np.array([s.lat for s in sites])

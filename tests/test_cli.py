@@ -4,7 +4,17 @@ import sys
 
 import pytest
 
+from transit_equity import experiment
 from transit_equity.cli import main
+from transit_equity.geo import (
+    GeoHousehold,
+    PovertyGuideline,
+    TransitStop,
+    generate_routes,
+    write_geo_households,
+    write_poverty_guideline,
+    write_transit_stops,
+)
 from transit_equity.instance_io import write_instance
 from transit_equity.model import Group, Household, Instance, Program
 
@@ -132,6 +142,37 @@ class TestIngest:
         assert "must be finite and > 0" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "routes, message",
+        [("3", "could only generate 0 of 3 requested routes"),
+         ("0", "route count must be >= 1, got 0")],
+    )
+    def test_route_shortfall_is_one_line_error(self, routes, message, capsys, tmp_path):
+        # twelve households a few yards apart make one stop site: no route of ten stops
+        lat, lon = 41.8, -87.7
+        households = [
+            GeoHousehold(id=f"h{k}", lat=lat + 1e-5 * k, lon=lon, income=20000.0,
+                         household_size=2, race="x")
+            for k in range(12)
+        ]
+        stops = [TransitStop(id="b", kind="bus", lat=lat, lon=lon + 0.02),
+                 TransitStop(id="r", kind="rail", lat=lat, lon=lon - 0.02)]
+        write_geo_households(households, tmp_path / "h.csv")
+        write_transit_stops(stops, tmp_path / "s.csv")
+        write_poverty_guideline(PovertyGuideline(((2, 17000.0),)), tmp_path / "g.csv")
+        out_dir = tmp_path / "inst"
+        code = run_cli(
+            ["ingest", "--households", str(tmp_path / "h.csv"), "--stops", str(tmp_path / "s.csv"),
+             "--guideline", str(tmp_path / "g.csv"), "--budget", "1", "--routes", routes,
+             "--out", str(out_dir)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+        assert not out_dir.exists()
+
 
 class TestExperimentCommand:
     ARGS = [
@@ -202,6 +243,20 @@ class TestExperimentCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: repeated algorithms ['uniform']\n"
+        assert not out_dir.exists()
+
+    def test_route_shortfall_is_one_line_error(self, tmp_path, capsys, monkeypatch):
+        # the default city chains about 270 routes; one attempt each for 400 falls short
+        def four_hundred(sites, stops, count, rng, params):
+            return generate_routes(sites, stops, 400, rng, params, max_attempts_per_route=1)
+
+        monkeypatch.setattr(experiment, "generate_routes", four_hundred)
+        out_dir = tmp_path / "exp"
+        assert run_cli(["experiment", "--budgets", "5e6", "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: could only generate ")
+        assert " of 400 requested routes" in captured.err and captured.err.count("\n") == 1
         assert not out_dir.exists()
 
 

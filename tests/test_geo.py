@@ -254,6 +254,24 @@ class TestRouteGeneration:
         assert err.value.routes == []
         assert "0 of 3" in str(err.value)
 
+    def test_shortfall_reports_chains_not_variants(self):
+        sites = grid_sites(5, 5, 0.5)
+        terminal_lat, terminal_lon = at_miles(0.0, -0.5)
+        stops = [TransitStop(id="t", kind="bus", lat=terminal_lat, lon=terminal_lon)]
+        with pytest.raises(ValueError) as err:
+            generate_routes(sites, stops, count=10, rng=0, max_attempts_per_route=5)
+        assert isinstance(err.value, RouteGenerationError)
+        assert err.value.requested == 10
+        assert len(err.value.routes) == 12  # six chains, two schedule variants each
+        assert "could only generate 6 of 10 requested routes" in str(err.value)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_rejected(self, count):
+        sites = grid_sites(5, 5, 0.5)
+        stops = [TransitStop(id="t", kind="bus", lat=BASE_LAT, lon=BASE_LON)]
+        with pytest.raises(ValueError, match=f"route count must be >= 1, got {count}"):
+            generate_routes(sites, stops, count=count, rng=0)
+
     def test_route_validation_rejects_wide_gap(self):
         a = StopSite(id="a", lat=BASE_LAT, lon=BASE_LON)
         far_lat, far_lon = at_miles(0, 1.0)
