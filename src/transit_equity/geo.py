@@ -28,6 +28,10 @@ EARTH_RADIUS_MILES = 3958.7613
 BUS_DISTANCE_MILES = (0.25, 3.5)
 RAIL_DISTANCE_MILES = (0.5, 3.5)
 CLUSTER_RADIUS_MILES = 0.25
+# No point farther than this in latitude (degrees) lies within the clustering
+# radius: the haversine has a >= sin^2(dphi/2), so d >= R |dphi|. The relative
+# margin covers rounding in a difference of degrees, so a prefilter on it is exact.
+CLUSTER_LAT_BAND_DEGREES = math.degrees(CLUSTER_RADIUS_MILES / EARTH_RADIUS_MILES) * (1 + 1e-9)
 STOP_ISOLATION_MILES = 3.5
 MAX_STOP_GAP_MILES = 0.75
 ROUTE_STOPS = (10, 18)
@@ -231,34 +235,25 @@ def _subsidy_tier(ratio: float) -> int:
     return 2
 
 
-def _lat_band_degrees(miles: float) -> float:
-    """Latitude half-width (degrees) outside which no point lies within
-    `miles` great-circle miles. The haversine has a >= sin^2(dphi/2), so
-    d >= R |dphi|; the relative margin covers rounding in a degree difference,
-    which keeps a prefilter on it exact."""
-    return math.degrees(miles / EARTH_RADIUS_MILES) * (1.0 + 1e-9)
-
-
 def cluster_stops(households: Sequence[GeoHousehold]) -> list[StopSite]:
     """Greedy leader clustering of households into candidate bus-stop sites.
 
     Households are scanned in id order; each joins the first cluster whose
     centroid lies within 0.25 miles, else opens a new cluster. Centroids are
-    incrementally recomputed coordinate means. Only centroids inside the
-    household's latitude band (`_lat_band_degrees`) can be within the radius,
-    so the haversine runs on those alone, in index order. Sites more than 3.5
+    incrementally recomputed coordinate means. Only centroids within
+    `CLUSTER_LAT_BAND_DEGREES` of the household's latitude can be within the
+    radius, so the haversine runs on those alone, in index order. Sites more than 3.5
     miles from every other site are dropped afterwards (a lone site is kept:
     there is no "other" to be far from)."""
     if not households:
         raise ValueError("cannot cluster an empty household list")
     ordered = sorted(households, key=lambda h: h.id)
-    band = _lat_band_degrees(CLUSTER_RADIUS_MILES)
     cent_lat = np.empty(len(ordered))
     cent_lon = np.empty(len(ordered))
     counts: list[int] = []
     for h in ordered:
         n = len(counts)
-        near = np.flatnonzero(np.abs(cent_lat[:n] - h.lat) <= band)
+        near = np.flatnonzero(np.abs(cent_lat[:n] - h.lat) <= CLUSTER_LAT_BAND_DEGREES)
         if near.size:
             d = great_circle_miles(cent_lat[near], cent_lon[near], h.lat, h.lon)
             near = near[d <= CLUSTER_RADIUS_MILES]
@@ -417,7 +412,6 @@ def build_instance(
         )
 
     # households sorted by latitude: a stop's radius lies inside one slice
-    band = _lat_band_degrees(CLUSTER_RADIUS_MILES)
     lat = np.array([h.lat for h in households])
     lon = np.array([h.lon for h in households])
     by_lat = np.argsort(lat, kind="stable")
@@ -430,7 +424,9 @@ def build_instance(
         if ranked is None:
             order: dict[int, int] = {}
             for pos, stop in enumerate(route.stops):
-                lo, hi = np.searchsorted(lat, (stop.lat - band, stop.lat + band))
+                lo, hi = np.searchsorted(
+                    lat, (stop.lat - CLUSTER_LAT_BAND_DEGREES, stop.lat + CLUSTER_LAT_BAND_DEGREES)
+                )
                 d = great_circle_miles(lat[lo:hi], lon[lo:hi], stop.lat, stop.lon)
                 for i in by_lat[lo:hi][d <= CLUSTER_RADIUS_MILES].tolist():
                     order.setdefault(i, pos)

@@ -299,16 +299,11 @@ def normalize(
         scale = max(p.cost for p in instance.programs)
         if scale <= 0:
             raise ValueError("cannot normalize: max program cost is 0")
-        # the constructors directly, not `replace`: same objects and checks, half the time
         households = tuple(
-            h if h.ride_hail_cost is None
-            else Household(id=h.id, ride_hail_cost=h.ride_hail_cost / scale, group_ids=h.group_ids)
+            h if h.ride_hail_cost is None else replace(h, ride_hail_cost=h.ride_hail_cost / scale)
             for h in instance.households
         )
-        programs = tuple(
-            Program(id=p.id, cost=p.cost / scale, covers=p.covers, kind=p.kind)
-            for p in instance.programs
-        )
+        programs = tuple(replace(p, cost=p.cost / scale) for p in instance.programs)
         scaled = replace(instance, households=households, programs=programs, budget=0.0)
         derived["normalize"] = (scaled, scale)
     scaled, scale = derived["normalize"]

@@ -3,14 +3,15 @@
 The references rebuild everything per cell and per trial, the plain way: a
 fresh validated instance per budget, `normalize` by replacing every program
 and household, the LP assembled row by row from the coverage sets and
-solved whole by HiGHS dual simplex, a `StrategyOutcome` per trial, and each scenario built by its own
-instance-assembly call. Stop clustering and instance assembly run the
-haversine over every centroid or household. The rounding's reference plans each twist, then
-applies it to a copy per branch. CLI `ras` and `uniform` are checked against
-a loop that evaluates each trial's outcome. The sweep and its kernels must
-give exactly the same floats. The one exception is the LP's optimal vertex:
-production solves over household classes and may return another optimum, so
-per cell its objective must match the row-built model's to 1e-9 and pass
+solved whole by HiGHS dual simplex, a `StrategyOutcome` per trial, and each
+scenario built by its own instance-assembly call. Stop clustering and
+instance assembly run the haversine over every centroid or household. The
+rounding's reference plans each twist, then applies it to a copy per
+branch. CLI `ras` and `uniform` are checked against a loop that evaluates
+each trial's outcome. The sweep and its kernels must give exactly the same
+floats. The one exception is the LP's optimal vertex: production solves
+over household classes and may return another optimum, so per cell its
+objective must match the row-built model's to 1e-9 and pass
 `verify_solution`, and the naive trials then round production's solution.
 """
 
@@ -29,6 +30,7 @@ from transit_equity.cli import main
 from transit_equity.experiment import ExperimentConfig, emit, run_experiment
 from transit_equity.generators import random_instance
 from transit_equity.geo import (
+    CLUSTER_LAT_BAND_DEGREES,
     CLUSTER_RADIUS_MILES,
     EARTH_RADIUS_MILES,
     STOP_ISOLATION_MILES,
@@ -39,7 +41,6 @@ from transit_equity.geo import (
     Schedule,
     StopSite,
     SyntheticCityParams,
-    _lat_band_degrees,
     assign_subsidy,
     build_instance,
     cluster_stops,
@@ -692,7 +693,7 @@ def geo_at(hid, north_miles, east_miles):
 def band_edge_offsets():
     """(north, east) miles: due north and south at the clustering radius
     times 1 -/+ 1e-12, and at the latitude band's limit a mile east."""
-    limit = _lat_band_degrees(CLUSTER_RADIUS_MILES) * MILES_PER_DEGREE
+    limit = CLUSTER_LAT_BAND_DEGREES * MILES_PER_DEGREE
     edges = [(sign * CLUSTER_RADIUS_MILES * (1 + eps), 0.0)
              for sign in (1, -1) for eps in (-1e-12, 1e-12)]
     return edges + [(limit, 1.0), (-limit, 1.0)]
