@@ -16,6 +16,7 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -127,11 +128,15 @@ class PovertyGuideline:
             raise ValueError("guideline thresholds must increase with household size")
         object.__setattr__(self, "thresholds", pairs)
 
+    @cached_property
+    def _by_size(self) -> dict[int, float]:
+        return dict(self.thresholds)
+
     def threshold(self, household_size: int) -> float:
-        for size, value in self.thresholds:
-            if size == household_size:
-                return value
-        raise ValueError(f"household size {household_size} beyond the guideline table")
+        value = self._by_size.get(household_size)
+        if value is None:
+            raise ValueError(f"household size {household_size} beyond the guideline table")
+        return value
 
     def poverty_ratio(self, income: float, household_size: int) -> float:
         return income / self.threshold(household_size)
@@ -223,16 +228,14 @@ def assign_subsidy(
     Tier 1 at or above 200% of the guideline, tier 3 at or below 175%, and
     tier 2 in between; the guideline band (175%, 185%) is folded into tier 2.
     """
-    tier = _subsidy_tier(guideline.poverty_ratio(household.income, household.household_size))
-    return tier, params.subsidy_per_ride[tier - 1]
-
-
-def _subsidy_tier(ratio: float) -> int:
+    ratio = guideline.poverty_ratio(household.income, household.household_size)
     if ratio >= TIER_1_MIN_RATIO:
-        return 1
-    if ratio <= TIER_3_MAX_RATIO:
-        return 3
-    return 2
+        tier = 1
+    elif ratio <= TIER_3_MAX_RATIO:
+        tier = 3
+    else:
+        tier = 2
+    return tier, params.subsidy_per_ride[tier - 1]
 
 
 def cluster_stops(households: Sequence[GeoHousehold]) -> list[StopSite]:
@@ -242,9 +245,9 @@ def cluster_stops(households: Sequence[GeoHousehold]) -> list[StopSite]:
     centroid lies within 0.25 miles, else opens a new cluster. Centroids are
     incrementally recomputed coordinate means. Only centroids within
     `CLUSTER_LAT_BAND_DEGREES` of the household's latitude can be within the
-    radius, so the haversine runs on those alone, in index order. Sites more than 3.5
-    miles from every other site are dropped afterwards (a lone site is kept:
-    there is no "other" to be far from)."""
+    radius, so the haversine runs on those alone, in index order. Sites more
+    than 3.5 miles from every other site are dropped afterwards (a lone site
+    is kept: there is no "other" to be far from)."""
     if not households:
         raise ValueError("cannot cluster an empty household list")
     ordered = sorted(households, key=lambda h: h.id)
@@ -394,19 +397,14 @@ def build_instance(
     categorical attribute. The instance holds bus lines only; the combined
     scenario is `model.inject_ride_hailing` of it. Route variants covering no
     household are dropped (they can never help)."""
-    thresholds = dict(guideline.thresholds)
-    ride_hail_cost = {tier: ride_hail_quarterly_cost(tier, params) for tier in (1, 2, 3)}
     model_households = []
     for h in households:
-        threshold = thresholds.get(h.household_size)
-        if threshold is None:
-            raise ValueError(f"household size {h.household_size} beyond the guideline table")
-        tier = _subsidy_tier(h.income / threshold)
+        tier, _ = assign_subsidy(h, guideline, params)
         label = str(getattr(h, group_by))
         model_households.append(
             Household(
                 id=h.id,
-                ride_hail_cost=ride_hail_cost[tier],
+                ride_hail_cost=ride_hail_quarterly_cost(tier, params),
                 group_ids=frozenset({f"{group_by}:{label}"}),
             )
         )
