@@ -169,7 +169,9 @@ def run_trials(instance: Instance, selections: np.ndarray) -> _CellStats:
     matrix with the sparse program-household incidence. A group's mean is
     its covered count summed over trials, divided by trials x group size: one
     rounding, so a group covered alike in every trial reads exactly that
-    trial's ratio.
+    trial's ratio. Its sample variance is T (sum c^2) - (sum c)^2 over
+    T (T - 1) size^2, from the integer counts c of its T trials, so such a
+    group has standard deviation 0 and a confidence interval of zero width.
     """
     from scipy.sparse import csr_matrix
 
@@ -190,14 +192,19 @@ def run_trials(instance: Instance, selections: np.ndarray) -> _CellStats:
     else:
         sizes = np.ones(1, dtype=int)
         counts = np.ones((n_trials, 1), dtype=int)
-    ratios = counts / sizes
-    ddof = 1 if n_trials > 1 else 0
+    sums = counts.sum(axis=0)
+    # in Python ints, which cannot overflow: one rounding, in the division
+    squares = (counts.astype(object) ** 2).sum(axis=0)
+    variances = [
+        (n_trials * int(q) - int(c) ** 2) / (n_trials * max(n_trials - 1, 1) * int(n) ** 2)
+        for c, q, n in zip(sums, squares, sizes)
+    ]
     return _CellStats(
-        group_means=counts.sum(axis=0) / (n_trials * sizes),
-        group_stds=ratios.std(axis=0, ddof=ddof),
+        group_means=sums / (n_trials * sizes),
+        group_stds=np.sqrt(variances),
         costs=costs,
         trials=n_trials,
-        ratios=ratios,
+        ratios=counts / sizes,
     )
 
 

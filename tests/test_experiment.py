@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from transit_equity.experiment import (
     ExperimentConfig,
     ExperimentReport,
     ReportRow,
+    _row_from_stats,
     approx_ratio,
     compare_scenarios,
     emit,
@@ -171,6 +173,27 @@ def test_identical_trials_mean_exactly_their_ratio():
     stats = run_trials(inst, np.ones((1000, 1), dtype=bool))
     assert stats.group_means.tolist() == [15 / 29, 1.0]
     assert approx_ratio(stats.group_means[0], solve_lp(build_lp(inst)).objective) <= 1.0
+    # and their spread is exactly 0, so the interval is a point
+    assert stats.group_stds.tolist() == [0.0, 0.0]
+    row = _row_from_stats(1.0, "bus_only", "ras", stats, 15 / 29, 1.0, 1.0)
+    assert row.ci_low == row.mean_equity == row.ci_high == 15 / 29
+
+
+def test_group_spread_is_the_exact_sample_deviation():
+    # trials covering 0, 1, 1 and 3 of a group's 3 households: sample variance
+    # (4 * 11 - 5^2) / (4 * 3 * 3^2) = 19/108 of the ratios 0, 1/3, 1/3, 1
+    ids = ["a", "b", "c"]
+    inst = Instance(
+        households=tuple(Household(id=h, group_ids=frozenset({"g"})) for h in ids),
+        programs=(Program(id="p", cost=1.0, covers=frozenset({"a"})),
+                  Program(id="q", cost=1.0, covers=frozenset({"b", "c"}))),
+        budget=2.0,
+        groups=(Group(id="g", members=frozenset(ids)),),
+    )
+    selections = np.array([[0, 0], [1, 0], [1, 0], [1, 1]], dtype=bool)
+    stats = run_trials(inst, selections)
+    assert stats.group_stds.tolist() == [math.sqrt(19 / 108)]
+    assert run_trials(inst, selections[1:2]).group_stds.tolist() == [0.0]
 
 
 class TestCompareScenarios:

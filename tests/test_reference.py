@@ -18,6 +18,8 @@ objective must match the row-built model's to 1e-9 and pass
 import copy
 import csv
 import dataclasses
+import statistics
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -180,6 +182,18 @@ def naive_group_means(instance, outcomes):
     )
 
 
+def naive_group_stds(instance, outcomes):
+    """Per group, the sample standard deviation of its exact ratios (Fractions)
+    over the trials; 0 for one trial."""
+    columns = [
+        [Fraction(len(o.covered & g.members), len(g.members)) for o in outcomes]
+        for g in instance.groups
+    ] or [[Fraction(1)] * len(outcomes)]
+    return np.sqrt(
+        [float(statistics.variance(c)) if len(c) > 1 else 0.0 for c in columns]
+    )
+
+
 def naive_run_experiment(config):
     """The sweep with every cell and every trial built from scratch."""
     if config.instance_dir is not None:
@@ -223,13 +237,9 @@ def naive_run_experiment(config):
                             outcomes.append(
                                 evaluate(norm, DeterministicStrategy(tuple(selected.tolist())))
                             )
-                ratios = np.array(
-                    [[o.group_ratios[g.id] for g in norm.groups] or [1.0] for o in outcomes]
-                )
-                ddof = 1 if len(outcomes) > 1 else 0
                 stats = experiment._CellStats(
                     group_means=naive_group_means(norm, outcomes),
-                    group_stds=ratios.std(axis=0, ddof=ddof),
+                    group_stds=naive_group_stds(norm, outcomes),
                     costs=np.array([o.total_cost for o in outcomes]),
                     trials=len(outcomes),
                 )
