@@ -40,10 +40,9 @@ def greedy(instance: Instance) -> StrategyOutcome:
     cover_ptr, cover_idx = instance.program_households
     coverer_ptr, coverer_idx = instance.household_programs
     n_groups = len(instance.groups)
-    membership = np.zeros((n_groups, n_i))
-    for g, members in enumerate(instance.group_indices):
-        membership[g, members] = 1.0
-    group_sizes = membership.sum(axis=1, keepdims=True)
+    # float64, as the counts it updates in place
+    membership = instance.group_members.toarray().astype(float)
+    group_sizes = instance.group_sizes[:, np.newaxis]
     id_rank = np.empty(n_j, dtype=int)
     id_rank[np.argsort([p.id for p in instance.programs], kind="stable")] = np.arange(n_j)
 

@@ -164,31 +164,19 @@ def run_trials(instance: Instance, selections: np.ndarray) -> _CellStats:
 
     Each trial's cost and group ratios are the floats `evaluate` would report
     for its selection: the selected costs summed by `costs[selected].sum()`,
-    and each group's covered-member count divided by the group size. The
-    covered households of every trial come from one product of the selection
-    matrix with the sparse program-household incidence. A group's mean is
+    and each group's covered-member count, from `Instance.coverage` on the
+    whole matrix, divided by the group size. A group's mean is
     its covered count summed over trials, divided by trials x group size: one
     rounding, so a group covered alike in every trial reads exactly that
     trial's ratio. Its sample variance is T (sum c^2) - (sum c)^2 over
     T (T - 1) size^2, from the integer counts c of its T trials, so such a
     group has standard deviation 0 and a confidence interval of zero width.
     """
-    from scipy.sparse import csr_matrix
-
     n_trials = len(selections)
     costs = np.array([instance.costs[selected].sum() for selected in selections])
     if instance.groups:
-        indptr, indices = instance.program_households
-        incidence = csr_matrix(
-            (np.ones(indices.size, dtype=np.int32), indices, indptr),
-            shape=(len(instance.programs), len(instance.households)),
-        )
-        # (trials, households): a household is covered when a selected program covers it
-        covered = (selections.astype(np.int32) @ incidence) > 0
-        sizes = np.array([idx.size for idx in instance.group_indices])
-        counts = np.column_stack(
-            [np.count_nonzero(covered[:, idx], axis=1) for idx in instance.group_indices]
-        )
+        _, counts = instance.coverage(selections)
+        sizes = instance.group_sizes
     else:
         sizes = np.ones(1, dtype=int)
         counts = np.ones((n_trials, 1), dtype=int)

@@ -151,13 +151,10 @@ def build_lp(instance: Instance) -> LpModel:
     cover_data = _headed_rows(np.ones(n_i), cover_ptr, np.full(coverers.size, -1.0))
 
     # equity:<group g>: t, then each member's y_i with weight -1/|g|, ascending
-    members = instance.group_indices
-    sizes = np.fromiter(map(len, members), dtype=np.intp, count=len(members))
-    member_ptr = np.zeros(sizes.size + 1, dtype=np.intp)
-    np.cumsum(sizes, out=member_ptr[1:])
-    member_idx = np.concatenate(members, dtype=np.intp) if members else np.empty(0, np.intp)
-    equity_indices = _headed_rows(np.zeros(sizes.size, np.intp), member_ptr, y0 + member_idx)
-    equity_data = _headed_rows(np.ones(sizes.size), member_ptr, np.repeat(-1.0 / sizes, sizes))
+    members = instance.group_members
+    sizes = instance.group_sizes
+    equity_indices = _headed_rows(np.zeros(sizes.size, np.intp), members.indptr, y0 + members.indices)
+    equity_data = _headed_rows(np.ones(sizes.size), members.indptr, np.repeat(-1.0 / sizes, sizes))
 
     indices = np.concatenate([np.arange(1, y0), cover_indices, equity_indices])
     data = np.concatenate([instance.costs, cover_data, equity_data])
@@ -216,9 +213,7 @@ def _household_classes(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.n
         slot = np.arange(degree.sum()) - np.repeat(np.cumsum(degree) - degree, degree)
         padded = np.full((n_i, int(degree.max(initial=0))), -1, dtype=np.intp)
         padded[owner[shared], slot] = coverers[shared]
-        flags = np.zeros((n_i, len(instance.groups)), dtype=np.intp)
-        for g, members in enumerate(instance.group_indices):
-            flags[members, g] = 1
+        flags = instance.group_members.T.toarray().astype(np.intp)
         key = np.hstack([padded, tier[:, None], flags])
         _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
         derived["household_classes"] = (first, inverse.reshape(-1), private)

@@ -162,9 +162,10 @@ class Instance:
 
     def with_budget(self, budget: float) -> "Instance":
         """This instance at another budget. Only the budget is validated; the
-        copy shares the cached costs, incidence, group indices and household
-        index, and what `normalize` derives, with this instance and with every
-        other copy made this way."""
+        copy shares the cached costs, incidence, coverage and membership
+        matrices, group indices and household index, and what `normalize`
+        derives, with this instance and with every other copy made this
+        way."""
         _check_budget(budget)
         for name in _BUDGET_FREE_CACHES:
             getattr(self, name)
@@ -232,13 +233,48 @@ class Instance:
             out.append(arr)
         return tuple(out)
 
-    def covered_mask(self, selected: np.ndarray) -> np.ndarray:
-        """Boolean mask of the households covered by a 0/1 program selection."""
-        indptr, indices = self.program_households
-        entries = np.repeat(np.asarray(selected, dtype=bool), indptr[1:] - indptr[:-1])
-        mask = np.zeros(len(self.households), dtype=bool)
-        mask[indices[entries]] = True
-        return mask
+    @cached_property
+    def coverers(self):
+        """The household-major coverage matrix: a (households, programs) scipy
+        CSR of ones whose row i marks the programs covering household i."""
+        from scipy.sparse import csr_matrix
+
+        indptr, indices = self.household_programs
+        return csr_matrix(
+            (np.ones(indices.size, dtype=np.int32), indices, indptr),
+            shape=(len(self.households), len(self.programs)),
+        )
+
+    @cached_property
+    def group_members(self):
+        """Group membership: a (groups, households) scipy CSR of ones whose
+        row g marks the members of group g, ascending."""
+        from scipy.sparse import csr_matrix
+
+        members = self.group_indices
+        indptr = np.zeros(len(members) + 1, dtype=np.intp)
+        np.cumsum(np.fromiter(map(len, members), dtype=np.intp, count=len(members)), out=indptr[1:])
+        indices = np.concatenate(members) if members else np.empty(0, dtype=np.intp)
+        return csr_matrix(
+            (np.ones(indices.size, dtype=np.int32), indices, indptr),
+            shape=(len(members), len(self.households)),
+        )
+
+    @property
+    def group_sizes(self) -> np.ndarray:
+        """Member count per group: the row lengths of `group_members`."""
+        return np.diff(self.group_members.indptr).astype(np.intp)
+
+    def coverage(self, selections: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Score a (K, programs) bool matrix of 0/1 selections: `covered[k, i]`
+        tells whether selection k covers household i, and `counts[k, g]` is
+        how many members of group g it covers. Each household's hits (its
+        selected coverers) come from one product with `coverers`, clamped to
+        1, and the counts from one product of those with `group_members`."""
+        hits = self.coverers @ selections.T
+        np.minimum(hits, 1, out=hits)
+        counts = self.group_members @ hits
+        return hits.T.astype(bool), counts.T.astype(np.intp)
 
 
 _BUDGET_FREE_CACHES = (
@@ -247,6 +283,8 @@ _BUDGET_FREE_CACHES = (
     "program_households",
     "household_programs",
     "group_indices",
+    "coverers",
+    "group_members",
     "_derived",
 )
 
@@ -351,14 +389,12 @@ def evaluate(instance: Instance, strategy: DeterministicStrategy) -> StrategyOut
         )
     sel = np.array(strategy.selected, dtype=bool)
     total_cost = float(instance.costs[sel].sum())
-    covered_mask = instance.covered_mask(sel)
-    covered = frozenset(h.id for h, c in zip(instance.households, covered_mask) if c)
-    ratios: dict[str, float] = {}
-    equity = 1.0
-    for g, idx in zip(instance.groups, instance.group_indices):
-        r = float(np.count_nonzero(covered_mask[idx]) / idx.size)
-        ratios[g.id] = r
-        equity = min(equity, r)
+    covered_mask, counts = instance.coverage(sel[np.newaxis])
+    covered = frozenset(h.id for h, c in zip(instance.households, covered_mask[0]) if c)
+    ratios = {
+        g.id: float(c / n) for g, c, n in zip(instance.groups, counts[0], instance.group_sizes)
+    }
+    equity = min(ratios.values(), default=1.0)
     return StrategyOutcome(
         strategy=strategy,
         total_cost=total_cost,

@@ -1,12 +1,14 @@
 """Exact small-instance oracles: optimal deterministic and randomized strategies.
 
 Both enumerate every feasible selection into one bool selection matrix and
-score all of its rows at once. The deterministic optimum is the best row;
-only that row is realized with `evaluate`. The randomized optimum maximizes
-the worst-group expected coverage ratio over probability distributions on
-the rows, which is itself a small linear program; its one equality
-(the weights sum to 1) is substituted away so that the embedded simplex,
-which takes <= rows with nonnegative right-hand sides, solves it directly.
+score all of its rows at once with `Instance.coverage`, refusing more than
+MAX_COVERAGE_CELLS selection x household cells. The deterministic optimum is
+the best row; only that row is realized with `evaluate`. The randomized
+optimum maximizes the worst-group expected coverage ratio over probability
+distributions on the rows, which is itself a small linear program; its one
+equality (the weights sum to 1) is substituted away so that the embedded
+simplex, which takes <= rows with nonnegative right-hand sides, solves it
+directly.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ from .model import AFFORDABILITY_TOL, DeterministicStrategy, Instance, StrategyO
 
 MAX_ENUMERABLE_PROGRAMS = 20
 MAX_DISTRIBUTION_ATOMS = 100_000
+# Largest selections x households matrix the oracles score. At the cap (2**20
+# selections of 20 programs, 8 households) opt_deterministic peaks near 235 MB.
+MAX_COVERAGE_CELLS = 2**23
 
 
 class InstanceTooLargeError(ValueError):
@@ -74,31 +79,26 @@ def enumerate_feasible(instance: Instance) -> StrategySpace:
     return StrategySpace(selections=selections)
 
 
-def _coverage(instance: Instance, sel: np.ndarray) -> np.ndarray:
-    """coverage[k, i]: whether the k-th selection covers household i."""
-    indptr, indices = instance.program_households
-    coverage = np.zeros((sel.shape[0], len(instance.households)), dtype=bool)
-    for j in range(sel.shape[1]):
-        coverage[:, indices[indptr[j] : indptr[j + 1]]] |= sel[:, j, np.newaxis]
-    return coverage
-
-
-def _group_ratio_matrix(instance: Instance, sel: np.ndarray) -> np.ndarray:
-    """ratios[k, g]: coverage ratio of group g under the k-th selection, the
-    same float as `evaluate`'s (a covered count over the group size)."""
-    coverage = _coverage(instance, sel)
-    ratios = np.empty((sel.shape[0], len(instance.groups)))
-    for g, members in enumerate(instance.group_indices):
-        ratios[:, g] = coverage[:, members].mean(axis=1)
-    return ratios
+def _feasible(instance: Instance) -> np.ndarray:
+    """The feasible selections, checked against MAX_COVERAGE_CELLS before
+    they are scored."""
+    sel = enumerate_feasible(instance).selections
+    cells = sel.shape[0] * len(instance.households)
+    if cells > MAX_COVERAGE_CELLS:
+        raise InstanceTooLargeError(
+            f"the exact oracles score at most {MAX_COVERAGE_CELLS} selection x household"
+            f" cells, got {sel.shape[0]} x {len(instance.households)} = {cells}"
+        )
+    return sel
 
 
 def opt_deterministic(instance: Instance) -> tuple[StrategyOutcome, float]:
     """Best feasible deterministic strategy; ties broken by lower cost, then
     lexicographically smallest selection."""
-    sel = enumerate_feasible(instance).selections
-    # evaluate's equity: the minimum group ratio, 1.0 without groups
-    equity = _group_ratio_matrix(instance, sel).min(axis=1, initial=1.0)
+    sel = _feasible(instance)
+    # evaluate's equity: the minimum group ratio (a covered count over the
+    # group size), 1.0 without groups
+    equity = (instance.coverage(sel)[1] / instance.group_sizes).min(axis=1, initial=1.0)
     tied = np.flatnonzero(equity == equity.max())
     # Two summation orders of one row's (at most 20) costs differ by under
     # 20 * eps * sum(costs), so a tied row whose matrix-product cost exceeds
@@ -129,13 +129,14 @@ def opt_randomized(instance: Instance) -> tuple[RandomizedStrategy, float]:
     Selection 0 is the empty one, so every right-hand side is 0 or 1 and the
     slack basis (the point mass on selection 0) is feasible.
     """
-    sel = enumerate_feasible(instance).selections
+    sel = _feasible(instance)
     k = sel.shape[0]
     if k > MAX_DISTRIBUTION_ATOMS:
         raise InstanceTooLargeError(
             f"distribution LP supports at most {MAX_DISTRIBUTION_ATOMS} atoms, got {k}"
         )
-    ratios = _group_ratio_matrix(instance, sel)
+    # ratios[k, g]: group g's coverage ratio under selection k, as `evaluate` has it
+    ratios = instance.coverage(sel)[1] / instance.group_sizes
     n_groups = len(instance.groups)
 
     # variables: [t, q_1..q_{k-1}]

@@ -299,6 +299,28 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err == "error: enumeration supports at most 20 programs, got 21\n"
 
+    def test_oracle_over_the_coverage_cap(self, tmp_path, capsys):
+        # every one of the 2**20 selections of 20 unit-cost programs is
+        # feasible, and 9 households make 9 * 2**20 > MAX_COVERAGE_CELLS = 2**23
+        households = tuple(Household(id=f"h{i}", group_ids=frozenset({"g"})) for i in range(9))
+        programs = tuple(
+            Program(id=f"p{k}", cost=1.0, covers=frozenset({f"h{k % 9}"})) for k in range(20)
+        )
+        inst = Instance(
+            households=households,
+            programs=programs,
+            budget=20.0,
+            groups=(Group(id="g", members=frozenset(h.id for h in households)),),
+        )
+        write_instance(inst, tmp_path / "inst")
+        code = run_cli(["oracle", "--instance", str(tmp_path / "inst")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: the exact oracles score at most 8388608 selection x household cells,"
+            " got 1048576 x 9 = 9437184\n"
+        )
+
     def test_missing_instance_dir(self, tmp_path, capsys):
         code = run_cli(["greedy", "--instance", str(tmp_path / "absent")])
         assert code == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from transit_equity import simplex
+from transit_equity import oracles, simplex
 from transit_equity.generators import random_instance
 from transit_equity.lp import build_lp, solve_lp
 from transit_equity.model import (
@@ -61,6 +61,16 @@ class TestEnumerateFeasible:
         inst = Instance(households=households, programs=programs, budget=1.0, groups=())
         with pytest.raises(InstanceTooLargeError):
             enumerate_feasible(inst)
+
+    def test_coverage_cell_cap(self, small_instance, monkeypatch):
+        rich = dataclasses.replace(small_instance, budget=100.0)  # 8 selections x 4 households
+        monkeypatch.setattr(oracles, "MAX_COVERAGE_CELLS", 31)
+        for oracle in (opt_deterministic, opt_randomized):
+            with pytest.raises(InstanceTooLargeError, match="got 8 x 4 = 32"):
+                oracle(rich)
+        monkeypatch.setattr(oracles, "MAX_COVERAGE_CELLS", 32)
+        for oracle in (opt_deterministic, opt_randomized):
+            oracle(rich)
 
 
 class TestOptDeterministic:
@@ -188,37 +198,46 @@ def naive_feasible(instance):
     return out
 
 
+def naive_ratios(instance, selected):
+    """Each group's coverage ratio under a selection, from the programs' cover sets."""
+    covered = frozenset().union(*(p.covers for p, s in zip(instance.programs, selected) if s))
+    return [len(covered & g.members) / len(g.members) for g in instance.groups]
+
+
 def naive_opt_deterministic(instance):
-    """Reference: evaluate every feasible selection, keep strictly better
-    (equity, -cost) pairs in enumeration order."""
+    """Reference: score every feasible selection from the cover sets, keep
+    strictly better (equity, -cost) pairs in enumeration order; returns
+    (selection, cost, equity)."""
     best = None
     for selected in naive_feasible(instance):
-        outcome = evaluate(instance, DeterministicStrategy(selected))
-        if best is None or (outcome.equity, -outcome.total_cost) > (best.equity, -best.total_cost):
-            best = outcome
+        cost = float(instance.costs[np.array(selected, dtype=bool)].sum())
+        equity = min(naive_ratios(instance, selected), default=1.0)
+        if best is None or (equity, -cost) > (best[2], -best[1]):
+            best = (selected, cost, equity)
     return best
 
 
 def naive_opt_randomized(instance):
-    """Reference: the distribution LP over per-selection `evaluate` outcomes,
-    with q_0 = 1 - sum_{k>=1} q_k substituted as `opt_randomized` does."""
-    outcomes = [evaluate(instance, DeterministicStrategy(s)) for s in naive_feasible(instance)]
-    n_groups, n_atoms = len(instance.groups), len(outcomes)
+    """Reference: the distribution LP over per-selection ratios from the cover
+    sets, with q_0 = 1 - sum_{k>=1} q_k substituted as `opt_randomized` does."""
+    selections = naive_feasible(instance)
+    ratios = [naive_ratios(instance, s) for s in selections]
+    n_groups, n_atoms = len(instance.groups), len(selections)
     c = np.zeros(n_atoms)
     c[0] = 1.0
     rows = np.zeros((n_groups + 1, n_atoms))
     rhs = np.zeros(n_groups + 1)
-    for g, group in enumerate(instance.groups):
-        first = outcomes[0].group_ratios[group.id]
+    for g in range(n_groups):
+        first = ratios[0][g]
         rows[g, 0] = 1.0
-        rows[g, 1:] = [first - o.group_ratios[group.id] for o in outcomes[1:]]
+        rows[g, 1:] = [first - r[g] for r in ratios[1:]]
         rhs[g] = first
     rows[n_groups, 1:] = 1.0
     rhs[n_groups] = 1.0
     result = simplex.solve(c, rows, rhs, upper_bounds=[1.0] + [None] * (n_atoms - 1))
     q = result.x[1:]
     weights = [1.0 - q.sum(), *q]
-    atoms = [(o.strategy.selected, float(w)) for o, w in zip(outcomes, weights) if w > 1e-12]
+    atoms = [(s, float(w)) for s, w in zip(selections, weights) if w > 1e-12]
     return atoms, float(result.x[0]) if n_groups else 1.0
 
 
@@ -227,12 +246,7 @@ def equality_form_value(instance):
     kept as an equality row."""
     if not instance.groups:
         return 1.0
-    ratios = np.array(
-        [
-            [evaluate(instance, DeterministicStrategy(s)).group_ratios[g.id] for g in instance.groups]
-            for s in naive_feasible(instance)
-        ]
-    )
+    ratios = np.array([naive_ratios(instance, s) for s in naive_feasible(instance)])
     n_atoms, n_groups = ratios.shape
     result = linprog(
         np.r_[-1.0, np.zeros(n_atoms)],
@@ -290,10 +304,10 @@ class TestMatchesNaiveReference:
             assert [tuple(row) for row in space.selections.tolist()] == naive_feasible(inst)
 
             outcome, value = opt_deterministic(inst)
-            reference = naive_opt_deterministic(inst)
-            assert outcome.strategy == reference.strategy
-            assert outcome.total_cost == reference.total_cost
-            assert value == reference.equity
+            selected, cost, equity = naive_opt_deterministic(inst)
+            assert outcome.strategy.selected == selected
+            assert outcome.total_cost == cost
+            assert value == outcome.equity == equity
 
             strategy, value = opt_randomized(inst)
             atoms, reference_value = naive_opt_randomized(inst)

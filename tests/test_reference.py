@@ -3,13 +3,14 @@
 The references rebuild everything per cell and per trial, the plain way: a
 fresh validated instance per budget, `normalize` by replacing every program
 and household, the LP assembled row by row from the coverage sets and
-solved whole by HiGHS dual simplex, a `StrategyOutcome` per trial, and each
-scenario built by its own instance-assembly call. Stop clustering and
-instance assembly run the haversine over every centroid or household. The
-rounding's reference plans each twist, then applies it to a copy per
-branch. CLI `ras` and `uniform` are checked against a loop that evaluates
-each trial's outcome. The sweep and its kernels must give exactly the same
-floats. The one exception is the LP's optimal vertex: production solves
+solved whole by HiGHS dual simplex, each trial's covered households and
+group ratios taken from the programs' cover sets (as is every selection the
+coverage scorer counts), and each scenario built by its own
+instance-assembly call. Stop clustering and instance assembly run the
+haversine over every centroid or household. The rounding's reference plans
+each twist, then applies it to a copy per branch. CLI `ras` and `uniform` are checked against a loop over
+each trial's selection. The sweep and its kernels must give exactly the
+same floats. The one exception is the LP's optimal vertex: production solves
 over household classes and may return another optimum, so per cell its
 objective must match the row-built model's to 1e-9 and pass
 `verify_solution`, and the naive trials then round production's solution.
@@ -57,14 +58,12 @@ from transit_equity.lp import LpRow, build_lp, solve_lp, verify_solution
 from transit_equity.model import (
     AFFORDABILITY_TOL,
     BudgetTooSmallError,
-    DeterministicStrategy,
     Group,
     Household,
     Instance,
     Program,
     ProgramKind,
     derive_groups,
-    evaluate,
     inject_ride_hailing,
     normalize,
 )
@@ -153,6 +152,31 @@ def row_built_highs(model):
     return np.asarray(res.x), float(-res.fun)
 
 
+@dataclasses.dataclass(frozen=True)
+class NaiveOutcome:
+    """A selection's cost, summed as `costs[selected].sum()`, and its covered
+    households, group ratios and equity, taken from the programs' cover sets."""
+
+    selected: tuple[int, ...]
+    total_cost: float
+    covered: frozenset
+    group_ratios: dict
+    equity: float
+
+
+def naive_outcome(instance, selected):
+    sel = np.asarray(selected, dtype=bool)
+    covered = frozenset().union(*(p.covers for p, s in zip(instance.programs, sel) if s))
+    ratios = {g.id: len(covered & g.members) / len(g.members) for g in instance.groups}
+    return NaiveOutcome(
+        selected=tuple(int(v) for v in sel),
+        total_cost=float(instance.costs[sel].sum()),
+        covered=covered,
+        group_ratios=ratios,
+        equity=min(ratios.values(), default=1.0),
+    )
+
+
 def naive_uniform(instance, rng):
     """Uniform's selection as a plain scan of one permutation: take each
     program that fits, until every household is covered."""
@@ -225,18 +249,16 @@ def naive_run_experiment(config):
             assert verify_solution(norm, solution) == []
             for a, algorithm in enumerate(config.algorithms):
                 if algorithm == "greedy":
-                    outcomes = [greedy(norm)]
+                    selections = [greedy(norm).strategy.selected]
                 else:
-                    outcomes = []
+                    selections = []
                     for t in range(config.trials):
                         rng = experiment._trial_rng(config, s, b, a, t)
                         if algorithm == "ras":
-                            outcomes.append(ras(norm, solution, rng))
+                            selections.append(ras(norm, solution, rng).strategy.selected)
                         else:
-                            selected = naive_uniform(norm, rng)
-                            outcomes.append(
-                                evaluate(norm, DeterministicStrategy(tuple(selected.tolist())))
-                            )
+                            selections.append(naive_uniform(norm, rng))
+                outcomes = [naive_outcome(norm, selected) for selected in selections]
                 stats = experiment._CellStats(
                     group_means=naive_group_means(norm, outcomes),
                     group_stds=naive_group_stds(norm, outcomes),
@@ -338,6 +360,23 @@ def overlapping_groups():
         budget=1.0,
         groups=derive_groups(households),
     )
+
+
+class TestCoverageScorer:
+    @pytest.mark.parametrize("k", [1, 7, 1024])
+    def test_matches_cover_sets(self, k):
+        rng = np.random.default_rng(k)
+        instances = [uncovered_household(), no_groups(), overlapping_groups()]
+        instances += [random_instance(rng, max_households=12, max_programs=10) for _ in range(12)]
+        for instance in instances:
+            selections = rng.random((k, len(instance.programs))) < rng.random()
+            covered, counts = instance.coverage(selections)
+            assert covered.dtype == bool and covered.shape == (k, len(instance.households))
+            assert counts.dtype.kind == "i" and counts.shape == (k, len(instance.groups))
+            for row, mask, count in zip(selections, covered, counts):
+                outcome = naive_outcome(instance, row)
+                assert [h.id in outcome.covered for h in instance.households] == mask.tolist()
+                assert [len(outcome.covered & g.members) for g in instance.groups] == count.tolist()
 
 
 def assert_lp_equals_row_built(instance):
@@ -550,10 +589,11 @@ class TestRoundingReference:
 
 
 def naive_cli_trials(instance, run, seed, trials, lp_value):
-    """CLI `ras`/`uniform` output as one `StrategyOutcome` per trial gives it:
-    the summary lines and the trial-log rows."""
+    """CLI `ras`/`uniform` output as the `naive_outcome` of each trial's
+    selection gives it: the summary lines and the trial-log rows."""
     outcomes = [
-        run(np.random.default_rng(np.random.SeedSequence((seed, t)))) for t in range(trials)
+        naive_outcome(instance, run(np.random.default_rng(np.random.SeedSequence((seed, t)))))
+        for t in range(trials)
     ]
     equity = float(naive_group_means(instance, outcomes).min())
     costs = np.array([o.total_cost for o in outcomes])
@@ -562,8 +602,8 @@ def naive_cli_trials(instance, run, seed, trials, lp_value):
         lines.append(f"approx_ratio {equity / lp_value if lp_value > 1e-12 else 1.0:.9f}")
     lines += [f"mean_cost {costs.mean():.9f}", f"max_cost {costs.max():.9f}"]
     log = [["trial", "selected", "cost", "equity"]] + [
-        [str(t), ";".join(o.strategy.selected_ids(instance)), f"{o.total_cost:.12g}",
-         f"{o.equity:.12g}"]
+        [str(t), ";".join(p.id for p, v in zip(instance.programs, o.selected) if v),
+         f"{o.total_cost:.12g}", f"{o.equity:.12g}"]
         for t, o in enumerate(outcomes)
     ]
     return lines, log
@@ -581,10 +621,10 @@ class TestCliTrialsReference:
             if command == "ras":
                 solution = solve_lp(build_lp(norm))
                 lines, log = naive_cli_trials(
-                    norm, lambda g: ras(norm, solution, g), k, 40, solution.objective
+                    norm, lambda g: ras_selection(norm, solution, g), k, 40, solution.objective
                 )
             else:
-                lines, log = naive_cli_trials(norm, lambda g: uniform(norm, g), k, 40, None)
+                lines, log = naive_cli_trials(norm, lambda g: naive_uniform(norm, g), k, 40, None)
             path = tmp_path / f"log{k}.csv"
             argv = [command, "--instance", str(tmp_path / f"inst{k}"), "--seed", str(k),
                     "--trials", "40", "--trial-log", str(path)]
