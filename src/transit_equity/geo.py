@@ -331,14 +331,18 @@ def generate_routes(
             return False
         return bool(great_circle_miles(t_lat, t_lon, lat[k], lon[k]).min() <= MAX_STOP_GAP_MILES)
 
+    # A chain depends only on its start, and begins with it: a start tried
+    # before yields nothing new, a new start a new chain, and once every site
+    # has started a chain no attempt can add one.
     chains: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
+    tried: set[int] = set()
     attempts_left = max_attempts_per_route * count
-    while len(chains) < count and attempts_left > 0:
+    while len(chains) < count and attempts_left > 0 and len(tried) < lat.size:
         attempts_left -= 1
-        if lat.size == 0:
-            break
         start = int(rng.integers(lat.size))
+        if start in tried:
+            continue
+        tried.add(start)
         chain = [start]
         used = np.zeros(lat.size, dtype=bool)
         used[start] = True
@@ -355,13 +359,8 @@ def generate_routes(
             if terminal_ok(chain[k - 1]):
                 cut = k
                 break
-        if cut < 0:
-            continue
-        key = tuple(chain[:cut])
-        if key in seen:
-            continue
-        seen.add(key)
-        chains.append(key)
+        if cut >= 0:
+            chains.append(tuple(chain[:cut]))
 
     routes: list[CandidateRoute] = []
     for r, chain in enumerate(chains):

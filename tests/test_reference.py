@@ -7,8 +7,9 @@ solved whole by HiGHS dual simplex, each trial's covered households and
 group ratios taken from the programs' cover sets (as is every selection the
 coverage scorer counts), and each scenario built by its own
 instance-assembly call. Stop clustering and instance assembly run the
-haversine over every centroid or household. The rounding's reference plans
-each twist, then applies it to a copy per branch. CLI `ras` and `uniform` are checked against a loop over
+haversine over every centroid or household, and route chaining spends every
+attempt. The rounding's reference plans each twist, then applies it to a
+copy per branch. CLI `ras` and `uniform` are checked against a loop over
 each trial's selection. The sweep and its kernels must give exactly the
 same floats. The one exception is the LP's optimal vertex: production solves
 over household classes and may return another optimum, so per cell its
@@ -36,6 +37,8 @@ from transit_equity.geo import (
     CLUSTER_LAT_BAND_DEGREES,
     CLUSTER_RADIUS_MILES,
     EARTH_RADIUS_MILES,
+    MAX_STOP_GAP_MILES,
+    ROUTE_STOPS,
     STOP_ISOLATION_MILES,
     CandidateRoute,
     CostParams,
@@ -49,8 +52,10 @@ from transit_equity.geo import (
     cluster_stops,
     eligibility_filter,
     generate_routes,
+    RouteGenerationError,
     great_circle_miles,
     ride_hail_quarterly_cost,
+    route_quarterly_cost,
     synthetic_city,
 )
 from transit_equity.instance_io import read_instance, write_instance
@@ -728,6 +733,54 @@ def assert_geo_equals_naive(city, seed, group_bys=("race",)):
         assert len(fast.programs) == 40
 
 
+def naive_generate_routes(sites, transit_stops, count, seed, params, max_attempts_per_route):
+    """Route chaining that spends every attempt: each draws a start and
+    chains it afresh, even a start drawn before."""
+    rng = np.random.default_rng(seed)
+    lat, lon = np.array([s.lat for s in sites]), np.array([s.lon for s in sites])
+    t_lat = np.array([s.lat for s in transit_stops])
+    t_lon = np.array([s.lon for s in transit_stops])
+    chains = []
+    for _ in range(max_attempts_per_route * count):
+        if len(chains) == count:
+            break
+        chain = [int(rng.integers(lat.size))]
+        while len(chain) < ROUTE_STOPS[1]:
+            d = great_circle_miles(lat, lon, lat[chain[-1]], lon[chain[-1]])
+            d[chain] = np.inf
+            nxt = int(np.argmin(d))
+            if d[nxt] > MAX_STOP_GAP_MILES:
+                break
+            chain.append(nxt)
+        ends = [
+            k for k in range(ROUTE_STOPS[0], len(chain) + 1)
+            if great_circle_miles(t_lat, t_lon, lat[chain[k - 1]], lon[chain[k - 1]]).min()
+            <= MAX_STOP_GAP_MILES
+        ]
+        if ends and tuple(chain[: ends[-1]]) not in chains:
+            chains.append(tuple(chain[: ends[-1]]))
+    routes = [
+        CandidateRoute(
+            id=f"route{r:02d}_{schedule.value}",
+            stops=tuple(sites[k] for k in chain),
+            daily_hours=schedule,
+            quarterly_cost=route_quarterly_cost(schedule, params),
+        )
+        for r, chain in enumerate(chains)
+        for schedule in (Schedule.FULL, Schedule.HALF)
+    ]
+    if len(chains) < count:
+        raise RouteGenerationError(requested=count, routes=routes)
+    return routes
+
+
+def routes_or_error(generate, *args):
+    try:
+        return generate(*args), None
+    except RouteGenerationError as err:
+        return err.routes, str(err)
+
+
 MILES_PER_DEGREE = EARTH_RADIUS_MILES * np.pi / 180.0
 EDGE_LAT, EDGE_LON = 41.8, -87.7
 
@@ -757,6 +810,17 @@ class TestGeoReference:
     def test_city_4x(self):
         city = SyntheticCityParams(n_households=4 * SyntheticCityParams().n_households)
         assert_geo_equals_naive(city, 1)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("count", [20, 120])
+    def test_route_chaining(self, seed, count):
+        # the tiny city chains about 75 routes, so 120 is a shortfall
+        households, stops, _ = synthetic_city(TINY_CITY, seed)
+        sites = cluster_stops(eligibility_filter(households, stops))
+        args = (sites, stops, count, seed, COST_PARAMS, 5)
+        fast = routes_or_error(generate_routes, *args)
+        assert fast == routes_or_error(naive_generate_routes, *args)
+        assert (fast[1] is None) == (count == 20)
 
     @pytest.mark.parametrize("north, east", band_edge_offsets())
     def test_clustering_band_edges(self, north, east):
