@@ -40,9 +40,9 @@ def greedy(instance: Instance) -> StrategyOutcome:
     cover_ptr, cover_idx = instance.program_households
     coverer_ptr, coverer_idx = instance.household_programs
     n_groups = len(instance.groups)
-    # float64, as the counts it updates in place
+    # float64 like the counts below: mixed-dtype in-place updates are slower
     membership = instance.group_members.toarray().astype(float)
-    group_sizes = instance.group_sizes[:, np.newaxis]
+    group_sizes = membership.sum(axis=1, keepdims=True)
     id_rank = np.empty(n_j, dtype=int)
     id_rank[np.argsort([p.id for p in instance.programs], kind="stable")] = np.arange(n_j)
 
@@ -51,8 +51,7 @@ def greedy(instance: Instance) -> StrategyOutcome:
     # coverage grows; every count is an integer, so the float arithmetic on
     # them is exact.
     fresh = np.diff(cover_ptr)
-    uncovered = np.zeros((n_groups, n_j))
-    np.add.at(uncovered, (slice(None), np.repeat(np.arange(n_j), fresh)), membership[:, cover_idx])
+    uncovered = (instance.group_members @ instance.coverers).toarray().astype(float)
     covered_count = np.zeros((n_groups, 1))
     ratios = np.empty((n_groups, n_j))
     new_equity = np.ones(n_j)

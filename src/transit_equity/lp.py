@@ -267,9 +267,8 @@ def _solve_highs(model: LpModel) -> tuple[np.ndarray, float]:
 
     x = np.zeros(n_j)
     x[kept] = reduced[1 : 1 + kept.size]
-    ptr, households = inst.program_households
     # shared cover per household, then water-fill each class's private x
-    cover = np.bincount(households, np.repeat(x, np.diff(ptr)), minlength=model.n_households)
+    cover = inst.coverers @ x
     cap = np.clip(1.0 - cover[holders], 0.0, 1.0)
     size = np.bincount(inverse)
     order = np.argsort(inverse, kind="stable")

@@ -162,10 +162,8 @@ class Instance:
 
     def with_budget(self, budget: float) -> "Instance":
         """This instance at another budget. Only the budget is validated; the
-        copy shares the cached costs, incidence, coverage and membership
-        matrices, group indices and household index, and what `normalize`
-        derives, with this instance and with every other copy made this
-        way."""
+        copy shares the caches named in `_BUDGET_FREE_CACHES`, and what
+        `normalize` derives, with this instance and every copy made this way."""
         _check_budget(budget)
         for name in _BUDGET_FREE_CACHES:
             getattr(self, name)
@@ -209,18 +207,10 @@ class Instance:
 
     @cached_property
     def household_programs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The transpose of `program_households`: row i lists the programs
-        covering household i, ascending (empty when none does)."""
-        indptr, indices = self.program_households
-        n_i = len(self.households)
-        program_of = np.repeat(np.arange(len(self.programs), dtype=np.intp), np.diff(indptr))
-        t_indptr = np.zeros(n_i + 1, dtype=np.intp)
-        np.cumsum(np.bincount(indices, minlength=n_i), out=t_indptr[1:])
-        # a stable sort keeps each household's programs in program order
-        t_indices = program_of[np.argsort(indices, kind="stable")]
-        t_indptr.setflags(write=False)
-        t_indices.setflags(write=False)
-        return t_indptr, t_indices
+        """The transpose of `program_households`, the rows of `coverers`: row
+        i lists the programs covering household i, ascending (empty when none
+        does)."""
+        return self.coverers.indptr, self.coverers.indices
 
     @cached_property
     def group_indices(self) -> tuple[np.ndarray, ...]:
@@ -236,29 +226,20 @@ class Instance:
     @cached_property
     def coverers(self):
         """The household-major coverage matrix: a (households, programs) scipy
-        CSR of ones whose row i marks the programs covering household i."""
-        from scipy.sparse import csr_matrix
-
-        indptr, indices = self.household_programs
-        return csr_matrix(
-            (np.ones(indices.size, dtype=np.int32), indices, indptr),
-            shape=(len(self.households), len(self.programs)),
-        )
+        CSR of ones whose row i marks the programs covering household i,
+        ascending; scipy's transpose of `program_households`."""
+        coverers = _ones_csr(*self.program_households, len(self.households)).T.tocsr()
+        coverers.indptr.setflags(write=False)
+        coverers.indices.setflags(write=False)
+        return coverers
 
     @cached_property
     def group_members(self):
         """Group membership: a (groups, households) scipy CSR of ones whose
-        row g marks the members of group g, ascending."""
-        from scipy.sparse import csr_matrix
-
+        row g marks the members of group g."""
         members = self.group_indices
-        indptr = np.zeros(len(members) + 1, dtype=np.intp)
-        np.cumsum(np.fromiter(map(len, members), dtype=np.intp, count=len(members)), out=indptr[1:])
-        indices = np.concatenate(members) if members else np.empty(0, dtype=np.intp)
-        return csr_matrix(
-            (np.ones(indices.size, dtype=np.int32), indices, indptr),
-            shape=(len(members), len(self.households)),
-        )
+        indices = np.concatenate([np.empty(0, dtype=np.intp), *members])
+        return _ones_csr(np.cumsum([0, *map(len, members)]), indices, len(self.households))
 
     @property
     def group_sizes(self) -> np.ndarray:
@@ -266,15 +247,23 @@ class Instance:
         return np.diff(self.group_members.indptr).astype(np.intp)
 
     def coverage(self, selections: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Score a (K, programs) bool matrix of 0/1 selections: `covered[k, i]`
-        tells whether selection k covers household i, and `counts[k, g]` is
-        how many members of group g it covers. Each household's hits (its
-        selected coverers) come from one product with `coverers`, clamped to
-        1, and the counts from one product of those with `group_members`."""
+        """Score a (K, programs) bool matrix of selections: `covered[k, i]`
+        tells whether selection k covers household i, and `counts[k, g]` how
+        many members of group g it covers. Hits per household are one product
+        with `coverers`, clamped to 1; counts one product of those with
+        `group_members`."""
         hits = self.coverers @ selections.T
         np.minimum(hits, 1, out=hits)
         counts = self.group_members @ hits
         return hits.T.astype(bool), counts.T.astype(np.intp)
+
+
+def _ones_csr(indptr: np.ndarray, indices: np.ndarray, n_columns: int):
+    """The scipy CSR matrix of int32 ones with rows `(indptr, indices)`."""
+    from scipy.sparse import csr_matrix
+
+    data = np.ones(indices.size, dtype=np.int32)
+    return csr_matrix((data, indices, indptr), shape=(indptr.size - 1, n_columns))
 
 
 _BUDGET_FREE_CACHES = (

@@ -80,14 +80,12 @@ def enumerate_feasible(instance: Instance) -> StrategySpace:
 
 
 def _feasible(instance: Instance) -> np.ndarray:
-    """The feasible selections, checked against MAX_COVERAGE_CELLS before
-    they are scored."""
+    """The feasible selections, refused past MAX_COVERAGE_CELLS before scoring."""
     sel = enumerate_feasible(instance).selections
-    cells = sel.shape[0] * len(instance.households)
-    if cells > MAX_COVERAGE_CELLS:
+    if sel.shape[0] * len(instance.households) > MAX_COVERAGE_CELLS:
         raise InstanceTooLargeError(
             f"the exact oracles score at most {MAX_COVERAGE_CELLS} selection x household"
-            f" cells, got {sel.shape[0]} x {len(instance.households)} = {cells}"
+            f" cells, got {sel.shape[0]} x {len(instance.households)}"
         )
     return sel
 
@@ -96,8 +94,7 @@ def opt_deterministic(instance: Instance) -> tuple[StrategyOutcome, float]:
     """Best feasible deterministic strategy; ties broken by lower cost, then
     lexicographically smallest selection."""
     sel = _feasible(instance)
-    # evaluate's equity: the minimum group ratio (a covered count over the
-    # group size), 1.0 without groups
+    # evaluate's equity: the minimum group ratio, 1.0 without groups
     equity = (instance.coverage(sel)[1] / instance.group_sizes).min(axis=1, initial=1.0)
     tied = np.flatnonzero(equity == equity.max())
     # Two summation orders of one row's (at most 20) costs differ by under
@@ -135,7 +132,6 @@ def opt_randomized(instance: Instance) -> tuple[RandomizedStrategy, float]:
         raise InstanceTooLargeError(
             f"distribution LP supports at most {MAX_DISTRIBUTION_ATOMS} atoms, got {k}"
         )
-    # ratios[k, g]: group g's coverage ratio under selection k, as `evaluate` has it
     ratios = instance.coverage(sel)[1] / instance.group_sizes
     n_groups = len(instance.groups)
 

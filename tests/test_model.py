@@ -183,7 +183,7 @@ class TestWithBudget:
         assert copy.budget == 0.75 and small_instance.budget == 1.5
         assert copy == dataclasses.replace(small_instance, budget=0.75)
         for name in ("costs", "program_households", "household_programs", "group_indices",
-                     "household_index"):
+                     "household_index", "coverers", "group_members"):
             assert getattr(copy, name) is getattr(small_instance, name)
         assert copy.with_budget(2.0).costs is small_instance.costs
 

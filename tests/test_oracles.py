@@ -66,7 +66,7 @@ class TestEnumerateFeasible:
         rich = dataclasses.replace(small_instance, budget=100.0)  # 8 selections x 4 households
         monkeypatch.setattr(oracles, "MAX_COVERAGE_CELLS", 31)
         for oracle in (opt_deterministic, opt_randomized):
-            with pytest.raises(InstanceTooLargeError, match="got 8 x 4 = 32"):
+            with pytest.raises(InstanceTooLargeError, match="got 8 x 4$"):
                 oracle(rich)
         monkeypatch.setattr(oracles, "MAX_COVERAGE_CELLS", 32)
         for oracle in (opt_deterministic, opt_randomized):
