@@ -209,8 +209,11 @@ class Instance:
     def household_programs(self) -> tuple[np.ndarray, np.ndarray]:
         """The transpose of `program_households`, the rows of `coverers`: row
         i lists the programs covering household i, ascending (empty when none
-        does)."""
-        return self.coverers.indptr, self.coverers.indices
+        does). In intp, as greedy's per-pick index arithmetic is slower mixed."""
+        out = self.coverers.indptr.astype(np.intp), self.coverers.indices.astype(np.intp)
+        for arr in out:
+            arr.setflags(write=False)
+        return out
 
     @cached_property
     def group_indices(self) -> tuple[np.ndarray, ...]:
@@ -228,10 +231,7 @@ class Instance:
         """The household-major coverage matrix: a (households, programs) scipy
         CSR of ones whose row i marks the programs covering household i,
         ascending; scipy's transpose of `program_households`."""
-        coverers = _ones_csr(*self.program_households, len(self.households)).T.tocsr()
-        coverers.indptr.setflags(write=False)
-        coverers.indices.setflags(write=False)
-        return coverers
+        return _ones_csr(*self.program_households, len(self.households)).T.tocsr()
 
     @cached_property
     def group_members(self):
