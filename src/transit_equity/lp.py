@@ -121,8 +121,9 @@ class LpModel:
 
 @dataclass(frozen=True, eq=False)
 class FractionalSolution:
-    """An optimal fractional benchmark solution (cleaned by `snap`: x, y and
-    the objective clamped to [0,1], values within 1e-9 of a bound set onto it)."""
+    """An optimal fractional benchmark solution: x and y cleaned by `snap`
+    (clamped to [0, 1], values within 1e-9 of a bound set onto it), and the
+    objective t the minimum group mean of that y."""
 
     x_star: np.ndarray
     y_star: np.ndarray
@@ -176,12 +177,12 @@ def build_lp(instance: Instance) -> LpModel:
     )
 
 
-def _solve_embedded(model: LpModel) -> tuple[np.ndarray, float]:
+def _solve_embedded(model: LpModel) -> np.ndarray:
     a, b = model.dense_matrix()
     result = simplex.solve(model.objective(), a, b, upper_bounds=model.upper_bounds)
     if result.status != "optimal":
         raise LpSolveError(f"embedded simplex returned {result.status}")
-    return result.x, result.objective
+    return result.x
 
 
 def _household_classes(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -220,7 +221,7 @@ def _household_classes(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.n
     return derived["household_classes"]
 
 
-def _solve_highs(model: LpModel) -> tuple[np.ndarray, float]:
+def _solve_highs(model: LpModel) -> np.ndarray:
     """HiGHS dual simplex on the model with each household class merged.
 
     A class's members are interchangeable, so one y column per class enters
@@ -279,7 +280,7 @@ def _solve_highs(model: LpModel) -> tuple[np.ndarray, float]:
     fill = np.clip(placed - rank[holders] * cap, 0.0, cap)
     x[private[holders]] = fill
     cover[holders] += fill
-    return np.concatenate([reduced[:1], x, np.minimum(1.0, cover)]), float(-res.fun)
+    return np.concatenate([reduced[:1], x, np.minimum(1.0, cover)])
 
 
 def check_backend(solver: str | None) -> None:
@@ -290,8 +291,8 @@ def check_backend(solver: str | None) -> None:
 
 def snap(values: np.ndarray) -> np.ndarray:
     """A copy of `values` clipped to [0, 1], with every entry within SNAP_EPS
-    of 0 or 1 set to exactly 0 or 1: the LP solution (x, y and the objective)
-    and the rounding's start vector all go through it."""
+    of 0 or 1 set to exactly 0 or 1: the LP solution's x and y and the
+    rounding's start vector all go through it."""
     out = np.clip(values, 0.0, 1.0)
     out[out <= SNAP_EPS] = 0.0
     out[out >= 1.0 - SNAP_EPS] = 1.0
@@ -299,13 +300,15 @@ def snap(values: np.ndarray) -> np.ndarray:
 
 
 def solve_lp(
-    model: LpModel, solver: str | Callable[[LpModel], tuple[np.ndarray, float]] | None = None
+    model: LpModel, solver: str | Callable[[LpModel], np.ndarray] | None = None
 ) -> FractionalSolution:
     """Solve the benchmark LP to optimality (1e-9 feasibility, 1e-7 objective).
     The backend follows from the model's size (SIMPLEX_MAX_CELLS) unless
-    `solver` names one of BACKENDS or is a callable. Naming "simplex" for a
-    model above SIMPLEX_MAX_CELLS raises ValueError before any dense array
-    is allocated."""
+    `solver` names one of BACKENDS or is a callable returning the variable
+    vector. Naming "simplex" for a model above SIMPLEX_MAX_CELLS raises
+    ValueError before any dense array is allocated. The objective reported
+    is the minimum group mean of the snapped y (1.0 without groups), as
+    `verify_solution` checks it, not the backend's t."""
     if not callable(solver):
         check_backend(solver)
         cells = model.n_rows * (model.n_vars + model.n_rows)
@@ -317,12 +320,13 @@ def solve_lp(
                 f" {SIMPLEX_MAX_CELLS} cells (rows x (vars + rows)); this one has {cells}"
             )
         solver = _solve_embedded if solver == "simplex" else _solve_highs
-    x_full, objective = solver(model)
+    x_full = solver(model)
     x = snap(x_full[1 : 1 + model.n_programs])
     y = snap(x_full[1 + model.n_programs :])
     x.setflags(write=False)
     y.setflags(write=False)
-    return FractionalSolution(x_star=x, y_star=y, objective=float(snap(np.array([objective]))[0]))
+    t = min((float(y[members].mean()) for members in model.instance.group_indices), default=1.0)
+    return FractionalSolution(x_star=x, y_star=y, objective=t)
 
 
 @dataclass(frozen=True)

@@ -280,3 +280,22 @@ def test_trial_log_schema(tmp_path, singletons):
     assert rows[0] == ["trial", "selected", "cost", "equity"]
     assert len(rows) == 6
     assert rows[1][1] in ("ride-hail:a", "ride-hail:b")
+
+
+def test_attained_lp_optimum_reads_no_ratio_above_one(tmp_path):
+    # the criterion-10 instance at 5M: greedy attains the LP optimum 2/3
+    # exactly, and HiGHS's own objective sat a few ulp below it
+    from transit_equity.cli import main
+
+    instance_dir = tmp_path / "inst"
+    argv = ["ingest", "--synthetic", "--budget", "5000000", "--rides-per-quarter", "364",
+            "--out", str(instance_dir)]
+    assert main(argv) == 0
+    config = ExperimentConfig(
+        budgets=(5e6,), scenarios=("bus_only",), algorithms=("greedy",), trials=1,
+        instance_dir=str(instance_dir),
+    )
+    (row,) = run_experiment(config).rows
+    assert row.mean_equity == 2 / 3
+    assert row.mean_equity <= row.lp_value
+    assert row.approx_ratio <= 1.0

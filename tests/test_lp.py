@@ -379,7 +379,10 @@ def test_objective_snapped_like_the_solution(singletons):
     model = build_lp(singletons)
 
     def almost_one(model):
-        return np.zeros(model.n_vars), 1.0 - 4e-15
+        # t itself is ignored; the objective is read off the snapped y
+        x = np.zeros(model.n_vars)
+        x[1 + model.n_programs :] = 1.0 - 4e-15
+        return x
 
     assert solve_lp(model, solver=almost_one).objective == 1.0
 

@@ -154,7 +154,7 @@ def row_built_highs(model):
         method="highs",
     )
     assert res.success
-    return np.asarray(res.x), float(-res.fun)
+    return np.asarray(res.x)
 
 
 @dataclasses.dataclass(frozen=True)
