@@ -8,7 +8,6 @@ from .lp import FractionalSolution, LpModel, build_lp, dump_lp, solve_lp, verify
 from .model import (
     BudgetTooSmallError,
     DeterministicStrategy,
-    Group,
     Household,
     Instance,
     Program,
@@ -36,7 +35,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "FractionalSolution",
-    "Group",
     "Household",
     "Instance",
     "LpModel",

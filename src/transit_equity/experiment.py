@@ -175,7 +175,7 @@ def run_trials(instance: Instance, selections: np.ndarray) -> _CellStats:
     n_trials = len(selections)
     costs = np.array([instance.costs[selected].sum() for selected in selections])
     if instance.groups:
-        _, counts = instance.coverage(selections)
+        counts = instance.coverage(selections)
         sizes = instance.group_sizes
     else:
         sizes = np.ones(1, dtype=int)

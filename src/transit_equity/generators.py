@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Group, Household, Instance, Program, derive_groups, inject_ride_hailing
+from .model import Household, Instance, Program, inject_ride_hailing
 
 
 def disjoint_singletons_instance() -> Instance:
@@ -19,16 +19,7 @@ def disjoint_singletons_instance() -> Instance:
         Household(id="a", ride_hail_cost=1.0, group_ids=frozenset({"g1"})),
         Household(id="b", ride_hail_cost=1.0, group_ids=frozenset({"g2"})),
     )
-    base = Instance(
-        households=households,
-        programs=(),
-        budget=1.0,
-        groups=(
-            Group(id="g1", members=frozenset({"a"})),
-            Group(id="g2", members=frozenset({"b"})),
-        ),
-    )
-    return inject_ride_hailing(base)
+    return inject_ride_hailing(Instance(households=households, programs=(), budget=1.0))
 
 
 def random_instance(
@@ -77,9 +68,4 @@ def random_instance(
 
     total = float(costs.sum())
     budget = float(rng.uniform(1.0, max(1.0, total)))
-    return Instance(
-        households=households,
-        programs=tuple(programs),
-        budget=budget,
-        groups=derive_groups(households),
-    )
+    return Instance(households=households, programs=tuple(programs), budget=budget)

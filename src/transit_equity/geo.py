@@ -22,7 +22,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import Household, Instance, Program, ProgramKind, derive_groups
+from .instance_io import read_rows
+from .model import Household, Instance, Program, ProgramKind
 
 EARTH_RADIUS_MILES = 3958.7613
 
@@ -446,7 +447,6 @@ def build_instance(
         households=tuple(model_households),
         programs=tuple(programs),
         budget=float(budget),
-        groups=derive_groups(model_households),
     )
 
 
@@ -563,48 +563,32 @@ def synthetic_city(
 # geo CSV formats (headers double as version markers)
 
 
-def _check_header(path: Path, fieldnames, columns: list[str]) -> None:
-    if fieldnames != columns:
-        raise ValueError(f"{path}: expected header {columns}, found {fieldnames}")
-
-
 def read_geo_households(path: str | Path) -> list[GeoHousehold]:
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        _check_header(path, reader.fieldnames, GEO_HOUSEHOLD_COLUMNS)
-        return [
-            GeoHousehold(
-                id=row["id"],
-                lat=float(row["lat"]),
-                lon=float(row["lon"]),
-                income=float(row["income"]),
-                household_size=int(row["household_size"]),
-                race=row["race"],
-            )
-            for row in reader
-        ]
+    return [
+        GeoHousehold(
+            id=row["id"],
+            lat=float(row["lat"]),
+            lon=float(row["lon"]),
+            income=float(row["income"]),
+            household_size=int(row["household_size"]),
+            race=row["race"],
+        )
+        for row in read_rows(Path(path), GEO_HOUSEHOLD_COLUMNS)
+    ]
 
 
 def read_transit_stops(path: str | Path) -> list[TransitStop]:
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        _check_header(path, reader.fieldnames, TRANSIT_STOP_COLUMNS)
-        return [
-            TransitStop(id=row["id"], kind=row["kind"], lat=float(row["lat"]), lon=float(row["lon"]))
-            for row in reader
-        ]
+    return [
+        TransitStop(id=row["id"], kind=row["kind"], lat=float(row["lat"]), lon=float(row["lon"]))
+        for row in read_rows(Path(path), TRANSIT_STOP_COLUMNS)
+    ]
 
 
 def read_poverty_guideline(path: str | Path) -> PovertyGuideline:
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        _check_header(path, reader.fieldnames, POVERTY_GUIDELINE_COLUMNS)
-        return PovertyGuideline(
-            thresholds=tuple((int(row["household_size"]), float(row["fpl_100"])) for row in reader)
-        )
+    rows = read_rows(Path(path), POVERTY_GUIDELINE_COLUMNS)
+    return PovertyGuideline(
+        thresholds=tuple((int(row["household_size"]), float(row["fpl_100"])) for row in rows)
+    )
 
 
 def write_geo_households(households: Iterable[GeoHousehold], path: str | Path) -> None:

@@ -6,11 +6,12 @@ programs.csv:   id, cost, kind, covers          (household ids ';'-separated)
 meta.csv:       budget                          (single data row)
 
 Files are UTF-8. The model rejects an empty id and one containing ';', so
-every id it accepts reads back unchanged.
+every id it accepts reads back unchanged, however long a field grows.
 
 Column names are fixed; readers reject files whose header does not match
-exactly, which doubles as the format version check. Groups are derived from
-the household group_ids column.
+exactly, which doubles as the format version check, and rows whose field
+count differs from the header's. The protected groups are the ids the
+group_ids column lists.
 """
 
 from __future__ import annotations
@@ -18,27 +19,51 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
-from .model import ID_SEPARATOR, Household, Instance, Program, ProgramKind, derive_groups
+from .model import ID_SEPARATOR, Household, Instance, Program, ProgramKind
 
 HOUSEHOLD_COLUMNS = ["id", "ride_hail_cost", "group_ids"]
 PROGRAM_COLUMNS = ["id", "cost", "kind", "covers"]
 META_COLUMNS = ["budget"]
 
+# The csv module's default field limit, 131,072 characters, is below the
+# covers field of a program covering about 7,000 households; reading lifts it
+# to the largest value a 32-bit C long holds.
+FIELD_SIZE_LIMIT = 2**31 - 1
 
-def _read_rows(path: Path, columns: list[str]) -> list[dict[str, str]]:
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != columns:
-            raise ValueError(
-                f"{path}: expected header {columns}, found {reader.fieldnames}"
-            )
-        return list(reader)
+
+def read_rows(path: Path, columns: list[str]) -> list[dict[str, str]]:
+    """The data rows of the CSV file at `path`, keyed by `columns`, which must
+    be its header exactly; blank lines are skipped. Fields of any length are
+    read (the csv module's limit is restored afterwards). A malformed or
+    non-UTF-8 file raises ValueError naming it."""
+    limit = csv.field_size_limit(FIELD_SIZE_LIMIT)
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != columns:
+                raise ValueError(f"{path}: expected header {columns}, found {header}")
+            rows = []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(columns):
+                    raise ValueError(
+                        f"{path}: line {reader.line_num} has {len(row)} fields,"
+                        f" expected {len(columns)}"
+                    )
+                rows.append(dict(zip(columns, row)))
+            return rows
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    finally:
+        csv.field_size_limit(limit)
 
 
 def read_instance(directory: str | Path) -> Instance:
     directory = Path(directory)
     households = []
-    for row in _read_rows(directory / "households.csv", HOUSEHOLD_COLUMNS):
+    for row in read_rows(directory / "households.csv", HOUSEHOLD_COLUMNS):
         raw_cost = row["ride_hail_cost"].strip()
         gids = frozenset(g for g in row["group_ids"].split(ID_SEPARATOR) if g)
         households.append(
@@ -49,7 +74,7 @@ def read_instance(directory: str | Path) -> Instance:
             )
         )
     programs = []
-    for row in _read_rows(directory / "programs.csv", PROGRAM_COLUMNS):
+    for row in read_rows(directory / "programs.csv", PROGRAM_COLUMNS):
         programs.append(
             Program(
                 id=row["id"],
@@ -58,16 +83,11 @@ def read_instance(directory: str | Path) -> Instance:
                 kind=ProgramKind(row["kind"]),
             )
         )
-    meta = _read_rows(directory / "meta.csv", META_COLUMNS)
+    meta = read_rows(directory / "meta.csv", META_COLUMNS)
     if len(meta) != 1:
         raise ValueError(f"{directory / 'meta.csv'}: expected exactly one data row")
     budget = float(meta[0]["budget"])
-    return Instance(
-        households=tuple(households),
-        programs=tuple(programs),
-        budget=budget,
-        groups=derive_groups(households),
-    )
+    return Instance(households=tuple(households), programs=tuple(programs), budget=budget)
 
 
 def write_instance(instance: Instance, directory: str | Path) -> None:

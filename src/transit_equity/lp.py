@@ -91,7 +91,7 @@ class LpModel:
         inst = self.instance
         labels = ["budget"]
         labels += [f"cover:{h.id}" for h in inst.households]
-        labels += [f"equity:{g.id}" for g in inst.groups]
+        labels += [f"equity:{g}" for g in inst.groups]
         bounds = self.indptr.tolist()
         indices, data, rhs = self.indices.tolist(), self.data.tolist(), self.rhs.tolist()
         return tuple(
@@ -346,19 +346,14 @@ def verify_solution(
     if budget_used > instance.budget + tol:
         violations.append(Violation("budget", budget_used - instance.budget))
 
-    indptr, households = instance.program_households
-    cover_sum = np.bincount(
-        households, weights=np.repeat(x, np.diff(indptr)), minlength=len(instance.households)
-    )
-    for i, h in enumerate(instance.households):
-        excess = y[i] - cover_sum[i]
-        if excess > tol:
-            violations.append(Violation(f"cover:{h.id}", float(excess)))
+    excess = y - instance.coverers @ x
+    for i in np.flatnonzero(excess > tol).tolist():
+        violations.append(Violation(f"cover:{instance.households[i].id}", float(excess[i])))
 
     for g, members in zip(instance.groups, instance.group_indices):
         ratio = float(y[members].mean())
         if t - ratio > tol:
-            violations.append(Violation(f"equity:{g.id}", float(t - ratio)))
+            violations.append(Violation(f"equity:{g}", float(t - ratio)))
 
     for name, vec in (("x", x), ("y", y)):
         low = float((-vec).max(initial=0.0))

@@ -1,10 +1,10 @@
 """Core domain model: households, programs, protected groups, and strategies.
 
 An `Instance` bundles the needy households, the candidate coverage programs
-(bus lines and single-household ride-hail enrollments), a budget, and the
-protected groups whose minimum coverage ratio defines the equity objective.
-All domain types are immutable after construction and safe to share across
-concurrent evaluators.
+(bus lines and single-household ride-hail enrollments) and a budget. Each
+household lists the protected groups it belongs to; the minimum coverage
+ratio over those groups defines the equity objective. All domain types are
+immutable after construction and safe to share across concurrent evaluators.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-from typing import Sequence
 
 import numpy as np
 
@@ -75,6 +74,8 @@ class Household:
                 f" got {self.ride_hail_cost!r}"
             )
         object.__setattr__(self, "group_ids", frozenset(self.group_ids))
+        for gid in self.group_ids:
+            _check_id("group", gid)
 
 
 @dataclass(frozen=True)
@@ -106,33 +107,18 @@ class Program:
 
 
 @dataclass(frozen=True)
-class Group:
-    """A protected group of households; groups may overlap."""
-
-    id: str
-    members: frozenset[str]
-
-    def __post_init__(self) -> None:
-        _check_id("group", self.id)
-        object.__setattr__(self, "members", frozenset(self.members))
-        if not self.members:
-            raise ValueError(f"group {self.id}: members must be nonempty")
-
-
-@dataclass(frozen=True)
 class Instance:
-    """A full problem instance. Group membership must be consistent: a
-    household lists group g in group_ids iff g's member set contains it."""
+    """A full problem instance. Its protected groups are the group ids its
+    households list (`groups`); a group's members are the households listing
+    it."""
 
     households: tuple[Household, ...]
     programs: tuple[Program, ...]
     budget: float
-    groups: tuple[Group, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "households", tuple(self.households))
         object.__setattr__(self, "programs", tuple(self.programs))
-        object.__setattr__(self, "groups", tuple(self.groups))
         _check_budget(self.budget)
         ids = [h.id for h in self.households]
         known = set(ids)
@@ -141,24 +127,10 @@ class Instance:
         pids = [p.id for p in self.programs]
         if len(set(pids)) != len(pids):
             raise ValueError("duplicate program ids")
-        gids = [g.id for g in self.groups]
-        if len(set(gids)) != len(gids):
-            raise ValueError("duplicate group ids")
         for p in self.programs:
             missing = p.covers - known
             if missing:
                 raise ValueError(f"program {p.id} covers unknown households {sorted(missing)}")
-        by_group: dict[str, set[str]] = {g.id: set() for g in self.groups}
-        for h in self.households:
-            for gid in h.group_ids:
-                if gid not in by_group:
-                    raise ValueError(f"household {h.id} lists unknown group {gid}")
-                by_group[gid].add(h.id)
-        for g in self.groups:
-            if g.members - known:
-                raise ValueError(f"group {g.id} has unknown members")
-            if set(g.members) != by_group[g.id]:
-                raise ValueError(f"group {g.id} membership disagrees with household group_ids")
 
     def with_budget(self, budget: float) -> "Instance":
         """This instance at another budget. Only the budget is validated; the
@@ -216,15 +188,16 @@ class Instance:
         return out
 
     @cached_property
+    def groups(self) -> tuple[str, ...]:
+        """The protected group ids the households list, sorted."""
+        return tuple(sorted(set().union(*(h.group_ids for h in self.households))))
+
+    @cached_property
     def group_indices(self) -> tuple[np.ndarray, ...]:
-        """Per group, the sorted household positions of its members."""
-        idx = self.household_index
-        out = []
-        for g in self.groups:
-            arr = np.array(sorted(idx[m] for m in g.members), dtype=int)
-            arr.setflags(write=False)
-            out.append(arr)
-        return tuple(out)
+        """Per group, the ascending household positions of its members: the
+        rows of `group_members`."""
+        bounds, indices = self.group_members.indptr.tolist(), self.group_members.indices
+        return tuple(indices[a:b] for a, b in zip(bounds[:-1], bounds[1:]))
 
     @cached_property
     def coverers(self):
@@ -236,26 +209,28 @@ class Instance:
     @cached_property
     def group_members(self):
         """Group membership: a (groups, households) scipy CSR of ones whose
-        row g marks the members of group g."""
-        members = self.group_indices
-        indices = np.concatenate([np.empty(0, dtype=np.intp), *members])
-        return _ones_csr(np.cumsum([0, *map(len, members)]), indices, len(self.households))
+        row g marks, ascending, the households listing group `groups[g]`."""
+        members: dict[str, list[int]] = {gid: [] for gid in self.groups}
+        for i, h in enumerate(self.households):
+            for gid in h.group_ids:
+                members[gid].append(i)
+        rows = members.values()
+        indices = np.fromiter(chain.from_iterable(rows), dtype=np.intp)
+        return _ones_csr(np.cumsum([0, *map(len, rows)]), indices, len(self.households))
 
     @property
     def group_sizes(self) -> np.ndarray:
         """Member count per group: the row lengths of `group_members`."""
         return np.diff(self.group_members.indptr).astype(np.intp)
 
-    def coverage(self, selections: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Score a (K, programs) bool matrix of selections: `covered[k, i]`
-        tells whether selection k covers household i, and `counts[k, g]` how
-        many members of group g it covers. Hits per household are one product
-        with `coverers`, clamped to 1; counts one product of those with
-        `group_members`."""
+    def coverage(self, selections: np.ndarray) -> np.ndarray:
+        """Score a (K, programs) bool matrix of selections: `counts[k, g]`
+        tells how many members of group g selection k covers. Hits per
+        household are one product with `coverers`, clamped to 1; counts one
+        product of those with `group_members`."""
         hits = self.coverers @ selections.T
         np.minimum(hits, 1, out=hits)
-        counts = self.group_members @ hits
-        return hits.T.astype(bool), counts.T.astype(np.intp)
+        return (self.group_members @ hits).T.astype(np.intp)
 
 
 def _ones_csr(indptr: np.ndarray, indices: np.ndarray, n_columns: int):
@@ -271,6 +246,7 @@ _BUDGET_FREE_CACHES = (
     "costs",
     "program_households",
     "household_programs",
+    "groups",
     "group_indices",
     "coverers",
     "group_members",
@@ -378,11 +354,10 @@ def evaluate(instance: Instance, strategy: DeterministicStrategy) -> StrategyOut
         )
     sel = np.array(strategy.selected, dtype=bool)
     total_cost = float(instance.costs[sel].sum())
-    covered_mask, counts = instance.coverage(sel[np.newaxis])
-    covered = frozenset(h.id for h, c in zip(instance.households, covered_mask[0]) if c)
-    ratios = {
-        g.id: float(c / n) for g, c, n in zip(instance.groups, counts[0], instance.group_sizes)
-    }
+    hits = instance.coverers @ sel
+    covered = frozenset(h.id for h, c in zip(instance.households, hits) if c)
+    counts = instance.coverage(sel[np.newaxis])[0]
+    ratios = {g: float(c / n) for g, c, n in zip(instance.groups, counts, instance.group_sizes)}
     equity = min(ratios.values(), default=1.0)
     return StrategyOutcome(
         strategy=strategy,
@@ -391,12 +366,3 @@ def evaluate(instance: Instance, strategy: DeterministicStrategy) -> StrategyOut
         group_ratios=ratios,
         equity=equity,
     )
-
-
-def derive_groups(households: Sequence[Household]) -> tuple[Group, ...]:
-    """Build the group list implied by household group_ids, sorted by id."""
-    members: dict[str, set[str]] = {}
-    for h in households:
-        for gid in h.group_ids:
-            members.setdefault(gid, set()).add(h.id)
-    return tuple(Group(id=gid, members=frozenset(members[gid])) for gid in sorted(members))

@@ -95,7 +95,7 @@ def opt_deterministic(instance: Instance) -> tuple[StrategyOutcome, float]:
     lexicographically smallest selection."""
     sel = _feasible(instance)
     # evaluate's equity: the minimum group ratio, 1.0 without groups
-    equity = (instance.coverage(sel)[1] / instance.group_sizes).min(axis=1, initial=1.0)
+    equity = (instance.coverage(sel) / instance.group_sizes).min(axis=1, initial=1.0)
     tied = np.flatnonzero(equity == equity.max())
     # Two summation orders of one row's (at most 20) costs differ by under
     # 20 * eps * sum(costs), so a tied row whose matrix-product cost exceeds
@@ -132,7 +132,7 @@ def opt_randomized(instance: Instance) -> tuple[RandomizedStrategy, float]:
         raise InstanceTooLargeError(
             f"distribution LP supports at most {MAX_DISTRIBUTION_ATOMS} atoms, got {k}"
         )
-    ratios = instance.coverage(sel)[1] / instance.group_sizes
+    ratios = instance.coverage(sel) / instance.group_sizes
     n_groups = len(instance.groups)
 
     # variables: [t, q_1..q_{k-1}]

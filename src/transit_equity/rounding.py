@@ -181,7 +181,7 @@ def exact_expectation(
         sel = leaf > 0.5
         cost = float(costs[sel].sum())
         x_mean += prob * leaf
-        y_mean += prob * instance.coverage(sel[np.newaxis])[0][0]
+        y_mean += prob * (instance.coverers @ sel > 0)
         expected_cost += prob * cost
         max_cost = max(max_cost, cost)
         if cost > instance.budget + 1e-9:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 
 from transit_equity.generators import disjoint_singletons_instance
-from transit_equity.model import Group, Household, Instance, Program
+from transit_equity.model import Household, Instance, Program
 
 settings.register_profile("suite", deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -31,11 +31,7 @@ def small_instance():
         Program(id="p2", cost=0.5, covers=frozenset({"b", "c"})),
         Program(id="p3", cost=0.25, covers=frozenset({"d"})),
     )
-    groups = (
-        Group(id="g1", members=frozenset({"a", "b"})),
-        Group(id="g2", members=frozenset({"b", "c"})),
-    )
-    return Instance(households=households, programs=programs, budget=1.5, groups=groups)
+    return Instance(households=households, programs=programs, budget=1.5)
 
 
 @pytest.fixture

@@ -182,7 +182,7 @@ def test_criterion_07_monte_carlo_consistency():
             for t in range(trials):
                 run_rng = np.random.default_rng(np.random.SeedSequence((777, k, t)))
                 outcome = ras(inst, sol, run_rng)
-                ratios[t] = [outcome.group_ratios[g.id] for g in inst.groups]
+                ratios[t] = [outcome.group_ratios[g] for g in inst.groups]
             empirical = float(ratios.mean(axis=0).min())
             se = float((ratios.std(axis=0, ddof=1) / np.sqrt(trials)).max())
             if se == 0.0:

@@ -11,7 +11,6 @@ from transit_equity.lp import build_lp, solve_lp
 from transit_equity.model import (
     AFFORDABILITY_TOL,
     DeterministicStrategy,
-    Group,
     Household,
     Instance,
     Program,
@@ -66,7 +65,6 @@ class TestGreedy:
                 Program(id="one", cost=0.5, covers=frozenset({"a"})),
             ),
             budget=1.0,
-            groups=(Group(id="g", members=frozenset({"a", "b"})),),
         )
         outcome = greedy(inst)
         assert outcome.strategy.selected == (1, 0)
@@ -87,10 +85,6 @@ class TestGreedy:
                 Program(id="p_min", cost=1.0, covers=frozenset({"a", "b"})),
             ),
             budget=1.0,
-            groups=(
-                Group(id="g1", members=frozenset({"a"})),
-                Group(id="g2", members=frozenset({"b", "c", "d"})),
-            ),
         )
         outcome = greedy(inst)
         assert outcome.strategy.selected == (0, 1)
@@ -106,7 +100,6 @@ class TestGreedy:
                 Program(id="cheap", cost=1.0, covers=frozenset({"a"})),
             ),
             budget=1.0,
-            groups=(Group(id="g", members=frozenset({"a", "b"})),),
         )
         outcome = greedy(inst)
         assert outcome.strategy.selected == (0, 1)
@@ -148,15 +141,11 @@ class TestGreedy:
                 )
                 for j in range(n_j)
             )
-            groups = tuple(
-                Group(id=f"g{g}", members=frozenset(f"h{i}" for i in range(n_i) if i % 2 == g))
-                for g in range(2)
-            )
             households = tuple(
                 Household(id=f"h{i}", group_ids=frozenset({f"g{i % 2}"})) for i in range(n_i)
             )
             budget = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
-            inst = Instance(households=households, programs=programs, budget=budget, groups=groups)
+            inst = Instance(households=households, programs=programs, budget=budget)
             assert greedy(inst).strategy == naive_greedy(inst).strategy
 
     def test_without_groups_maximizes_fresh_coverage(self):
@@ -167,7 +156,7 @@ class TestGreedy:
             Program(id="c", cost=0.5, covers=frozenset({"h1", "h2"})),
             Program(id="d", cost=0.5, covers=frozenset({"h3"})),
         )
-        inst = Instance(households=households, programs=programs, budget=1.5, groups=())
+        inst = Instance(households=households, programs=programs, budget=1.5)
         outcome = greedy(inst)
         # "c" ties "a" on fresh count and wins on cost; then "d" (0.5) beats
         # "b" (1.0) on cost, leaving too little for "a" or "b"
@@ -188,7 +177,6 @@ class TestUniform:
             households=(Household(id="a", group_ids=frozenset({"g"})),),
             programs=(Program(id="p", cost=1.0, covers=frozenset({"a"})),),
             budget=1.0,
-            groups=(Group(id="g", members=frozenset({"a"})),),
         )
         for seed in range(5):
             assert uniform(inst, seed).strategy.selected == (1,)
@@ -217,7 +205,7 @@ class TestUniform:
             Program(id=f"p{k}", cost=c, covers=frozenset({f"h{k % 4}"}))
             for k, c in enumerate((1.0, 0.8, 0.6, 0.4, 0.2))
         )
-        inst = Instance(households=households, programs=programs, budget=1.5, groups=())
+        inst = Instance(households=households, programs=programs, budget=1.5)
 
         def naive(seed):
             rng = np.random.default_rng(seed)
@@ -253,7 +241,7 @@ class TestUniform:
         programs = tuple(
             Program(id=f"p{k}", cost=0.01, covers=frozenset({f"h{k % 3}"})) for k in range(30)
         )
-        inst = Instance(households=households, programs=programs, budget=100.0, groups=())
+        inst = Instance(households=households, programs=programs, budget=100.0)
         outcome = uniform(inst, 11)
         assert len(outcome.covered) == 3
         assert sum(outcome.strategy.selected) < 30

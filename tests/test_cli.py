@@ -1,6 +1,7 @@
 import csv
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +17,7 @@ from transit_equity.geo import (
     write_transit_stops,
 )
 from transit_equity.instance_io import write_instance
-from transit_equity.model import Group, Household, Instance, Program
+from transit_equity.model import Household, Instance, Program
 
 
 @pytest.fixture
@@ -291,7 +292,6 @@ class TestInputErrors:
             households=households,
             programs=programs,
             budget=2.0,
-            groups=(Group(id="g", members=frozenset({"a"})),),
         )
         write_instance(inst, tmp_path / "inst")
         code = run_cli(["oracle", "--instance", str(tmp_path / "inst")])
@@ -310,7 +310,6 @@ class TestInputErrors:
             households=households,
             programs=programs,
             budget=20.0,
-            groups=(Group(id="g", members=frozenset(h.id for h in households)),),
         )
         write_instance(inst, tmp_path / "inst")
         code = run_cli(["oracle", "--instance", str(tmp_path / "inst")])
@@ -323,6 +322,23 @@ class TestInputErrors:
 
     def test_missing_instance_dir(self, tmp_path, capsys):
         code = run_cli(["greedy", "--instance", str(tmp_path / "absent")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_short_row_is_one_line_error(self, instance_dir, capsys):
+        path = Path(instance_dir) / "programs.csv"
+        with path.open("a", newline="", encoding="utf-8") as fh:
+            fh.write("p9,1.0,bus_line\r\n")
+        code = run_cli(["solve-lp", "--instance", instance_dir])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: line 4 has 3 fields, expected 4\n"
+
+    def test_nul_in_instance_file_is_one_line_error(self, instance_dir, capsys):
+        # Python 3.10's csv reader rejects the line, 3.11's the household id
+        path = Path(instance_dir) / "households.csv"
+        path.write_text(path.read_text(encoding="utf-8").replace("a,", "a\x00,"), encoding="utf-8")
+        code = run_cli(["solve-lp", "--instance", instance_dir])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

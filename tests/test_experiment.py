@@ -21,7 +21,7 @@ from transit_equity.geo import CostParams, SyntheticCityParams
 from transit_equity.instance_io import write_instance
 from transit_equity.rounding import ras
 from transit_equity.lp import build_lp, solve_lp
-from transit_equity.model import Group, Household, Instance, Program, normalize
+from transit_equity.model import Household, Instance, Program, normalize
 
 TINY_CITY = SyntheticCityParams(n_households=400, grid_rows=6, grid_cols=6)
 
@@ -168,7 +168,6 @@ def test_identical_trials_mean_exactly_their_ratio():
         ),
         programs=(Program(id="p", cost=1.0, covers=frozenset(ids[:15])),),
         budget=1.0,
-        groups=(Group(id="g", members=frozenset(ids)), Group(id="k", members=frozenset(ids[:15]))),
     )
     stats = run_trials(inst, np.ones((1000, 1), dtype=bool))
     assert stats.group_means.tolist() == [15 / 29, 1.0]
@@ -188,7 +187,6 @@ def test_group_spread_is_the_exact_sample_deviation():
         programs=(Program(id="p", cost=1.0, covers=frozenset({"a"})),
                   Program(id="q", cost=1.0, covers=frozenset({"b", "c"}))),
         budget=2.0,
-        groups=(Group(id="g", members=frozenset(ids)),),
     )
     selections = np.array([[0, 0], [1, 0], [1, 0], [1, 1]], dtype=bool)
     stats = run_trials(inst, selections)

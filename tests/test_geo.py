@@ -316,8 +316,8 @@ class TestBuildInstance:
     def test_groups_partition_by_race(self):
         households, routes = self.make_routes_and_households()
         inst = build_instance(households, routes, budget=5e5, guideline=GUIDELINE)
-        assert {g.id for g in inst.groups} == {"race:blue", "race:green"}
-        assert all(len(g.members) == 6 for g in inst.groups)
+        assert inst.groups == ("race:blue", "race:green")
+        assert inst.group_sizes.tolist() == [6, 6]
 
     def test_bus_only_has_no_virtuals(self):
         households, routes = self.make_routes_and_households()

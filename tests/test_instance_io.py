@@ -1,15 +1,16 @@
+import csv
 import tempfile
 
 import pytest
 from hypothesis import given, strategies as st
 
+from transit_equity import instance_io
 from transit_equity.instance_io import read_instance, write_instance
 from transit_equity.model import (
     Household,
     Instance,
     Program,
     ProgramKind,
-    derive_groups,
     inject_ride_hailing,
 )
 
@@ -88,7 +89,6 @@ def adversarial_instances(draw):
         households=households,
         programs=programs,
         budget=draw(st.floats(0, 1e7)),
-        groups=derive_groups(households),
     )
     return inject_ride_hailing(instance) if draw(st.booleans()) else instance
 
@@ -98,3 +98,44 @@ def test_round_trip_with_adversarial_ids(instance):
     with tempfile.TemporaryDirectory() as tmp:
         write_instance(instance, tmp)
         assert read_instance(tmp) == instance
+
+
+def test_round_trip_past_the_csv_default_field_limit(tmp_path):
+    # one program covering 9,000 households with 17-character ids: its covers
+    # field is past the csv module's default limit of 131,072 characters
+    ids = [f"household{k:08d}" for k in range(9000)]
+    instance = Instance(
+        households=tuple(Household(id=h, group_ids=frozenset({"g"})) for h in ids),
+        programs=(Program(id="p", cost=1.0, covers=frozenset(ids)),),
+        budget=1.0,
+    )
+    limit = csv.field_size_limit()
+    write_instance(instance, tmp_path)
+    assert (tmp_path / "programs.csv").stat().st_size > 131072
+    assert read_instance(tmp_path) == instance
+    assert csv.field_size_limit() == limit
+
+
+def test_csv_errors_name_the_file(tmp_path, small_instance, monkeypatch):
+    write_instance(small_instance, tmp_path)
+    limit = csv.field_size_limit()
+    monkeypatch.setattr(instance_io, "FIELD_SIZE_LIMIT", 4)
+    with pytest.raises(ValueError, match=r"households\.csv: field larger than field limit"):
+        read_instance(tmp_path)
+    assert csv.field_size_limit() == limit
+    monkeypatch.undo()
+    (tmp_path / "meta.csv").write_bytes(b"budget\n\xff\n")
+    with pytest.raises(ValueError, match=r"meta\.csv: 'utf-8' codec can't decode"):
+        read_instance(tmp_path)
+
+
+def test_blank_lines_skipped_and_long_rows_rejected(tmp_path, small_instance):
+    write_instance(small_instance, tmp_path)
+    path = tmp_path / "programs.csv"
+    with path.open("a", newline="", encoding="utf-8") as fh:
+        fh.write("\r\n")
+    assert read_instance(tmp_path) == small_instance
+    with path.open("a", newline="", encoding="utf-8") as fh:
+        fh.write("p9,1.0,bus_line,a,extra\r\n")
+    with pytest.raises(ValueError, match=r"programs\.csv: line 6 has 5 fields, expected 4"):
+        read_instance(tmp_path)

@@ -26,11 +26,9 @@ from transit_equity.lp import (
 )
 from transit_equity.model import (
     DeterministicStrategy,
-    Group,
     Household,
     Instance,
     Program,
-    derive_groups,
     evaluate,
     inject_ride_hailing,
 )
@@ -55,7 +53,6 @@ class TestBuildLp:
             households=(Household(id="a"), Household(id="b")),
             programs=(Program(id="p", cost=1.0, covers=frozenset({"a"})),),
             budget=1.0,
-            groups=(),
         )
         model = build_lp(inst)
         cover_b = [r for r in model.rows if r.label == "cover:b"][0]
@@ -83,7 +80,6 @@ class TestSolveLp:
             households=(Household(id="a", group_ids=frozenset({"g"})),),
             programs=(Program(id="p", cost=1.0, covers=frozenset({"a"})),),
             budget=1.0,
-            groups=(Group(id="g", members=frozenset({"a"})),),
         )
         sol = solve_lp(build_lp(inst))
         assert sol.objective == pytest.approx(1.0, abs=1e-7)
@@ -180,7 +176,7 @@ def cloned_instance(rng):
     ]
     households += [
         Household(id="loner"),
-        Household(id="stranded", group_ids=frozenset({base.groups[0].id})),
+        Household(id="stranded", group_ids=frozenset({base.groups[0]})),
     ]
     programs = [
         dataclasses.replace(
@@ -194,7 +190,6 @@ def cloned_instance(rng):
         households=tuple(households),
         programs=tuple(programs),
         budget=base.budget,
-        groups=derive_groups(households),
     )
 
 
@@ -225,7 +220,6 @@ def ride_hail_instance(rng, *, equal_tiers):
             households=tuple(households),
             programs=(solo,) + inst.programs,
             budget=inst.budget,
-            groups=derive_groups(households),
         )
     )
 

@@ -8,7 +8,6 @@ from transit_equity.generators import random_instance
 from transit_equity.model import (
     BudgetTooSmallError,
     DeterministicStrategy,
-    Group,
     Household,
     Instance,
     Program,
@@ -24,8 +23,7 @@ def make_instance(costs, budget):
     programs = tuple(
         Program(id=f"p{k}", cost=c, covers=frozenset({"h0"})) for k, c in enumerate(costs)
     )
-    groups = (Group(id="g", members=frozenset({"h0"})),)
-    return Instance(households=households, programs=programs, budget=budget, groups=groups)
+    return Instance(households=households, programs=programs, budget=budget)
 
 
 class TestValidation:
@@ -50,17 +48,12 @@ class TestValidation:
                 kind=ProgramKind.VIRTUAL_RIDE_HAIL,
             )
 
-    def test_empty_group_rejected(self):
-        with pytest.raises(ValueError):
-            Group(id="g", members=frozenset())
-
     def test_unknown_cover_rejected(self):
         with pytest.raises(ValueError, match="unknown households"):
             Instance(
                 households=(Household(id="a"),),
                 programs=(Program(id="p", cost=1.0, covers=frozenset({"zzz"})),),
                 budget=1.0,
-                groups=(),
             )
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -84,8 +77,6 @@ class TestValidation:
             Household(id=bad)
         with pytest.raises(ValueError, match="program id must be nonempty"):
             Program(id=bad, cost=1.0, covers=frozenset({"a"}))
-        with pytest.raises(ValueError, match="group id must be nonempty"):
-            Group(id=bad, members=frozenset({"a"}))
 
     def test_nul_in_ids_rejected(self):
         # Python 3.10's csv writer cannot write NUL, so such an id would not round-trip
@@ -93,8 +84,11 @@ class TestValidation:
             Household(id="a\x00b")
         with pytest.raises(ValueError, match="program id .* NUL"):
             Program(id="\x00", cost=1.0, covers=frozenset({"a"}))
-        with pytest.raises(ValueError, match="group id .* NUL"):
-            Group(id="g\x00", members=frozenset({"a"}))
+
+    @pytest.mark.parametrize("bad", ["", "a;b", ";", "\x00"])
+    def test_bad_group_ids_rejected(self, bad):
+        with pytest.raises(ValueError, match="group id must be nonempty"):
+            Household(id="h", group_ids=frozenset({"g", bad}))
 
     def test_reserved_prefix_rejected_on_bus_lines(self):
         with pytest.raises(ValueError, match="reserved"):
@@ -103,15 +97,6 @@ class TestValidation:
             id="ride-hail:a", cost=1.0, covers=frozenset({"a"}), kind=ProgramKind.VIRTUAL_RIDE_HAIL
         )
         assert virtual.id == "ride-hail:a"
-
-    def test_group_membership_consistency(self):
-        with pytest.raises(ValueError, match="disagrees"):
-            Instance(
-                households=(Household(id="a"),),
-                programs=(),
-                budget=1.0,
-                groups=(Group(id="g", members=frozenset({"a"})),),
-            )
 
 
 class TestNormalize:
@@ -146,7 +131,7 @@ class TestNormalize:
         assert norm.households[0].ride_hail_cost == 0.5
 
     def test_rejects_empty_program_list(self):
-        inst = Instance(households=(Household(id="a"),), programs=(), budget=1.0, groups=())
+        inst = Instance(households=(Household(id="a"),), programs=(), budget=1.0)
         with pytest.raises(ValueError, match="no programs"):
             normalize(inst)
 
@@ -182,8 +167,8 @@ class TestWithBudget:
         copy = small_instance.with_budget(0.75)
         assert copy.budget == 0.75 and small_instance.budget == 1.5
         assert copy == dataclasses.replace(small_instance, budget=0.75)
-        for name in ("costs", "program_households", "household_programs", "group_indices",
-                     "household_index", "coverers", "group_members"):
+        for name in ("costs", "program_households", "household_programs", "groups",
+                     "group_indices", "household_index", "coverers", "group_members"):
             assert getattr(copy, name) is getattr(small_instance, name)
         assert copy.with_budget(2.0).costs is small_instance.costs
 
@@ -243,7 +228,6 @@ class TestIncidence:
                 Program(id="p0", cost=1.0, covers=frozenset({"c", "a", "b"})),
             ),
             budget=1.0,
-            groups=(),
         )
         for _ in range(40):
             yield random_instance(rng, max_households=8, max_programs=8)
@@ -283,7 +267,10 @@ class TestIncidence:
                     if v:
                         covered |= p.covers
                 assert outcome.covered == frozenset(covered)
-                ratios = {g.id: len(g.members & covered) / len(g.members) for g in inst.groups}
+                members = {
+                    g: {h.id for h in inst.households if g in h.group_ids} for g in inst.groups
+                }
+                ratios = {g: len(m & covered) / len(m) for g, m in members.items()}
                 assert outcome.group_ratios == ratios
                 assert outcome.equity == min(ratios.values(), default=1.0)
                 cost = sum(p.cost for v, p in zip(selected, inst.programs) if v)
@@ -343,6 +330,5 @@ def test_no_groups_means_vacuous_equity():
         households=(Household(id="a"),),
         programs=(Program(id="p", cost=1.0, covers=frozenset({"a"})),),
         budget=1.0,
-        groups=(),
     )
     assert evaluate(inst, DeterministicStrategy((0,))).equity == 1.0

@@ -10,11 +10,9 @@ from transit_equity.lp import build_lp, solve_lp
 from transit_equity.model import (
     AFFORDABILITY_TOL,
     DeterministicStrategy,
-    Group,
     Household,
     Instance,
     Program,
-    derive_groups,
     evaluate,
 )
 from transit_equity.oracles import (
@@ -58,7 +56,7 @@ class TestEnumerateFeasible:
         programs = tuple(
             Program(id=f"p{k}", cost=1.0, covers=frozenset({"a"})) for k in range(21)
         )
-        inst = Instance(households=households, programs=programs, budget=1.0, groups=())
+        inst = Instance(households=households, programs=programs, budget=1.0)
         with pytest.raises(InstanceTooLargeError):
             enumerate_feasible(inst)
 
@@ -83,7 +81,6 @@ class TestOptDeterministic:
             households=(Household(id="a", group_ids=frozenset({"g"})),),
             programs=(Program(id="p", cost=1.0, covers=frozenset({"a"})),),
             budget=1.0,
-            groups=(Group(id="g", members=frozenset({"a"})),),
         )
         outcome, value = opt_deterministic(inst)
         assert value == 1.0
@@ -141,7 +138,6 @@ class TestOptRandomized:
                 Program(id="b", cost=1.0, covers=frozenset(ids[256:])),
             ),
             budget=1.0,
-            groups=(Group(id="g", members=frozenset(ids)),),
         )
         strategy, value = opt_randomized(inst)
         assert value == pytest.approx(256 / 257, abs=1e-12)
@@ -154,7 +150,7 @@ class TestOptRandomized:
             inst = random_instance(rng, max_programs=7)
             space = enumerate_feasible(inst)
             outcomes = [evaluate(inst, DeterministicStrategy(row)) for row in space.selections]
-            ratios = np.array([[o.group_ratios[g.id] for g in inst.groups] for o in outcomes])
+            ratios = np.array([[o.group_ratios[g] for g in inst.groups] for o in outcomes])
             _, value = opt_randomized(inst)
             uniform_value = float(ratios.mean(axis=0).min())
             assert value >= uniform_value - 1e-9
@@ -167,7 +163,7 @@ class TestOptRandomized:
         for _ in range(8):
             inst = random_instance(rng, max_programs=7)
             strategy, value = opt_randomized(inst)
-            mix = {g.id: 0.0 for g in inst.groups}
+            mix = {g: 0.0 for g in inst.groups}
             for atom, weight in strategy.atoms:
                 outcome = evaluate(inst, atom)
                 for gid, r in outcome.group_ratios.items():
@@ -199,9 +195,14 @@ def naive_feasible(instance):
 
 
 def naive_ratios(instance, selected):
-    """Each group's coverage ratio under a selection, from the programs' cover sets."""
+    """Each group's coverage ratio under a selection, in group id order, from
+    the programs' cover sets and the households' group ids."""
     covered = frozenset().union(*(p.covers for p, s in zip(instance.programs, selected) if s))
-    return [len(covered & g.members) / len(g.members) for g in instance.groups]
+    members = {}
+    for h in instance.households:
+        for gid in h.group_ids:
+            members.setdefault(gid, set()).add(h.id)
+    return [len(covered & members[gid]) / len(members[gid]) for gid in sorted(members)]
 
 
 def naive_opt_deterministic(instance):
@@ -222,7 +223,7 @@ def naive_opt_randomized(instance):
     sets, with q_0 = 1 - sum_{k>=1} q_k substituted as `opt_randomized` does."""
     selections = naive_feasible(instance)
     ratios = [naive_ratios(instance, s) for s in selections]
-    n_groups, n_atoms = len(instance.groups), len(selections)
+    n_groups, n_atoms = len(ratios[0]), len(selections)
     c = np.zeros(n_atoms)
     c[0] = 1.0
     rows = np.zeros((n_groups + 1, n_atoms))
@@ -244,10 +245,10 @@ def naive_opt_randomized(instance):
 def equality_form_value(instance):
     """scipy's optimum of the distribution LP as stated, with sum_k q_k = 1
     kept as an equality row."""
-    if not instance.groups:
-        return 1.0
     ratios = np.array([naive_ratios(instance, s) for s in naive_feasible(instance)])
     n_atoms, n_groups = ratios.shape
+    if not n_groups:
+        return 1.0
     result = linprog(
         np.r_[-1.0, np.zeros(n_atoms)],
         A_ub=np.column_stack([np.ones(n_groups), -ratios.T]),
@@ -285,9 +286,7 @@ def tie_heavy_instance(rng):
         for j in range(n_j)
     )
     budget = float(rng.choice([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]))
-    return Instance(
-        households=households, programs=programs, budget=budget, groups=derive_groups(households)
-    )
+    return Instance(households=households, programs=programs, budget=budget)
 
 
 def tie_heavy_suite():
@@ -325,7 +324,7 @@ class TestMatchesNaiveReference:
             weights = np.array([w for _, w in strategy.atoms])
             assert (weights >= 0).all()
             assert abs(weights.sum() - 1.0) <= 1e-12
-            expected = {g.id: 0.0 for g in inst.groups}
+            expected = {g: 0.0 for g in inst.groups}
             for atom, weight in strategy.atoms:
                 for gid, r in evaluate(inst, atom).group_ratios.items():
                     expected[gid] += weight * r

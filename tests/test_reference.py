@@ -59,16 +59,14 @@ from transit_equity.geo import (
     synthetic_city,
 )
 from transit_equity.instance_io import read_instance, write_instance
-from transit_equity.lp import LpRow, build_lp, solve_lp, verify_solution
+from transit_equity.lp import FractionalSolution, LpRow, build_lp, solve_lp, verify_solution
 from transit_equity.model import (
     AFFORDABILITY_TOL,
     BudgetTooSmallError,
-    Group,
     Household,
     Instance,
     Program,
     ProgramKind,
-    derive_groups,
     inject_ride_hailing,
     normalize,
 )
@@ -95,6 +93,16 @@ def naive_normalize(instance, allow_small_budget):
     )
 
 
+def naive_members(instance):
+    """Each group's member ids, keyed by group id in sorted order, read off
+    the households' group ids."""
+    members = {}
+    for h in instance.households:
+        for gid in h.group_ids:
+            members.setdefault(gid, set()).add(h.id)
+    return {gid: frozenset(members[gid]) for gid in sorted(members)}
+
+
 def naive_lp_rows(instance):
     """The benchmark LP's rows from the coverage and membership sets."""
     n_j = len(instance.programs)
@@ -117,11 +125,11 @@ def naive_lp_rows(instance):
                 rhs=0.0,
             )
         )
-    for g in instance.groups:
-        members = sorted(position[m] for m in g.members)
+    for gid, group in naive_members(instance).items():
+        members = sorted(position[m] for m in group)
         rows.append(
             LpRow(
-                label=f"equity:{g.id}",
+                label=f"equity:{gid}",
                 indices=(0, *(1 + n_j + i for i in members)),
                 coefficients=(1.0,) + (-1.0 / len(members),) * len(members),
                 rhs=0.0,
@@ -172,7 +180,7 @@ class NaiveOutcome:
 def naive_outcome(instance, selected):
     sel = np.asarray(selected, dtype=bool)
     covered = frozenset().union(*(p.covers for p, s in zip(instance.programs, sel) if s))
-    ratios = {g.id: len(covered & g.members) / len(g.members) for g in instance.groups}
+    ratios = {gid: len(covered & m) / len(m) for gid, m in naive_members(instance).items()}
     return NaiveOutcome(
         selected=tuple(int(v) for v in sel),
         total_cost=float(instance.costs[sel].sum()),
@@ -204,8 +212,8 @@ def naive_group_means(instance, outcomes):
     trials x group size; 1.0 without groups."""
     return np.array(
         [
-            sum(len(o.covered & g.members) for o in outcomes) / (len(outcomes) * len(g.members))
-            for g in instance.groups
+            sum(len(o.covered & m) for o in outcomes) / (len(outcomes) * len(m))
+            for m in naive_members(instance).values()
         ]
         or [1.0]
     )
@@ -215,8 +223,8 @@ def naive_group_stds(instance, outcomes):
     """Per group, the sample standard deviation of its exact ratios (Fractions)
     over the trials; 0 for one trial."""
     columns = [
-        [Fraction(len(o.covered & g.members), len(g.members)) for o in outcomes]
-        for g in instance.groups
+        [Fraction(len(o.covered & m), len(m)) for o in outcomes]
+        for m in naive_members(instance).values()
     ] or [[Fraction(1)] * len(outcomes)]
     return np.sqrt(
         [float(statistics.variance(c)) if len(c) > 1 else 0.0 for c in columns]
@@ -337,7 +345,6 @@ def uncovered_household():
             Program(id="q", cost=0.5, covers=frozenset({"b"})),
         ),
         budget=1.0,
-        groups=(Group(id="g", members=frozenset("abc")),),
     )
 
 
@@ -346,7 +353,6 @@ def no_groups():
         households=tuple(Household(id=h) for h in "ab"),
         programs=(Program(id="p", cost=1.0, covers=frozenset({"b", "a"})),),
         budget=1.0,
-        groups=(),
     )
 
 
@@ -363,7 +369,6 @@ def overlapping_groups():
             Program(id="q", cost=1.0, covers=frozenset({"y", "z"})),
         ),
         budget=1.0,
-        groups=derive_groups(households),
     )
 
 
@@ -375,13 +380,78 @@ class TestCoverageScorer:
         instances += [random_instance(rng, max_households=12, max_programs=10) for _ in range(12)]
         for instance in instances:
             selections = rng.random((k, len(instance.programs))) < rng.random()
-            covered, counts = instance.coverage(selections)
-            assert covered.dtype == bool and covered.shape == (k, len(instance.households))
-            assert counts.dtype.kind == "i" and counts.shape == (k, len(instance.groups))
-            for row, mask, count in zip(selections, covered, counts):
-                outcome = naive_outcome(instance, row)
-                assert [h.id in outcome.covered for h in instance.households] == mask.tolist()
-                assert [len(outcome.covered & g.members) for g in instance.groups] == count.tolist()
+            counts = instance.coverage(selections)
+            members = naive_members(instance)
+            assert counts.dtype.kind == "i" and counts.shape == (k, len(members))
+            for row, count in zip(selections, counts):
+                covered = naive_outcome(instance, row).covered
+                assert [len(covered & m) for m in members.values()] == count.tolist()
+
+
+
+class TestGroupMembership:
+    def test_matches_household_group_ids(self):
+        rng = np.random.default_rng(11)
+        instances = [uncovered_household(), no_groups(), overlapping_groups()]
+        instances += [random_instance(rng, max_households=12, max_groups=6) for _ in range(40)]
+        for instance in instances:
+            members = naive_members(instance)
+            position = {h.id: i for i, h in enumerate(instance.households)}
+            rows = [sorted(position[m] for m in group) for group in members.values()]
+            assert instance.groups == tuple(members)
+            matrix = instance.group_members
+            assert matrix.shape == (len(rows), len(instance.households))
+            bounds = matrix.indptr.tolist()
+            assert [matrix.indices[a:b].tolist() for a, b in zip(bounds, bounds[1:])] == rows
+            assert matrix.data.tolist() == [1] * sum(map(len, rows))
+            assert [m.tolist() for m in instance.group_indices] == rows
+            assert instance.group_sizes.tolist() == list(map(len, rows))
+
+
+def naive_violations(instance, solution, tol):
+    """`verify_solution`'s checks one row at a time: each household's cover
+    summed over the programs covering it, in program order, and each group's
+    members from the households' group ids."""
+    x, y, t = solution.x_star, solution.y_star, solution.objective
+    out = []
+    used = float(np.dot(instance.costs, x))
+    if used > instance.budget + tol:
+        out.append(("budget", used - instance.budget))
+    for i, h in enumerate(instance.households):
+        excess = y[i] - sum(x[j] for j, p in enumerate(instance.programs) if h.id in p.covers)
+        if excess > tol:
+            out.append((f"cover:{h.id}", float(excess)))
+    position = {h.id: i for i, h in enumerate(instance.households)}
+    for gid, group in naive_members(instance).items():
+        ratio = float(np.mean([y[i] for i in sorted(position[m] for m in group)]))
+        if t - ratio > tol:
+            out.append((f"equity:{gid}", float(t - ratio)))
+    for name, vec in (("x", x), ("y", y)):
+        if -min(vec, default=0.0) > tol:
+            out.append((f"box:{name}>=0", float(-min(vec))))
+        if max(vec, default=1.0) - 1.0 > tol:
+            out.append((f"box:{name}<=1", float(max(vec) - 1.0)))
+    return out
+
+
+class TestVerifySolution:
+    def test_matches_row_by_row_checks(self):
+        rng = np.random.default_rng(5)
+        kinds = set()
+        for _ in range(60):
+            instance = random_instance(rng, max_households=12, max_programs=10, max_groups=5)
+            solution = solve_lp(build_lp(instance))
+            for scale in (0.0, 0.05, 0.3):
+                bad = FractionalSolution(
+                    x_star=solution.x_star + scale * rng.uniform(-1, 1, solution.x_star.size),
+                    y_star=solution.y_star + scale * rng.uniform(-1, 1, solution.y_star.size),
+                    objective=solution.objective + scale * rng.uniform(-1, 1),
+                )
+                found = [(v.row, v.amount) for v in verify_solution(instance, bad, tol=1e-9)]
+                assert found == naive_violations(instance, bad, 1e-9)
+                assert scale or not found
+                kinds |= {row.split(":")[0] for row, _ in found}
+        assert kinds == {"budget", "cover", "equity", "box"}
 
 
 def assert_lp_equals_row_built(instance):
@@ -715,7 +785,6 @@ def naive_build_instance(households, routes, budget, guideline, group_by="race",
         households=tuple(model_households),
         programs=tuple(programs),
         budget=float(budget),
-        groups=derive_groups(model_households),
     )
 
 

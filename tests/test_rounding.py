@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from transit_equity.generators import random_instance
 from transit_equity.lp import build_lp, solve_lp
-from transit_equity.model import Group, Household, Instance, Program
+from transit_equity.model import Household, Instance, Program
 from transit_equity.rounding import (
     _step,
     _values_of,
@@ -151,7 +151,6 @@ class TestRas:
                 for k, h in enumerate(households)
             ),
             budget=2.0,
-            groups=(Group(id="g", members=frozenset({"a", "b", "c"})),),
         )
         x = np.array([1.0, 0.4, 0.6])
         outcomes = {ras(inst, x, seed).strategy.selected for seed in range(60)}
@@ -176,7 +175,6 @@ class TestRas:
                 Program(id="paid", cost=1.0, covers=frozenset({"a"})),
             ),
             budget=1.0,
-            groups=(Group(id="g", members=frozenset({"a"})),),
         )
         for seed in range(5):
             assert ras(inst, np.array([0.3, 0.5]), seed).strategy.selected[0] == 1
@@ -208,7 +206,6 @@ class TestExactExpectation:
                 for k, h in enumerate(households)
             ),
             budget=2.0,
-            groups=tuple(Group(id=h.id, members=frozenset({h.id})) for h in households),
         )
         stats = exact_expectation(inst, np.array([0.5, 0.5, 0.5]))
         assert stats.y_mean == pytest.approx([0.5, 0.5, 0.5], abs=1e-12)
@@ -218,7 +215,7 @@ class TestExactExpectation:
         programs = tuple(
             Program(id=f"p{k}", cost=1.0, covers=frozenset({"a"})) for k in range(25)
         )
-        inst = Instance(households=households, programs=programs, budget=30.0, groups=())
+        inst = Instance(households=households, programs=programs, budget=30.0)
         with pytest.raises(ValueError, match="at most 24"):
             exact_expectation(inst, np.full(25, 0.5))
 
