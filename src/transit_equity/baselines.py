@@ -17,11 +17,82 @@ programs that fit. The budget is subtracted in pick order either way.
 
 from __future__ import annotations
 
+import heapq
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .model import AFFORDABILITY_TOL, DeterministicStrategy, Instance, StrategyOutcome, evaluate
+
+
+@dataclass(frozen=True)
+class _GreedyTables:
+    """What `greedy` starts from at any budget. Programs covering two or more
+    households are the multi programs, numbered m = 0..M-1 in program order;
+    each other program covers one household and waits in the queue of that
+    household's group signature."""
+
+    rank: np.ndarray  # per program, its position in id order
+    group_sizes: tuple[int, ...]
+    household_groups: tuple[tuple[int, ...], ...]  # per household, its group indices
+    multi: np.ndarray  # the program index of each multi program
+    membership: np.ndarray  # (groups, households) float64 0/1
+    multi_members: np.ndarray  # (groups, M) float64: the members of g that m covers
+    multi_coverers: tuple[np.ndarray, np.ndarray]  # CSR: per household, the m covering it
+    # per signature: the positions of its equity's terms in greedy's `ratios`
+    # and its programs as (cost, rank, program, household), ascending
+    queues: tuple[tuple[tuple[int, ...], tuple[tuple[float, int, int, int], ...]], ...]
+    singles: tuple[tuple[tuple[float, int, int], ...], ...]  # per household, (cost, rank, program)
+
+
+def _greedy_tables(instance: Instance) -> _GreedyTables:
+    """The instance's `_GreedyTables`, built once and shared by its
+    `with_budget` copies through `Instance._derived`."""
+    derived = instance._derived
+    if "greedy" not in derived:
+        n_j, n_groups = len(instance.programs), len(instance.groups)
+        rank = np.empty(n_j, dtype=int)
+        rank[np.argsort([p.id for p in instance.programs], kind="stable")] = np.arange(n_j)
+        cover_ptr, cover_idx = instance.program_households
+        cover_sizes = np.diff(cover_ptr)
+        multi = np.flatnonzero(cover_sizes > 1)
+        members = instance.group_members
+        coverers = instance.coverers[:, multi].tocsr()
+        household_groups: list[list[int]] = [[] for _ in instance.households]
+        bounds = members.indptr.tolist()
+        for g, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            for i in members.indices[a:b].tolist():
+                household_groups[i].append(g)
+        by_signature: dict[tuple[int, ...], list] = {}
+        singles: list[list] = [[] for _ in instance.households]
+        costs, ranks = instance.costs.tolist(), rank.tolist()
+        for j in np.flatnonzero(cover_sizes == 1).tolist():
+            i = int(cover_idx[cover_ptr[j]])
+            by_signature.setdefault(tuple(household_groups[i]), []).append(
+                (costs[j], ranks[j], j, i)
+            )
+            singles[i].append((costs[j], ranks[j], j))
+        queues = tuple(
+            (
+                tuple(g for g in range(n_groups) if g not in signature)
+                + tuple(n_groups + g for g in signature),
+                tuple(sorted(entries)),
+            )
+            for signature, entries in by_signature.items()
+        )
+        derived["greedy"] = _GreedyTables(
+            rank=rank,
+            group_sizes=tuple(instance.group_sizes.tolist()),
+            household_groups=tuple(map(tuple, household_groups)),
+            multi=multi,
+            membership=members.toarray().astype(float),
+            multi_members=(members @ coverers).toarray().astype(float),
+            multi_coverers=(coverers.indptr.astype(np.intp), coverers.indices.astype(np.intp)),
+            queues=queues,
+            singles=tuple(map(tuple, singles)),
+        )
+    return derived["greedy"]
 
 
 def greedy(instance: Instance) -> StrategyOutcome:
@@ -30,70 +101,139 @@ def greedy(instance: Instance) -> StrategyOutcome:
     Ties are broken by larger newly-covered household count, then lower cost,
     then lexicographically smallest program id, making the result fully
     deterministic. Programs too expensive for the remaining budget are
-    skipped, not terminal. Every pick rescans all affordable programs: the
-    max-min gain is not submodular, so a lazy (stale-bound) greedy would not
-    pick the same programs.
+    skipped, not terminal.
+
+    Every pick is the best of all unselected affordable programs, an exact
+    full rescan: the max-min gain is not submodular, so a lazy greedy with
+    stale bounds would not pick the same programs. The rescan scores a few
+    representatives, which three exact facts allow:
+
+    - While its household is uncovered, a single-household program newly
+      covers one household, and its new equity depends only on that
+      household's set of groups, its signature. All such programs of one
+      signature tie on both, so only the first of them in (cost, id) order
+      can win: the head of the signature's queue.
+    - A program that covers no uncovered household, single or not, newly
+      covers none and leaves the equity as it is. Only the first of these
+      spent programs in (cost, id) order can win: the top of one heap.
+    - The remaining budget only shrinks, so a program that no longer fits
+      never fits again and is dropped.
+
+    The multi-household programs that still cover an uncovered household are
+    scored one by one, with the gains kept in numpy. Every equity is the
+    same division of the same integer counts as in a full rescan, so it
+    compares the same floats.
     """
-    n_j = len(instance.programs)
+    tables = _greedy_tables(instance)
     n_i = len(instance.households)
-    costs = instance.costs
+    sizes = tables.group_sizes
     cover_ptr, cover_idx = instance.program_households
-    coverer_ptr, coverer_idx = instance.household_programs
-    n_groups = len(instance.groups)
-    # float64 like the counts below: mixed-dtype in-place updates are slower
-    membership = instance.group_members.toarray().astype(float)
-    group_sizes = membership.sum(axis=1, keepdims=True)
-    id_rank = np.empty(n_j, dtype=int)
-    id_rank[np.argsort([p.id for p in instance.programs], kind="stable")] = np.arange(n_j)
+    coverer_ptr, coverer_idx = tables.multi_coverers
+    membership = tables.membership
+    household_groups = tables.household_groups
+    singles = tables.singles
 
-    # uncovered[g, j]: members of g that j would newly cover; fresh[j]: newly
-    # covered households overall. Both are maintained incrementally as
-    # coverage grows; every count is an integer, so the float arithmetic on
-    # them is exact.
-    fresh = np.diff(cover_ptr)
-    uncovered = (instance.group_members @ instance.coverers).toarray().astype(float)
-    covered_count = np.zeros((n_groups, 1))
-    ratios = np.empty((n_groups, n_j))
-    new_equity = np.ones(n_j)
+    # gain[g, m]: members of g covered once m is picked; fresh[m]: households m
+    # newly covers. Both are integers, so the float arithmetic on them is
+    # exact. live[m]: m is unselected, affordable and fresh; n_live counts
+    # them as of the last scoring, and once it reads 0 no multi program can
+    # be picked again.
+    multi = tables.multi
+    multi_costs = instance.costs[multi]
+    multi_ranks = tables.rank[multi]
+    gain = tables.multi_members.copy()
+    fresh = np.diff(cover_ptr)[multi]
+    live = np.ones(multi.size, dtype=bool)
+    n_live = multi.size
+    size_column = np.array(sizes, dtype=float)[:, np.newaxis]
 
-    selected = np.zeros(n_j, dtype=bool)
-    covered = np.zeros(n_i, dtype=bool)
+    # [terms, entries, head]: entries before the head are picked or covered
+    queues = [[terms, entries, 0] for terms, entries in tables.queues]
+    spent: list[tuple[float, int, int]] = []  # heap of (cost, rank, program)
+
+    picked: list[int] = []
+    covered = bytearray(n_i)
+    n_groups = len(sizes)
+    counts = [0] * n_groups  # covered members per group
+    # per group, its ratio now, then (from n_groups on) with one more member covered
+    ratios = [0 / n for n in sizes] + [1 / n for n in sizes]
     n_covered = 0
     remaining = float(instance.budget)
 
     while n_covered < n_i:
-        candidates = np.flatnonzero(~selected & (costs <= remaining + AFFORDABILITY_TOL))
-        if candidates.size == 0:
+        limit = remaining + AFFORDABILITY_TOL
+        # (-equity, -fresh, cost, id rank, program, source, queue)
+        keys = []
+        if n_live:
+            live &= multi_costs <= limit
+            candidates = np.flatnonzero(live)
+            n_live = candidates.size
+            if n_live:
+                if n_groups:
+                    equity = np.minimum.reduce(gain[:, candidates] / size_column, axis=0)
+                else:
+                    equity = np.ones(n_live)
+                keys.append(min(zip(
+                    (-equity).tolist(), (-fresh[candidates]).tolist(),
+                    multi_costs[candidates].tolist(), multi_ranks[candidates].tolist(),
+                    multi[candidates].tolist(), [0] * n_live, candidates.tolist(),
+                )))
+        open_queues = []
+        for queue in queues:
+            terms, entries, head = queue
+            while head < len(entries) and covered[entries[head][3]]:
+                head += 1
+            if head < len(entries) and entries[head][0] <= limit:
+                queue[2] = head
+                open_queues.append(queue)
+                cost, r, j, _ = entries[head]
+                equity = min(map(ratios.__getitem__, terms), default=1.0)
+                keys.append((-equity, -1, cost, r, j, 1, queue))
+        queues = open_queues
+        if spent and spent[0][0] <= limit:
+            cost, r, j = spent[0]
+            keys.append((-min(ratios[:n_groups], default=1.0), 0, cost, r, j, 2, None))
+        if not keys:
             break
-        if n_groups:
-            np.add(uncovered, covered_count, out=ratios)
-            np.divide(ratios, group_sizes, out=ratios)
-            np.minimum.reduce(ratios, axis=0, out=new_equity)
-        # the tie-break order as successive exact filters: the pick a lexsort on
-        # (-equity, -fresh, cost, id rank) would put first
-        values = new_equity[candidates]
-        candidates = candidates[values == values.max()]
-        values = fresh[candidates]
-        candidates = candidates[values == values.max()]
-        values = costs[candidates]
-        candidates = candidates[values == values.min()]
-        pick = int(candidates[id_rank[candidates].argmin()])
+        _, _, cost, _, j, source, where = min(keys)
+        picked.append(j)
+        remaining -= cost
 
-        selected[pick] = True
-        remaining -= float(costs[pick])
-        households = cover_idx[cover_ptr[pick] : cover_ptr[pick + 1]]
-        new = households[~covered[households]]
-        covered[new] = True
-        n_covered += new.size
-        # the programs covering each newly covered household, concatenated
-        starts = coverer_ptr[new]
-        lengths = coverer_ptr[new + 1] - starts
-        offsets = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-        programs = coverer_idx[np.arange(offsets.size) + offsets]
-        np.subtract.at(fresh, programs, 1)
-        np.subtract.at(uncovered, (slice(None), programs), membership[:, np.repeat(new, lengths)])
-        covered_count += membership[:, new].sum(axis=1, keepdims=True)
+        if source == 2:
+            heapq.heappop(spent)
+            continue
+        if source == 1:
+            new = [where[1][where[2]][3]]
+            where[2] += 1
+        else:
+            live[where] = False
+            new = [i for i in cover_idx[cover_ptr[j] : cover_ptr[j + 1]].tolist() if not covered[i]]
+        n_covered += len(new)
+        for i in new:
+            covered[i] = 1
+            for g in household_groups[i]:
+                counts[g] += 1
+                ratios[g] = counts[g] / sizes[g]
+                ratios[n_groups + g] = (counts[g] + 1) / sizes[g]
+            for entry in singles[i]:
+                if entry[2] != j:
+                    heapq.heappush(spent, entry)
+        if n_live and new:
+            new = np.array(new, dtype=np.intp)
+            # the multi programs covering each newly covered household, concatenated
+            starts = coverer_ptr[new]
+            lengths = coverer_ptr[new + 1] - starts
+            offsets = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+            programs = coverer_idx[np.arange(offsets.size) + offsets]
+            np.subtract.at(fresh, programs, 1)
+            gain += membership[:, new].sum(axis=1, keepdims=True)
+            np.subtract.at(gain, (slice(None), programs), membership[:, np.repeat(new, lengths)])
+            for m in np.flatnonzero(live & (fresh == 0)).tolist():
+                live[m] = False
+                heapq.heappush(spent, (float(multi_costs[m]), int(multi_ranks[m]), int(multi[m])))
 
+    selected = np.zeros(len(instance.programs), dtype=bool)
+    selected[picked] = True
     return evaluate(instance, DeterministicStrategy(tuple(selected.tolist())))
 
 

@@ -564,8 +564,8 @@ def synthetic_city(
 
 
 def read_geo_households(path: str | Path) -> list[GeoHousehold]:
-    return [
-        GeoHousehold(
+    def household(row: dict[str, str]) -> GeoHousehold:
+        return GeoHousehold(
             id=row["id"],
             lat=float(row["lat"]),
             lon=float(row["lon"]),
@@ -573,22 +573,28 @@ def read_geo_households(path: str | Path) -> list[GeoHousehold]:
             household_size=int(row["household_size"]),
             race=row["race"],
         )
-        for row in read_rows(Path(path), GEO_HOUSEHOLD_COLUMNS)
-    ]
+
+    return read_rows(Path(path), GEO_HOUSEHOLD_COLUMNS, household)
 
 
 def read_transit_stops(path: str | Path) -> list[TransitStop]:
-    return [
-        TransitStop(id=row["id"], kind=row["kind"], lat=float(row["lat"]), lon=float(row["lon"]))
-        for row in read_rows(Path(path), TRANSIT_STOP_COLUMNS)
-    ]
+    def stop(row: dict[str, str]) -> TransitStop:
+        return TransitStop(
+            id=row["id"], kind=row["kind"], lat=float(row["lat"]), lon=float(row["lon"])
+        )
+
+    return read_rows(Path(path), TRANSIT_STOP_COLUMNS, stop)
 
 
 def read_poverty_guideline(path: str | Path) -> PovertyGuideline:
-    rows = read_rows(Path(path), POVERTY_GUIDELINE_COLUMNS)
-    return PovertyGuideline(
-        thresholds=tuple((int(row["household_size"]), float(row["fpl_100"])) for row in rows)
-    )
+    def threshold(row: dict[str, str]) -> tuple[int, float]:
+        return int(row["household_size"]), float(row["fpl_100"])
+
+    thresholds = tuple(read_rows(Path(path), POVERTY_GUIDELINE_COLUMNS, threshold))
+    try:
+        return PovertyGuideline(thresholds=thresholds)
+    except ValueError as exc:  # the thresholds are checked together, not per row
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_geo_households(households: Iterable[GeoHousehold], path: str | Path) -> None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from .model import ID_SEPARATOR, Household, Instance, Program, ProgramKind
 
@@ -25,17 +26,21 @@ HOUSEHOLD_COLUMNS = ["id", "ride_hail_cost", "group_ids"]
 PROGRAM_COLUMNS = ["id", "cost", "kind", "covers"]
 META_COLUMNS = ["budget"]
 
+T = TypeVar("T")
+
 # The csv module's default field limit, 131,072 characters, is below the
 # covers field of a program covering about 7,000 households; reading lifts it
 # to the largest value a 32-bit C long holds.
 FIELD_SIZE_LIMIT = 2**31 - 1
 
 
-def read_rows(path: Path, columns: list[str]) -> list[dict[str, str]]:
-    """The data rows of the CSV file at `path`, keyed by `columns`, which must
-    be its header exactly; blank lines are skipped. Fields of any length are
-    read (the csv module's limit is restored afterwards). A malformed or
-    non-UTF-8 file raises ValueError naming it."""
+def read_rows(path: Path, columns: list[str], convert: Callable[[dict[str, str]], T]) -> list[T]:
+    """`convert` of each data row of the CSV file at `path`, the row keyed by
+    `columns`, which must be its header exactly; blank lines are skipped.
+    Fields of any length are read (the csv module's limit is restored
+    afterwards). A malformed or non-UTF-8 file raises ValueError naming it,
+    and a ValueError from `convert` is raised again naming the file and the
+    row's line."""
     limit = csv.field_size_limit(FIELD_SIZE_LIMIT)
     try:
         with path.open(newline="", encoding="utf-8") as fh:
@@ -52,7 +57,10 @@ def read_rows(path: Path, columns: list[str]) -> list[dict[str, str]]:
                         f"{path}: line {reader.line_num} has {len(row)} fields,"
                         f" expected {len(columns)}"
                     )
-                rows.append(dict(zip(columns, row)))
+                try:
+                    rows.append(convert(dict(zip(columns, row))))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
             return rows
     except (csv.Error, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: {exc}") from None
@@ -60,34 +68,36 @@ def read_rows(path: Path, columns: list[str]) -> list[dict[str, str]]:
         csv.field_size_limit(limit)
 
 
+def _split_ids(field: str) -> frozenset[str]:
+    return frozenset(v for v in field.split(ID_SEPARATOR) if v)
+
+
+def _household(row: dict[str, str]) -> Household:
+    raw_cost = row["ride_hail_cost"].strip()
+    return Household(
+        id=row["id"],
+        ride_hail_cost=float(raw_cost) if raw_cost else None,
+        group_ids=_split_ids(row["group_ids"]),
+    )
+
+
+def _program(row: dict[str, str]) -> Program:
+    return Program(
+        id=row["id"],
+        cost=float(row["cost"]),
+        covers=_split_ids(row["covers"]),
+        kind=ProgramKind(row["kind"]),
+    )
+
+
 def read_instance(directory: str | Path) -> Instance:
     directory = Path(directory)
-    households = []
-    for row in read_rows(directory / "households.csv", HOUSEHOLD_COLUMNS):
-        raw_cost = row["ride_hail_cost"].strip()
-        gids = frozenset(g for g in row["group_ids"].split(ID_SEPARATOR) if g)
-        households.append(
-            Household(
-                id=row["id"],
-                ride_hail_cost=float(raw_cost) if raw_cost else None,
-                group_ids=gids,
-            )
-        )
-    programs = []
-    for row in read_rows(directory / "programs.csv", PROGRAM_COLUMNS):
-        programs.append(
-            Program(
-                id=row["id"],
-                cost=float(row["cost"]),
-                covers=frozenset(h for h in row["covers"].split(ID_SEPARATOR) if h),
-                kind=ProgramKind(row["kind"]),
-            )
-        )
-    meta = read_rows(directory / "meta.csv", META_COLUMNS)
+    households = read_rows(directory / "households.csv", HOUSEHOLD_COLUMNS, _household)
+    programs = read_rows(directory / "programs.csv", PROGRAM_COLUMNS, _program)
+    meta = read_rows(directory / "meta.csv", META_COLUMNS, lambda row: float(row["budget"]))
     if len(meta) != 1:
         raise ValueError(f"{directory / 'meta.csv'}: expected exactly one data row")
-    budget = float(meta[0]["budget"])
-    return Instance(households=tuple(households), programs=tuple(programs), budget=budget)
+    return Instance(households=tuple(households), programs=tuple(programs), budget=meta[0])
 
 
 def write_instance(instance: Instance, directory: str | Path) -> None:

@@ -25,6 +25,11 @@ VIRTUAL_PROGRAM_PREFIX = "ride-hail:"
 # Separates the entries of an id list in the instance CSVs (see instance_io).
 ID_SEPARATOR = ";"
 
+# Selections `Instance.coverage` scores per block: far above a sweep cell's
+# trials, and small enough that the oracles' largest matrix (2**20 rows) is
+# scored in 16 blocks.
+COVERAGE_BLOCK_ROWS = 2**16
+
 
 def _check_id(what: str, value: str) -> None:
     """Reject an id the instance CSVs cannot carry: a list field splits on
@@ -148,9 +153,10 @@ class Instance:
     def _derived(self) -> dict[str, object]:
         """Budget-independent results of functions over this instance,
         shared by its `with_budget` copies: the normalized programs and
-        households (`normalize`) and the household classes the HiGHS path
+        households (`normalize`), the household classes the HiGHS path
         merges, keyed on shared coverers, private-program cost and groups
-        (`lp._household_classes`)."""
+        (`lp._household_classes`), and greedy's queues and initial gains
+        (`baselines._greedy_tables`)."""
         return {}
 
     @cached_property
@@ -181,7 +187,7 @@ class Instance:
     def household_programs(self) -> tuple[np.ndarray, np.ndarray]:
         """The transpose of `program_households`, the rows of `coverers`: row
         i lists the programs covering household i, ascending (empty when none
-        does). In intp, as greedy's per-pick index arithmetic is slower mixed."""
+        does). In intp, like `program_households`; scipy's transpose holds int32."""
         out = self.coverers.indptr.astype(np.intp), self.coverers.indices.astype(np.intp)
         for arr in out:
             arr.setflags(write=False)
@@ -227,10 +233,15 @@ class Instance:
         """Score a (K, programs) bool matrix of selections: `counts[k, g]`
         tells how many members of group g selection k covers. Hits per
         household are one product with `coverers`, clamped to 1; counts one
-        product of those with `group_members`."""
-        hits = self.coverers @ selections.T
-        np.minimum(hits, 1, out=hits)
-        return (self.group_members @ hits).T.astype(np.intp)
+        product of those with `group_members`. Rows go through in blocks of
+        COVERAGE_BLOCK_ROWS, so the int32 copies scipy makes stay small."""
+        counts = np.empty((selections.shape[0], len(self.groups)), dtype=np.intp)
+        for start in range(0, selections.shape[0], COVERAGE_BLOCK_ROWS):
+            block = slice(start, start + COVERAGE_BLOCK_ROWS)
+            hits = self.coverers @ selections[block].T
+            np.minimum(hits, 1, out=hits)
+            counts[block] = (self.group_members @ hits).T
+        return counts
 
 
 def _ones_csr(indptr: np.ndarray, indices: np.ndarray, n_columns: int):

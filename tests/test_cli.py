@@ -139,7 +139,7 @@ class TestIngest:
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {geo / 'poverty_guideline.csv'}: ") and err.count("\n") == 1
         assert "must be finite and > 0" in err
         assert not out_dir.exists()
 
@@ -333,6 +333,45 @@ class TestInputErrors:
         code = run_cli(["solve-lp", "--instance", instance_dir])
         assert code == 2
         assert capsys.readouterr().err == f"error: {path}: line 4 has 3 fields, expected 4\n"
+
+    @pytest.mark.parametrize(
+        "line, old, new, message",
+        [(3, ",1.0,", ",abc,", "could not convert string to float: 'abc'"),
+         (2, "virtual_ride_hail", "bus", "'bus' is not a valid ProgramKind")],
+    )
+    def test_bad_program_value_names_file_and_line(
+        self, instance_dir, capsys, line, old, new, message
+    ):
+        path = Path(instance_dir) / "programs.csv"
+        lines = path.read_bytes().split(b"\r\n")
+        lines[line - 1] = lines[line - 1].replace(old.encode(), new.encode())
+        path.write_bytes(b"\r\n".join(lines))
+        code = run_cli(["solve-lp", "--instance", instance_dir])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: line {line}: {message}\n"
+
+    def test_bad_household_size_names_file_and_line(self, tmp_path, capsys):
+        geo = tmp_path / "geo"
+        assert run_cli(
+            ["ingest", "--synthetic", "--budget", "1", "--routes", "3", "--dump-geo", str(geo),
+             "--out", str(tmp_path / "inst")]
+        ) == 0
+        path = geo / "geo_households.csv"
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        rows[2][4] = "2.5"
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        code = run_cli(
+            ["ingest", "--households", str(path), "--stops", str(geo / "transit_stops.csv"),
+             "--guideline", str(geo / "poverty_guideline.csv"), "--budget", "1",
+             "--out", str(tmp_path / "from_csv")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 3: invalid literal for int() with base 10: '2.5'\n"
+        )
 
     def test_nul_in_instance_file_is_one_line_error(self, instance_dir, capsys):
         # Python 3.10's csv reader rejects the line, 3.11's the household id

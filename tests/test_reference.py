@@ -6,7 +6,8 @@ and household, the LP assembled row by row from the coverage sets and
 solved whole by HiGHS dual simplex, each trial's covered households and
 group ratios taken from the programs' cover sets (as is every selection the
 coverage scorer counts), and each scenario built by its own
-instance-assembly call. Stop clustering and instance assembly run the
+instance-assembly call. Greedy rescans every program densely per pick.
+Stop clustering and instance assembly run the
 haversine over every centroid or household, and route chaining spends every
 attempt. The rounding's reference plans each twist, then applies it to a
 copy per branch. CLI `ras` and `uniform` are checked against a loop over
@@ -62,11 +63,15 @@ from transit_equity.instance_io import read_instance, write_instance
 from transit_equity.lp import FractionalSolution, LpRow, build_lp, solve_lp, verify_solution
 from transit_equity.model import (
     AFFORDABILITY_TOL,
+    COVERAGE_BLOCK_ROWS,
     BudgetTooSmallError,
+    DeterministicStrategy,
     Household,
     Instance,
     Program,
     ProgramKind,
+    StrategyOutcome,
+    evaluate,
     inject_ride_hailing,
     normalize,
 )
@@ -207,6 +212,80 @@ def naive_uniform(instance, rng):
     return selected
 
 
+def reference_greedy(instance: Instance) -> StrategyOutcome:
+    """Greedy as a dense rescan of every program per pick.
+
+    Repeatedly select the affordable program with the largest equity gain.
+
+    Ties are broken by larger newly-covered household count, then lower cost,
+    then lexicographically smallest program id, making the result fully
+    deterministic. Programs too expensive for the remaining budget are
+    skipped, not terminal. Every pick rescans all affordable programs: the
+    max-min gain is not submodular, so a lazy (stale-bound) greedy would not
+    pick the same programs.
+    """
+    n_j = len(instance.programs)
+    n_i = len(instance.households)
+    costs = instance.costs
+    cover_ptr, cover_idx = instance.program_households
+    coverer_ptr, coverer_idx = instance.household_programs
+    n_groups = len(instance.groups)
+    # float64 like the counts below: mixed-dtype in-place updates are slower
+    membership = instance.group_members.toarray().astype(float)
+    group_sizes = membership.sum(axis=1, keepdims=True)
+    id_rank = np.empty(n_j, dtype=int)
+    id_rank[np.argsort([p.id for p in instance.programs], kind="stable")] = np.arange(n_j)
+
+    # uncovered[g, j]: members of g that j would newly cover; fresh[j]: newly
+    # covered households overall. Both are maintained incrementally as
+    # coverage grows; every count is an integer, so the float arithmetic on
+    # them is exact.
+    fresh = np.diff(cover_ptr)
+    uncovered = (instance.group_members @ instance.coverers).toarray().astype(float)
+    covered_count = np.zeros((n_groups, 1))
+    ratios = np.empty((n_groups, n_j))
+    new_equity = np.ones(n_j)
+
+    selected = np.zeros(n_j, dtype=bool)
+    covered = np.zeros(n_i, dtype=bool)
+    n_covered = 0
+    remaining = float(instance.budget)
+
+    while n_covered < n_i:
+        candidates = np.flatnonzero(~selected & (costs <= remaining + AFFORDABILITY_TOL))
+        if candidates.size == 0:
+            break
+        if n_groups:
+            np.add(uncovered, covered_count, out=ratios)
+            np.divide(ratios, group_sizes, out=ratios)
+            np.minimum.reduce(ratios, axis=0, out=new_equity)
+        # the tie-break order as successive exact filters: the pick a lexsort on
+        # (-equity, -fresh, cost, id rank) would put first
+        values = new_equity[candidates]
+        candidates = candidates[values == values.max()]
+        values = fresh[candidates]
+        candidates = candidates[values == values.max()]
+        values = costs[candidates]
+        candidates = candidates[values == values.min()]
+        pick = int(candidates[id_rank[candidates].argmin()])
+
+        selected[pick] = True
+        remaining -= float(costs[pick])
+        households = cover_idx[cover_ptr[pick] : cover_ptr[pick + 1]]
+        new = households[~covered[households]]
+        covered[new] = True
+        n_covered += new.size
+        # the programs covering each newly covered household, concatenated
+        starts = coverer_ptr[new]
+        lengths = coverer_ptr[new + 1] - starts
+        offsets = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+        programs = coverer_idx[np.arange(offsets.size) + offsets]
+        np.subtract.at(fresh, programs, 1)
+        np.subtract.at(uncovered, (slice(None), programs), membership[:, np.repeat(new, lengths)])
+        covered_count += membership[:, new].sum(axis=1, keepdims=True)
+
+    return evaluate(instance, DeterministicStrategy(tuple(selected.tolist())))
+
 def naive_group_means(instance, outcomes):
     """Each group's covered members summed over the trials, divided once by
     trials x group size; 1.0 without groups."""
@@ -262,7 +341,7 @@ def naive_run_experiment(config):
             assert verify_solution(norm, solution) == []
             for a, algorithm in enumerate(config.algorithms):
                 if algorithm == "greedy":
-                    selections = [greedy(norm).strategy.selected]
+                    selections = [reference_greedy(norm).strategy.selected]
                 else:
                     selections = []
                     for t in range(config.trials):
@@ -337,6 +416,68 @@ class TestSweepReference:
         assert fractional >= 6
 
 
+def tie_heavy_greedy_instances(count, seed):
+    """Small instances where greedy's tie-breaks decide: ride-hail for about 70%
+    of households, program and ride-hail costs from {0.25, 0.5, 1.0} and some
+    free programs, single-household bus lines beside ride-hail (so some
+    households have two single-household coverers), households in no group,
+    ids whose lexical order is not program order, and budgets from none to
+    above what every program costs together."""
+    rng = np.random.default_rng(seed)
+    levels = [0.25, 0.5, 1.0]
+    for _ in range(count):
+        n_i, n_j = int(rng.integers(2, 9)), int(rng.integers(1, 8))
+        households = tuple(
+            Household(
+                id=f"h{i}",
+                ride_hail_cost=float(rng.choice(levels)) if rng.random() < 0.7 else None,
+                group_ids=frozenset()
+                if rng.random() < 0.2
+                else frozenset(f"g{g}" for g in rng.choice(3, int(rng.integers(1, 3)), False)),
+            )
+            for i in range(n_i)
+        )
+        names = [f"p{k}" for k in rng.permutation(n_j)]
+        programs = tuple(
+            Program(
+                id=names[j],
+                cost=float(rng.choice(levels + [0.0])),
+                covers=frozenset(
+                    f"h{i}" for i in rng.choice(n_i, int(rng.integers(1, min(n_i, 3) + 1)), False)
+                ),
+            )
+            for j in range(n_j)
+        )
+        instance = inject_ride_hailing(Instance(households, programs, 0.0))
+        yield instance.with_budget(float(rng.uniform(0.0, 1.2 * instance.costs.sum())))
+
+
+class TestGreedyReference:
+    def test_tie_heavy_instances_match_the_dense_rescan(self):
+        full = 0
+        for instance in tie_heavy_greedy_instances(300, 2025):
+            fast, slow = greedy(instance), reference_greedy(instance)
+            assert fast.strategy == slow.strategy
+            full += len(fast.covered) == len(instance.households)
+        assert 30 <= full <= 270  # budgets below and above full coverage
+
+    def test_budget_copies_share_tables_and_match_fresh_instances(self):
+        # the tables greedy caches on an instance are budget-free: a copy at
+        # budget B, made after a greedy run at budget A, picks as a fresh
+        # instance at B does
+        for instance in tie_heavy_greedy_instances(60, 7):
+            total = float(instance.costs.sum())
+            # 0.3 affords only the cheapest cost level
+            for a, b in ((total, 0.3), (0.3, total)):
+                first = Instance(instance.households, instance.programs, a)
+                greedy(first)
+                second = first.with_budget(b)
+                assert second._derived is first._derived and "greedy" in second._derived
+                fresh = Instance(instance.households, instance.programs, b)
+                assert greedy(second).strategy == greedy(fresh).strategy
+                assert greedy(fresh).strategy == reference_greedy(fresh).strategy
+
+
 def uncovered_household():
     return Instance(
         households=tuple(Household(id=h, group_ids=frozenset({"g"})) for h in "abc"),
@@ -386,6 +527,20 @@ class TestCoverageScorer:
             for row, count in zip(selections, counts):
                 covered = naive_outcome(instance, row).covered
                 assert [len(covered & m) for m in members.values()] == count.tolist()
+
+    def test_more_rows_than_one_block(self):
+        # every selection of 10 programs, repeated past one block of rows
+        instance = random_instance(np.random.default_rng(5), max_households=12, max_programs=10)
+        n_j = len(instance.programs)
+        distinct = (np.arange(2**n_j)[:, np.newaxis] >> np.arange(n_j)) & 1 == 1
+        k = COVERAGE_BLOCK_ROWS + 3
+        counts = instance.coverage(distinct[np.arange(k) % len(distinct)])
+        assert counts.shape == (k, len(instance.groups))
+        members = naive_members(instance)
+        for d, row in enumerate(distinct):
+            covered = naive_outcome(instance, row).covered
+            expected = [len(covered & m) for m in members.values()]
+            assert (counts[d :: len(distinct)] == expected).all()
 
 
 
