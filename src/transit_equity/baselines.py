@@ -34,8 +34,8 @@ class _GreedyTables:
     household's group signature."""
 
     rank: np.ndarray  # per program, its position in id order
-    group_sizes: tuple[int, ...]
     household_groups: tuple[tuple[int, ...], ...]  # per household, its group indices
+    covers: tuple[np.ndarray, np.ndarray]  # CSR: per program, the households it covers
     multi: np.ndarray  # the program index of each multi program
     membership: np.ndarray  # (groups, households) float64 0/1
     multi_members: np.ndarray  # (groups, M) float64: the members of g that m covers
@@ -47,52 +47,47 @@ class _GreedyTables:
 
 
 def _greedy_tables(instance: Instance) -> _GreedyTables:
-    """The instance's `_GreedyTables`, built once and shared by its
-    `with_budget` copies through `Instance._derived`."""
-    derived = instance._derived
-    if "greedy" not in derived:
-        n_j, n_groups = len(instance.programs), len(instance.groups)
-        rank = np.empty(n_j, dtype=int)
-        rank[np.argsort([p.id for p in instance.programs], kind="stable")] = np.arange(n_j)
-        cover_ptr, cover_idx = instance.program_households
-        cover_sizes = np.diff(cover_ptr)
-        multi = np.flatnonzero(cover_sizes > 1)
-        members = instance.group_members
-        coverers = instance.coverers[:, multi].tocsr()
-        household_groups: list[list[int]] = [[] for _ in instance.households]
-        bounds = members.indptr.tolist()
-        for g, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-            for i in members.indices[a:b].tolist():
-                household_groups[i].append(g)
-        by_signature: dict[tuple[int, ...], list] = {}
-        singles: list[list] = [[] for _ in instance.households]
-        costs, ranks = instance.costs.tolist(), rank.tolist()
-        for j in np.flatnonzero(cover_sizes == 1).tolist():
-            i = int(cover_idx[cover_ptr[j]])
-            by_signature.setdefault(tuple(household_groups[i]), []).append(
-                (costs[j], ranks[j], j, i)
-            )
-            singles[i].append((costs[j], ranks[j], j))
-        queues = tuple(
-            (
-                tuple(g for g in range(n_groups) if g not in signature)
-                + tuple(n_groups + g for g in signature),
-                tuple(sorted(entries)),
-            )
-            for signature, entries in by_signature.items()
+    """The instance's `_GreedyTables`; `greedy` builds them once per
+    instance and its `with_budget` copies, through `Instance.derive`."""
+    n_j, n_groups = len(instance.programs), len(instance.groups)
+    rank = np.empty(n_j, dtype=int)
+    rank[np.argsort([p.id for p in instance.programs], kind="stable")] = np.arange(n_j)
+    by_program = instance.coverers.tocsc()
+    cover_ptr, cover_idx = by_program.indptr.astype(np.intp), by_program.indices.astype(np.intp)
+    cover_sizes = np.diff(cover_ptr)
+    multi = np.flatnonzero(cover_sizes > 1)
+    members = instance.group_members
+    coverers = instance.coverers[:, multi].tocsr()
+    group_of = {gid: g for g, gid in enumerate(instance.groups)}
+    household_groups = [sorted(map(group_of.get, h.group_ids)) for h in instance.households]
+    by_signature: dict[tuple[int, ...], list] = {}
+    singles: list[list] = [[] for _ in instance.households]
+    costs, ranks = instance.costs.tolist(), rank.tolist()
+    for j in np.flatnonzero(cover_sizes == 1).tolist():
+        i = int(cover_idx[cover_ptr[j]])
+        by_signature.setdefault(tuple(household_groups[i]), []).append(
+            (costs[j], ranks[j], j, i)
         )
-        derived["greedy"] = _GreedyTables(
-            rank=rank,
-            group_sizes=tuple(instance.group_sizes.tolist()),
-            household_groups=tuple(map(tuple, household_groups)),
-            multi=multi,
-            membership=members.toarray().astype(float),
-            multi_members=(members @ coverers).toarray().astype(float),
-            multi_coverers=(coverers.indptr.astype(np.intp), coverers.indices.astype(np.intp)),
-            queues=queues,
-            singles=tuple(map(tuple, singles)),
+        singles[i].append((costs[j], ranks[j], j))
+    queues = tuple(
+        (
+            tuple(g for g in range(n_groups) if g not in signature)
+            + tuple(n_groups + g for g in signature),
+            tuple(sorted(entries)),
         )
-    return derived["greedy"]
+        for signature, entries in by_signature.items()
+    )
+    return _GreedyTables(
+        rank=rank,
+        household_groups=tuple(map(tuple, household_groups)),
+        covers=(cover_ptr, cover_idx),
+        multi=multi,
+        membership=members.toarray().astype(float),
+        multi_members=(members @ coverers).toarray().astype(float),
+        multi_coverers=(coverers.indptr.astype(np.intp), coverers.indices.astype(np.intp)),
+        queues=queues,
+        singles=tuple(map(tuple, singles)),
+    )
 
 
 def greedy(instance: Instance) -> StrategyOutcome:
@@ -124,10 +119,10 @@ def greedy(instance: Instance) -> StrategyOutcome:
     same division of the same integer counts as in a full rescan, so it
     compares the same floats.
     """
-    tables = _greedy_tables(instance)
+    tables = instance.derive("greedy", _greedy_tables)
     n_i = len(instance.households)
-    sizes = tables.group_sizes
-    cover_ptr, cover_idx = instance.program_households
+    sizes = instance.group_sizes.tolist()
+    cover_ptr, cover_idx = tables.covers
     coverer_ptr, coverer_idx = tables.multi_coverers
     membership = tables.membership
     household_groups = tables.household_groups
@@ -267,7 +262,7 @@ def uniform_selections(instance: Instance, rngs: Sequence[np.random.Generator]) 
     # pick (n_j if some household stays uncovered); a household no program
     # covers means no trial ends on coverage
     cut = np.full(n_trials, n_j - 1)
-    indptr, indices = instance.household_programs
+    indptr, indices = instance.coverers.indptr, instance.coverers.indices
     if not (np.diff(indptr) == 0).any():
         first = np.minimum.reduceat(taken[indices], indptr[:-1], axis=0)
         np.minimum(cut, first.max(axis=0, initial=-1), out=cut)

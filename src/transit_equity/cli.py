@@ -67,6 +67,12 @@ def _add_instance_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _check_seeds(args, *dests: str) -> None:
+    for dest in dests:
+        if getattr(args, dest) < 0:
+            raise ValueError(f"--{dest.replace('_', '-')} must be >= 0, got {getattr(args, dest)}")
+
+
 def _cmd_solve_lp(args) -> int:
     instance, scale = _load(args)
     model = build_lp(instance)
@@ -88,6 +94,7 @@ def _cmd_trials(args) -> int:
     SeedSequence((seed, t))."""
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    _check_seeds(args, "seed")
     instance, _ = _load(args)
     rngs = [
         np.random.default_rng(np.random.SeedSequence((args.seed, t))) for t in range(args.trials)
@@ -144,6 +151,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
+    _check_seeds(args, "seed", "synthetic_seed")
     params = CostParams(rides_per_quarter=args.rides_per_quarter)
     if args.synthetic:
         households, stops, guideline = synthetic_city(SyntheticCityParams(), args.synthetic_seed)
@@ -211,7 +219,7 @@ def _parse_config_file(path: str) -> dict[str, str]:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValueError(f"config line without '=': {raw!r}")
+            raise ValueError(f"{path}: config line without '=': {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         if key not in CONFIG_FIELDS:
@@ -229,7 +237,10 @@ def _cmd_experiment(args) -> int:
     for key, (field, parse) in CONFIG_FIELDS.items():
         value = getattr(args, key)
         if value is None and key in file_values:
-            value = parse(file_values[key])
+            try:
+                value = parse(file_values[key])
+            except ValueError as exc:
+                raise ValueError(f"{args.config}: {key}: {exc}") from None
         if value is not None:
             fields[field] = value
     config = exp.ExperimentConfig(**fields, allow_small_budget=args.allow_small_budget)

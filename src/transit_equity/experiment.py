@@ -9,10 +9,11 @@ interval taken from the trial spread of that worst group.
 
 Everything that does not depend on the budget is built once per scenario:
 the city (or the instance read from `instance_dir`; the combined scenario is
-the bus-only instance with ride-hail programs injected), its coverage
-incidence, and its normalized programs and households. A cell swaps in its
-budget with `Instance.with_budget`, divides it in `normalize`, builds the
-LP's sparse matrix and solves it. An algorithm's trials form one (trials,
+the bus-only instance with ride-hail programs injected), its normalized
+programs and households, and on those the coverage incidence and the LP's
+and greedy's tables, kept in the store `Instance.with_budget` copies share.
+A cell swaps in its budget, divides it in `normalize`, builds the LP's
+sparse matrix and solves it. An algorithm's trials form one (trials,
 programs) bool selection matrix: `ras_selection` rows stacked,
 `uniform_selections` drawn in one batch, or greedy's one selection.
 `run_trials` scores the matrix, summing costs and counting covered group
@@ -92,6 +93,9 @@ class ExperimentConfig:
             _check_budget(budget)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        for name in ("seed", "synthetic_seed", "route_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         check_backend(self.solver)
         for name, known in (("scenarios", SCENARIOS), ("algorithms", ALGORITHMS)):
             unknown = set(getattr(self, name)) - set(known)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -173,6 +173,12 @@ class CostParams:
     days_per_quarter: int = 91
     rides_per_quarter: int = 120
     subsidy_per_ride: tuple[float, float, float] = (10.0, 15.0, 20.0)
+
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not all(0 <= v < math.inf for v in np.atleast_1d(value)):
+                raise ValueError(f"{field.name} must be finite and >= 0, got {value!r}")
 
 
 def great_circle_miles(lat1, lon1, lat2, lon2) -> np.ndarray | float:

@@ -147,7 +147,7 @@ def build_lp(instance: Instance) -> LpModel:
     y0 = 1 + n_j
 
     # cover:<household i>: y_i, then each x_j of a program covering i, ascending
-    cover_ptr, coverers = instance.household_programs
+    cover_ptr, coverers = instance.coverers.indptr, instance.coverers.indices
     cover_indices = _headed_rows(y0 + np.arange(n_i), cover_ptr, 1 + coverers)
     cover_data = _headed_rows(np.ones(n_i), cover_ptr, np.full(coverers.size, -1.0))
 
@@ -193,32 +193,30 @@ def _household_classes(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.n
     Members of a class have the same shared coverers (every coverer but the
     private program), the same private-program cost (or none) and the same
     groups, so they and their private programs can be merged. The
-    partition does not depend on the budget, so it is computed once and
-    shared by every `with_budget` copy."""
-    derived = instance._derived
-    if "household_classes" not in derived:
-        ptr, coverers = instance.household_programs
-        n_i = ptr.size - 1
-        owner = np.repeat(np.arange(n_i), np.diff(ptr))
-        alone = np.flatnonzero(np.diff(instance.program_households[0])[coverers] == 1)
-        # each household's first single-household coverer (coverers ascend)
-        holders, at = np.unique(owner[alone], return_index=True)
-        private = np.full(n_i, -1, dtype=np.intp)
-        private[holders] = coverers[alone[at]]
-        tier = np.full(n_i, -1, dtype=np.intp)
-        tier[holders] = np.unique(instance.costs[private[holders]], return_inverse=True)[1]
+    partition does not depend on the budget: `_solve_highs` computes it
+    once per instance and its `with_budget` copies, through `Instance.derive`."""
+    ptr, coverers = instance.coverers.indptr, instance.coverers.indices
+    n_i = ptr.size - 1
+    owner = np.repeat(np.arange(n_i), np.diff(ptr))
+    cover_sizes = np.bincount(coverers, minlength=len(instance.programs))
+    alone = np.flatnonzero(cover_sizes[coverers] == 1)
+    # each household's first single-household coverer (coverers ascend)
+    holders, at = np.unique(owner[alone], return_index=True)
+    private = np.full(n_i, -1, dtype=np.intp)
+    private[holders] = coverers[alone[at]]
+    tier = np.full(n_i, -1, dtype=np.intp)
+    tier[holders] = np.unique(instance.costs[private[holders]], return_inverse=True)[1]
 
-        shared = np.ones(coverers.size, dtype=bool)
-        shared[alone[at]] = False
-        degree = np.bincount(owner[shared], minlength=n_i)
-        slot = np.arange(degree.sum()) - np.repeat(np.cumsum(degree) - degree, degree)
-        padded = np.full((n_i, int(degree.max(initial=0))), -1, dtype=np.intp)
-        padded[owner[shared], slot] = coverers[shared]
-        flags = instance.group_members.T.toarray().astype(np.intp)
-        key = np.hstack([padded, tier[:, None], flags])
-        _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
-        derived["household_classes"] = (first, inverse.reshape(-1), private)
-    return derived["household_classes"]
+    shared = np.ones(coverers.size, dtype=bool)
+    shared[alone[at]] = False
+    degree = np.bincount(owner[shared], minlength=n_i)
+    slot = np.arange(degree.sum()) - np.repeat(np.cumsum(degree) - degree, degree)
+    padded = np.full((n_i, int(degree.max(initial=0))), -1, dtype=np.intp)
+    padded[owner[shared], slot] = coverers[shared]
+    flags = instance.group_members.T.toarray().astype(np.intp)
+    key = np.hstack([padded, tier[:, None], flags])
+    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1), private
 
 
 def _solve_highs(model: LpModel) -> np.ndarray:
@@ -237,7 +235,7 @@ def _solve_highs(model: LpModel) -> np.ndarray:
     from scipy.sparse import csr_matrix
 
     inst = model.instance
-    first, inverse, private = _household_classes(inst)
+    first, inverse, private = inst.derive("household_classes", _household_classes)
     n_j, y0 = model.n_programs, 1 + model.n_programs
     holders = np.flatnonzero(private >= 0)
     kept = np.setdiff1d(np.arange(n_j), private[holders])

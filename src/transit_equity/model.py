@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from itertools import chain
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -29,6 +30,8 @@ ID_SEPARATOR = ";"
 # trials, and small enough that the oracles' largest matrix (2**20 rows) is
 # scored in 16 blocks.
 COVERAGE_BLOCK_ROWS = 2**16
+
+T = TypeVar("T")
 
 
 def _check_id(what: str, value: str) -> None:
@@ -111,11 +114,24 @@ class Program:
             )
 
 
+class _budget_free(cached_property):
+    """A cached property of `Instance` kept in its budget-free store under
+    its name: the instance and its `with_budget` copies compute it once
+    between them. Each caches it as a plain attribute on first read."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = instance.derive(self.attrname, self.func)
+        return value
+
+
 @dataclass(frozen=True)
 class Instance:
     """A full problem instance. Its protected groups are the group ids its
     households list (`groups`); a group's members are the households listing
-    it."""
+    it. What does not depend on the budget lives in one store (`derive`),
+    shared by every `with_budget` copy."""
 
     households: tuple[Household, ...]
     programs: tuple[Program, ...]
@@ -136,83 +152,62 @@ class Instance:
             missing = p.covers - known
             if missing:
                 raise ValueError(f"program {p.id} covers unknown households {sorted(missing)}")
+        object.__setattr__(self, "_store", {})
 
     def with_budget(self, budget: float) -> "Instance":
         """This instance at another budget. Only the budget is validated; the
-        copy shares the caches named in `_BUDGET_FREE_CACHES`, and what
-        `normalize` derives, with this instance and every copy made this way."""
+        copy shares this instance's budget-free store, and whatever it has
+        cached already."""
         _check_budget(budget)
-        for name in _BUDGET_FREE_CACHES:
-            getattr(self, name)
         out = object.__new__(type(self))
         out.__dict__.update(self.__dict__)
         object.__setattr__(out, "budget", budget)
         return out
 
-    @cached_property
-    def _derived(self) -> dict[str, object]:
-        """Budget-independent results of functions over this instance,
-        shared by its `with_budget` copies: the normalized programs and
-        households (`normalize`), the household classes the HiGHS path
-        merges, keyed on shared coverers, private-program cost and groups
-        (`lp._household_classes`), and greedy's queues and initial gains
-        (`baselines._greedy_tables`)."""
-        return {}
+    def derive(self, key: str, build: Callable[["Instance"], T]) -> T:
+        """`build(self)`, computed once for this instance and its
+        `with_budget` copies: the result is kept under `key` in the store
+        they share, so `build` must not read the budget."""
+        if key not in self._store:
+            self._store[key] = build(self)
+        return self._store[key]
 
-    @cached_property
+    @_budget_free
     def household_index(self) -> dict[str, int]:
         return {h.id: k for k, h in enumerate(self.households)}
 
-    @cached_property
+    @_budget_free
     def costs(self) -> np.ndarray:
         arr = np.array([p.cost for p in self.programs], dtype=float)
         arr.setflags(write=False)
         return arr
 
-    @cached_property
-    def program_households(self) -> tuple[np.ndarray, np.ndarray]:
-        """The coverage incidence as CSR `(indptr, indices)`: row j,
-        `indices[indptr[j]:indptr[j + 1]]`, lists the positions of the
-        households program j covers, ascending."""
-        idx = self.household_index
-        rows = [sorted(idx[hid] for hid in p.covers) for p in self.programs]
-        indptr = np.zeros(len(rows) + 1, dtype=np.intp)
-        np.cumsum(np.fromiter(map(len, rows), dtype=np.intp, count=len(rows)), out=indptr[1:])
-        indices = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=int(indptr[-1]))
-        indptr.setflags(write=False)
-        indices.setflags(write=False)
-        return indptr, indices
-
-    @cached_property
-    def household_programs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The transpose of `program_households`, the rows of `coverers`: row
-        i lists the programs covering household i, ascending (empty when none
-        does). In intp, like `program_households`; scipy's transpose holds int32."""
-        out = self.coverers.indptr.astype(np.intp), self.coverers.indices.astype(np.intp)
-        for arr in out:
-            arr.setflags(write=False)
-        return out
-
-    @cached_property
+    @_budget_free
     def groups(self) -> tuple[str, ...]:
         """The protected group ids the households list, sorted."""
         return tuple(sorted(set().union(*(h.group_ids for h in self.households))))
 
-    @cached_property
+    @_budget_free
     def group_indices(self) -> tuple[np.ndarray, ...]:
         """Per group, the ascending household positions of its members: the
         rows of `group_members`."""
         bounds, indices = self.group_members.indptr.tolist(), self.group_members.indices
         return tuple(indices[a:b] for a, b in zip(bounds[:-1], bounds[1:]))
 
-    @cached_property
+    @_budget_free
     def coverers(self):
-        """The household-major coverage matrix: a (households, programs) scipy
-        CSR of ones whose row i marks the programs covering household i,
-        ascending; scipy's transpose of `program_households`."""
-        return _ones_csr(*self.program_households, len(self.households)).T.tocsr()
+        """The coverage incidence, household-major: a (households, programs)
+        scipy CSR of ones whose row i marks the programs covering household
+        i, ascending (scipy's transpose of the programs' `covers` sorts it;
+        empty when none covers i). `coverers.tocsc()` walks it by program."""
+        idx = self.household_index
+        sizes = [len(p.covers) for p in self.programs]
+        owners = np.fromiter(
+            (idx[hid] for p in self.programs for hid in p.covers), dtype=np.intp, count=sum(sizes)
+        )
+        return _ones_csr(np.cumsum([0, *sizes]), owners, len(self.households)).T.tocsr()
 
-    @cached_property
+    @_budget_free
     def group_members(self):
         """Group membership: a (groups, households) scipy CSR of ones whose
         row g marks, ascending, the households listing group `groups[g]`."""
@@ -252,19 +247,6 @@ def _ones_csr(indptr: np.ndarray, indices: np.ndarray, n_columns: int):
     return csr_matrix((data, indices, indptr), shape=(indptr.size - 1, n_columns))
 
 
-_BUDGET_FREE_CACHES = (
-    "household_index",
-    "costs",
-    "program_households",
-    "household_programs",
-    "groups",
-    "group_indices",
-    "coverers",
-    "group_members",
-    "_derived",
-)
-
-
 @dataclass(frozen=True)
 class DeterministicStrategy:
     """A binary selection over the instance's programs, in program order."""
@@ -291,6 +273,20 @@ class StrategyOutcome:
     equity: float
 
 
+def _scaled(instance: Instance) -> tuple[Instance, float]:
+    """`instance`'s programs and households divided by its costliest
+    program's cost, at budget 0, and that cost."""
+    scale = max(p.cost for p in instance.programs)
+    if scale <= 0:
+        raise ValueError("cannot normalize: max program cost is 0")
+    households = tuple(
+        h if h.ride_hail_cost is None else replace(h, ride_hail_cost=h.ride_hail_cost / scale)
+        for h in instance.households
+    )
+    programs = tuple(replace(p, cost=p.cost / scale) for p in instance.programs)
+    return replace(instance, households=households, programs=programs, budget=0.0), scale
+
+
 def normalize(
     instance: Instance, *, allow_small_budget: bool = False
 ) -> tuple[Instance, float]:
@@ -308,19 +304,7 @@ def normalize(
     """
     if not instance.programs:
         raise ValueError("cannot normalize an instance with no programs")
-    derived = instance._derived
-    if "normalize" not in derived:
-        scale = max(p.cost for p in instance.programs)
-        if scale <= 0:
-            raise ValueError("cannot normalize: max program cost is 0")
-        households = tuple(
-            h if h.ride_hail_cost is None else replace(h, ride_hail_cost=h.ride_hail_cost / scale)
-            for h in instance.households
-        )
-        programs = tuple(replace(p, cost=p.cost / scale) for p in instance.programs)
-        scaled = replace(instance, households=households, programs=programs, budget=0.0)
-        derived["normalize"] = (scaled, scale)
-    scaled, scale = derived["normalize"]
+    scaled, scale = instance.derive("normalize", _scaled)
     new_budget = instance.budget / scale
     if new_budget < 1 and not allow_small_budget:
         raise BudgetTooSmallError(

@@ -283,6 +283,56 @@ class TestInputErrors:
         assert captured.out == ""
         assert captured.err == "error: --trials must be >= 1, got 0\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["ras", "--instance", "{inst}", "--seed", "-1"], "--seed must be >= 0, got -1"),
+            (["uniform", "--instance", "{inst}", "--seed", "-2"], "--seed must be >= 0, got -2"),
+            (["ingest", "--synthetic", "--budget", "1", "--seed", "-1", "--out", "{out}"],
+             "--seed must be >= 0, got -1"),
+            (["ingest", "--synthetic", "--budget", "1", "--synthetic-seed", "-1",
+              "--out", "{out}"], "--synthetic-seed must be >= 0, got -1"),
+            (["experiment", "--budgets", "5e5", "--seed", "-1", "--out", "{out}"],
+             "seed must be >= 0, got -1"),
+            (["experiment", "--budgets", "5e5", "--synthetic-seed", "-1", "--out", "{out}"],
+             "synthetic_seed must be >= 0, got -1"),
+        ],
+    )
+    def test_negative_seed_is_one_line_error(self, instance_dir, tmp_path, capsys, argv, message):
+        # rejected before any city is built or instance read
+        out_dir = tmp_path / "out"
+        argv = [a.format(inst=instance_dir, out=out_dir) for a in argv]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out_dir.exists()
+
+    def test_negative_rides_per_quarter_names_the_parameter(self, tmp_path, capsys):
+        out_dir = tmp_path / "inst"
+        argv = ["ingest", "--synthetic", "--budget", "1", "--rides-per-quarter", "-3",
+                "--out", str(out_dir)]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: rides_per_quarter must be finite and >= 0, got -3\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("trials=abc", "trials: invalid literal for int() with base 10: 'abc'"),
+         ("budgets=1,x", "budgets: could not convert string to float: 'x'"),
+         ("rides_per_quarter=-3", "rides_per_quarter: rides_per_quarter must be finite")],
+    )
+    def test_bad_config_value_names_file_and_key(self, tmp_path, capsys, line, message):
+        config = tmp_path / "run.cfg"
+        budgets = "" if line.startswith("budgets") else "budgets=1\n"
+        config.write_text(f"scenarios=bus_only\n{budgets}{line}\n")
+        out_dir = tmp_path / "exp"
+        assert run_cli(["experiment", "--config", str(config), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: {message}") and err.count("\n") == 1
+        assert not out_dir.exists()
+
     def test_oracle_on_too_many_programs(self, tmp_path, capsys):
         households = (Household(id="a", group_ids=frozenset({"g"})),)
         programs = tuple(

@@ -133,6 +133,11 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="'higs'; valid: simplex, highs"):
             ExperimentConfig(budgets=(1.0,), solver="higs")
 
+    @pytest.mark.parametrize("field", ["seed", "synthetic_seed", "route_seed"])
+    def test_negative_seed_rejected_by_name(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 0, got -1$"):
+            ExperimentConfig(budgets=(1.0,), **{field: -1})
+
     @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -1.0])
     def test_bad_budget_rejected_before_any_city_is_built(self, budget):
         with pytest.raises(ValueError, match="budget must be finite and >= 0"):

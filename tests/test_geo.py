@@ -217,6 +217,16 @@ class TestCostModel:
         with pytest.raises(ValueError, match="tier"):
             ride_hail_quarterly_cost(4)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("rides_per_quarter", -3), ("hourly_operating_cost", float("nan")),
+         ("full_day_hours", float("inf")), ("days_per_quarter", -1),
+         ("subsidy_per_ride", (10.0, -15.0, 20.0))],
+    )
+    def test_bad_cost_parameter_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and >= 0, got"):
+            CostParams(**{field: value})
+
 
 def grid_sites(rows, cols, spacing):
     out = []

@@ -89,7 +89,7 @@ class TestSolveLp:
         inst = random_instance(rng)
         rich = dataclasses.replace(inst, budget=float(inst.costs.sum()))
         sol = solve_lp(build_lp(rich))
-        covering = np.bincount(inst.program_households[1], minlength=len(inst.households)) > 0
+        covering = np.diff(inst.coverers.indptr) > 0
         if all(covering[i] for idx in inst.group_indices for i in idx):
             assert sol.objective == pytest.approx(1.0, abs=1e-7)
 
@@ -289,7 +289,7 @@ class TestHouseholdClasses:
         low, high = inst.with_budget(1.0), inst.with_budget(2.0)
         for copy in (low, high):
             assert verify_solution(copy, solve_lp(build_lp(copy), solver="highs")) == []
-        assert _household_classes(low) is _household_classes(high)
+        assert low._store["household_classes"] is high._store["household_classes"]
 
     def test_default_city_combined_merges_ride_hail_households(self):
         # each household's own ride-hail program must not keep it apart

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from transit_equity.baselines import greedy
 from transit_equity.generators import random_instance
+from transit_equity.lp import build_lp, solve_lp
 from transit_equity.model import (
     BudgetTooSmallError,
     DeterministicStrategy,
@@ -167,10 +169,27 @@ class TestWithBudget:
         copy = small_instance.with_budget(0.75)
         assert copy.budget == 0.75 and small_instance.budget == 1.5
         assert copy == dataclasses.replace(small_instance, budget=0.75)
-        for name in ("costs", "program_households", "household_programs", "groups",
-                     "group_indices", "household_index", "coverers", "group_members"):
+        assert copy._store is small_instance._store
+        assert copy.with_budget(2.0)._store is small_instance._store
+        # read first on the copy or on the original, each is built once
+        for name in ("costs", "groups", "household_index", "coverers"):
             assert getattr(copy, name) is getattr(small_instance, name)
+        for name in ("group_indices", "group_members"):
+            assert getattr(small_instance, name) is getattr(copy, name)
         assert copy.with_budget(2.0).costs is small_instance.costs
+        assert dataclasses.replace(small_instance)._store is not small_instance._store
+
+    def test_raw_instance_only_feeds_normalize(self, small_instance):
+        # a sweep's raw base instance builds its normalized form and nothing
+        # else: the incidence and the tables belong to the normalized copies
+        raw = dataclasses.replace(small_instance, budget=0.0)
+        for budget in (1.0, 1.5, 3.0):
+            norm, _ = normalize(raw.with_budget(budget))
+            greedy(norm)
+            solve_lp(build_lp(norm), solver="highs")
+        assert set(raw._store) == {"normalize"}
+        assert "coverers" not in raw.__dict__
+        assert {"coverers", "greedy", "household_classes"} <= set(norm._store)
 
     def test_normalized_programs_and_households_shared(self, small_instance):
         programs = tuple(dataclasses.replace(p, cost=4 * p.cost) for p in small_instance.programs)
@@ -233,29 +252,27 @@ class TestIncidence:
             yield random_instance(rng, max_households=8, max_programs=8)
 
     def test_rows_are_sorted_cover_positions(self, rng):
+        # row i of coverers marks, ascending, the programs whose covers hold i
         for inst in self.instances(rng):
-            indptr, indices = inst.program_households
-            position = inst.household_index
-            assert indptr[0] == 0 and indptr.size == len(inst.programs) + 1
-            for j, p in enumerate(inst.programs):
-                row = indices[indptr[j] : indptr[j + 1]].tolist()
-                assert row == sorted(position[h] for h in p.covers)
+            coverers = inst.coverers
+            assert coverers.shape == (len(inst.households), len(inst.programs))
+            assert (coverers.data == 1).all()
+            for i, h in enumerate(inst.households):
+                row = coverers.indices[coverers.indptr[i] : coverers.indptr[i + 1]].tolist()
+                assert row == [j for j, p in enumerate(inst.programs) if h.id in p.covers]
 
     def test_transpose_is_exact(self, rng):
+        # the program-major view greedy walks: column j holds program j's covers
         for inst in self.instances(rng):
-            indptr, indices = inst.program_households
-            t_indptr, t_indices = inst.household_programs
-            assert t_indptr.size == len(inst.households) + 1
-            pairs = {(j, int(i)) for j in range(len(inst.programs))
-                     for i in indices[indptr[j] : indptr[j + 1]]}
-            for i in range(len(inst.households)):
-                row = t_indices[t_indptr[i] : t_indptr[i + 1]].tolist()
-                assert row == sorted(j for j, k in pairs if k == i)
+            by_program = inst.coverers.tocsc()
+            for j, p in enumerate(inst.programs):
+                column = by_program.indices[by_program.indptr[j] : by_program.indptr[j + 1]]
+                assert column.tolist() == sorted(inst.household_index[h] for h in p.covers)
 
     def test_uncovered_household_has_empty_row(self, rng):
         inst = next(self.instances(rng))
-        t_indptr, _ = inst.household_programs
-        assert t_indptr[inst.household_index["e"] + 1] == t_indptr[inst.household_index["e"]]
+        indptr = inst.coverers.indptr
+        assert indptr[inst.household_index["e"] + 1] == indptr[inst.household_index["e"]]
 
     def test_evaluate_extremes_match_set_recomputation(self, rng):
         for inst in self.instances(rng):

@@ -227,8 +227,15 @@ def reference_greedy(instance: Instance) -> StrategyOutcome:
     n_j = len(instance.programs)
     n_i = len(instance.households)
     costs = instance.costs
-    cover_ptr, cover_idx = instance.program_households
-    coverer_ptr, coverer_idx = instance.household_programs
+    # the incidence straight from each program's covers, program-major
+    # (rows ascending) and household-major
+    position = {h.id: i for i, h in enumerate(instance.households)}
+    rows = [sorted(position[hid] for hid in p.covers) for p in instance.programs]
+    cover_ptr = np.cumsum([0, *map(len, rows)])
+    cover_idx = np.array([i for row in rows for i in row], dtype=np.intp)
+    incidence = csr_matrix((np.ones(cover_idx.size), cover_idx, cover_ptr), shape=(n_j, n_i))
+    by_household = incidence.T.tocsr()
+    coverer_ptr, coverer_idx = by_household.indptr, by_household.indices
     n_groups = len(instance.groups)
     # float64 like the counts below: mixed-dtype in-place updates are slower
     membership = instance.group_members.toarray().astype(float)
@@ -241,7 +248,7 @@ def reference_greedy(instance: Instance) -> StrategyOutcome:
     # coverage grows; every count is an integer, so the float arithmetic on
     # them is exact.
     fresh = np.diff(cover_ptr)
-    uncovered = (instance.group_members @ instance.coverers).toarray().astype(float)
+    uncovered = np.ascontiguousarray((incidence @ membership.T).T)
     covered_count = np.zeros((n_groups, 1))
     ratios = np.empty((n_groups, n_j))
     new_equity = np.ones(n_j)
@@ -472,7 +479,7 @@ class TestGreedyReference:
                 first = Instance(instance.households, instance.programs, a)
                 greedy(first)
                 second = first.with_budget(b)
-                assert second._derived is first._derived and "greedy" in second._derived
+                assert second._store is first._store and "greedy" in second._store
                 fresh = Instance(instance.households, instance.programs, b)
                 assert greedy(second).strategy == greedy(fresh).strategy
                 assert greedy(fresh).strategy == reference_greedy(fresh).strategy
