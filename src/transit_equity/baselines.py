@@ -13,6 +13,10 @@ uniform permutation is in uniform order, so the first of it that fits is
 uniform among the unscanned programs that fit. A skipped program never fits
 again, because the budget only shrinks, so those are exactly the unselected
 programs that fit. The budget is subtracted in pick order either way.
+
+The trials of a batch are scanned together. The leading permutation
+positions that every trial affords are taken in a few array operations
+(`uniform_selections`), and only the rest is scanned one position at a time.
 """
 
 from __future__ import annotations
@@ -235,38 +239,63 @@ def greedy(instance: Instance) -> StrategyOutcome:
 def uniform_selections(instance: Instance, rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """The (trials, programs) bool selections `uniform` evaluates. Trial t
     takes each program of `rngs[t].permutation(J)` that fits its remaining
-    budget, up to the one that covers its last household. The trials are
-    scanned together, one position per step, until none can afford the
-    cheapest program; they share no state, so row t is what a call with
-    `rngs[t]` alone returns."""
+    budget, up to the one that covers its last household. Row t is what a
+    call with `rngs[t]` alone returns.
+
+    Every trial takes every position before the first at which some trial
+    cannot afford its program. That shared prefix is found in blocks of 16,
+    32, 64, ... positions: one `np.subtract.accumulate` per block gives each
+    trial's remaining budget after each position, as if it took them all.
+    `accumulate` is a left fold, so these are the very floats that
+    subtracting one cost per step gives, and the prefix takes the same steps
+    as the scan. From the first skip on, the trials are scanned together,
+    one position per step, until none can afford the cheapest program. The
+    picks are kept by permutation position and put in program order in one
+    scatter at the end."""
     n_trials, n_j = len(rngs), len(instance.programs)
     costs = instance.costs
-    # order[k, t]: the program trial t reaches k-th
-    order = np.empty((n_j, n_trials), dtype=np.int32)
+    # order[t, k]: the program trial t reaches k-th
+    order = np.empty((n_trials, n_j), dtype=np.intp)
     for t, rng in enumerate(rngs):
-        order[:, t] = rng.permutation(n_j)
-    # taken[j, t]: the k at which trial t takes program j, n_j if it does not
-    taken = np.full((n_j, n_trials), n_j, dtype=np.int32)
-    trials = np.arange(n_trials)
+        order[t] = rng.permutation(n_j)
+    # took[t, k]: trial t takes the program it reaches k-th
+    took = np.zeros((n_trials, n_j), dtype=bool)
     remaining = np.full(n_trials, float(instance.budget))
+    # the shared prefix, block by block: left[:, k] is what each trial has
+    # left after taking the block's first k positions
+    start, size = 0, 16
+    while start < n_j:
+        step_costs = costs[order[:, start : start + size]]
+        left = np.subtract.accumulate(np.hstack([remaining[:, np.newaxis], step_costs]), axis=1)
+        misfit = (step_costs > left[:, :-1] + AFFORDABILITY_TOL).any(axis=0)
+        fit = int(misfit.argmax()) if misfit.any() else misfit.size
+        remaining = left[:, fit]
+        start += fit
+        if fit < size:
+            break
+        size *= 2
+    took[:, :start] = True
     cheapest = costs.min(initial=np.inf)
-    for k in range(n_j):
+    for k in range(start, n_j):
         if remaining.max() + AFFORDABILITY_TOL < cheapest:
             break
-        step_costs = costs[order[k]]
+        step_costs = costs[order[:, k]]
         take = step_costs <= remaining + AFFORDABILITY_TOL
-        taken[order[k], trials] = np.where(take, k, n_j)
+        took[:, k] = take
         remaining -= np.where(take, step_costs, 0.0)
 
+    # taken[t, j]: the k at which trial t takes program j, n_j if it does not
+    taken = np.empty((n_trials, n_j), dtype=np.int32)
+    np.put_along_axis(taken, order, np.where(took, np.arange(n_j, dtype=np.int32), n_j), axis=1)
     # a trial ends at the latest over households of each one's first covering
     # pick (n_j if some household stays uncovered); a household no program
     # covers means no trial ends on coverage
     cut = np.full(n_trials, n_j - 1)
     indptr, indices = instance.coverers.indptr, instance.coverers.indices
     if not (np.diff(indptr) == 0).any():
-        first = np.minimum.reduceat(taken[indices], indptr[:-1], axis=0)
-        np.minimum(cut, first.max(axis=0, initial=-1), out=cut)
-    return (taken <= cut).T
+        first = np.minimum.reduceat(taken[:, indices], indptr[:-1], axis=1)
+        np.minimum(cut, first.max(axis=1, initial=-1), out=cut)
+    return taken <= cut[:, np.newaxis]
 
 
 def uniform(instance: Instance, rng: int | np.random.Generator) -> StrategyOutcome:

@@ -147,7 +147,10 @@ def _headed_rows(heads: np.ndarray, indptr: np.ndarray, body: np.ndarray) -> np.
     return out
 
 
-def build_lp(instance: Instance) -> LpModel:
+def _lp_matrix(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The benchmark LP's CSR `(data, indices, indptr)`. No row's
+    coefficients depend on the budget, so `build_lp` builds it once per
+    instance and its `with_budget` copies, through `Instance.derive`."""
     n_j = len(instance.programs)
     n_i = len(instance.households)
     y0 = 1 + n_j
@@ -168,14 +171,22 @@ def build_lp(instance: Instance) -> LpModel:
     row_lengths = np.concatenate([[n_j], 1 + np.diff(cover_ptr), 1 + sizes])
     indptr = np.zeros(row_lengths.size + 1, dtype=np.intp)
     np.cumsum(row_lengths, out=indptr[1:])
-    rhs = np.zeros(row_lengths.size)
-    rhs[0] = instance.budget
-    for arr in (data, indices, indptr, rhs):
+    for arr in (data, indices, indptr):
         arr.setflags(write=False)
+    return data, indices, indptr
+
+
+def build_lp(instance: Instance) -> LpModel:
+    """The benchmark LP at the instance's budget: the shared `_lp_matrix`
+    and a right-hand side of its own."""
+    data, indices, indptr = instance.derive("lp_matrix", _lp_matrix)
+    rhs = np.zeros(indptr.size - 1)
+    rhs[0] = instance.budget
+    rhs.setflags(write=False)
     return LpModel(
         instance=instance,
-        n_programs=n_j,
-        n_households=n_i,
+        n_programs=len(instance.programs),
+        n_households=len(instance.households),
         data=data,
         indices=indices,
         indptr=indptr,

@@ -246,6 +246,21 @@ class TestUniform:
         assert len(outcome.covered) == 3
         assert sum(outcome.strategy.selected) < 30
 
+    def test_zero_trials_and_one_program(self, small_instance):
+        one_program = Instance(
+            households=(Household(id="a"),),
+            programs=(Program(id="p", cost=1.0, covers=frozenset({"a"})),),
+            budget=1.0,
+        )
+        for inst in (small_instance, one_program):
+            for budget in (0.0, inst.budget, 100.0):
+                rows = uniform_selections(inst.with_budget(budget), [])
+                assert rows.dtype == bool and rows.shape == (0, len(inst.programs))
+        for budget, want in ((0.0, False), (1.0 - 1e-13, True), (5.0, True)):
+            rngs = [np.random.default_rng(t) for t in range(3)]
+            rows = uniform_selections(one_program.with_budget(budget), rngs)
+            assert rows.tolist() == [[want]] * 3
+
 
 def pool_sampler_distribution(instance):
     """The exact selection distribution of the pool sampler, the reference

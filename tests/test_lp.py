@@ -73,6 +73,24 @@ class TestBuildLp:
         equity_rows = [r for r in model.rows if r.label.startswith("equity:")]
         assert len(equity_rows) == 2
 
+    def test_with_budget_copy_equals_fresh_instance(self, rng, tmp_path):
+        # the copies share one matrix; only the right-hand side is their own
+        for _ in range(20):
+            base = inject_ride_hailing(random_instance(rng))
+            shared = build_lp(base)
+            for budget in (0.0, 0.5, base.budget, 3.0 * base.budget):
+                copy = build_lp(base.with_budget(budget))
+                fresh = build_lp(Instance(base.households, base.programs, budget))
+                assert copy.data is shared.data and copy.indptr is shared.indptr
+                for name in ("data", "indices", "indptr", "rhs"):
+                    a, b = getattr(copy, name), getattr(fresh, name)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                    assert not a.flags.writeable
+                assert copy.rhs[0] == budget and not copy.rhs[1:].any()
+                dump_lp(copy, tmp_path / "copy.lp")
+                dump_lp(fresh, tmp_path / "fresh.lp")
+                assert (tmp_path / "copy.lp").read_text() == (tmp_path / "fresh.lp").read_text()
+
 
 class TestSolveLp:
     def test_even_split_on_singletons(self, singletons):

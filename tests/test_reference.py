@@ -697,6 +697,90 @@ class TestUniformKernel:
             assert outcome.strategy.selected == tuple(int(v) for v in selected)
 
 
+@pytest.fixture(scope="module")
+def combined_city():
+    """The default synthetic city's combined scenario (about 2,000 programs),
+    normalized at the criterion-8 budget 7.5M."""
+    households, stops, guideline = synthetic_city(SyntheticCityParams(), 3)
+    eligible = eligibility_filter(households, stops)
+    routes = generate_routes(cluster_stops(eligible), stops, 20, 3, COST_PARAMS)
+    bus_only = build_instance(eligible, routes, budget=7.5e6, guideline=guideline, params=COST_PARAMS)
+    return normalize(inject_ride_hailing(bus_only))[0]
+
+
+def first_skip(costs, order, budget):
+    """The first position of `order` whose program exceeds what is left of
+    `budget` after taking every program before it, and what is left there."""
+    remaining = budget
+    for k, j in enumerate(order.tolist()):
+        if costs[j] > remaining + AFFORDABILITY_TOL:
+            return k, remaining
+        remaining -= costs[j]
+    return len(order), remaining
+
+
+class TestUniformKernelAtCityScale:
+    """The kernel takes the positions every trial takes in blocks of 16, 32,
+    64, ...; the batch's first skip ends them. These budgets put that skip on
+    the blocks' edges, on a step that fits only through AFFORDABILITY_TOL,
+    on one that a budget less the summed costs would decide otherwise than
+    the left fold of the scan, and past the whole permutation."""
+
+    @pytest.mark.parametrize("n_trials", [1, 10, 200])
+    def test_matches_permutation_scan_selection_and_rng_state(self, combined_city, n_trials):
+        costs = combined_city.costs
+        seeds = [(n_trials, t) for t in range(n_trials)]
+        orders = [np.random.default_rng(seed).permutation(costs.size) for seed in seeds]
+        # prefix[t, r - 1]: the cost of trial t's first r programs, summed in order
+        prefix = np.add.accumulate(costs[np.array(orders)], axis=1)
+
+        def skips(budget):
+            return [first_skip(costs, order, budget) for order in orders]
+
+        budgets = [combined_city.budget, float(costs.sum()) + 1.0]
+        for r in (15, 16, 17, 47, 48):
+            # every trial affords its first r programs; the costliest of them
+            # has nothing left for its next
+            budget = float(prefix[:, r - 1].max())
+            assert min(k for k, _ in skips(budget)) == r
+            budgets.append(budget)
+        # an exact prefix sum at which some trial's last step overdraws by
+        # rounding and fits only through the tolerance, and 1e-9 less, where
+        # that step overdraws by more than the tolerance and is skipped
+        tight = next(
+            budget for budget in map(float, prefix[:, :200].max(axis=0))
+            if any(remaining < 0 for _, remaining in skips(budget))
+        )
+        budgets += [tight, tight - 1e-9]
+
+        def fold_and_sum_disagree(r):
+            # whether the costliest trial's r-th step fits, at a budget 1e-12
+            # below its first r costs' sum, differs between what the left fold
+            # leaves before that step and the budget less the summed costs
+            t = int(prefix[:, r - 1].argmax())
+            budget = float(prefix[t, r - 1]) - AFFORDABILITY_TOL
+            _, folded = first_skip(costs, orders[t][: r - 1], budget)
+            cost = costs[orders[t][r - 1]]
+            fits = cost <= folded + AFFORDABILITY_TOL
+            return fits != (cost <= budget - prefix[t, r - 2] + AFFORDABILITY_TOL)
+
+        r = next(r for r in range(2, 200) if fold_and_sum_disagree(r))
+        budgets.append(float(prefix[:, r - 1].max()) - AFFORDABILITY_TOL)
+
+        for budget in budgets:
+            instance = combined_city.with_budget(budget)
+            rngs = [np.random.default_rng(seed) for seed in seeds]
+            naive_rngs, single_rngs = copy.deepcopy(rngs), copy.deepcopy(rngs)
+            batched = uniform_selections(instance, rngs)
+            assert batched.dtype == bool and batched.shape == (n_trials, costs.size)
+            for t in range(n_trials):
+                want = naive_uniform(instance, naive_rngs[t])
+                assert np.array_equal(batched[t], want)
+                assert np.array_equal(uniform_selections(instance, [single_rngs[t]])[0], want)
+                state = naive_rngs[t].bit_generator.state
+                assert rngs[t].bit_generator.state == state == single_rngs[t].bit_generator.state
+
+
 def naive_start(values, costs):
     start = np.array(values, dtype=float)
     np.clip(start, 0.0, 1.0, out=start)
