@@ -3,8 +3,9 @@
 Subcommands: solve-lp, ras, greedy, uniform, oracle, ingest, experiment.
 Instances are directories of CSV files (households.csv / programs.csv /
 meta.csv); see instance_io. The experiment subcommand accepts a flat
-key=value config file, with flags overriding file entries; an unknown key is
-rejected. Input errors print one `error: ...` line and exit with status 2.
+key=value config file, with flags overriding file entries; an unknown or
+repeated key is rejected. Input errors print one `error: ...` line and exit
+with status 2.
 """
 
 from __future__ import annotations
@@ -219,7 +220,7 @@ def _experiment_config(values: dict[str, object], **extra) -> exp.ExperimentConf
 
 def _parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+    for number, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -229,6 +230,8 @@ def _parse_config_file(path: str) -> dict[str, str]:
         key = key.strip()
         if key not in CONFIG_FIELDS:
             raise ValueError(f"{path}: unknown config key {key!r}")
+        if key in values:
+            raise ValueError(f"{path}: line {number}: repeated config key {key!r}")
         values[key] = value.strip()
     return values
 

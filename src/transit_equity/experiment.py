@@ -83,7 +83,7 @@ class ExperimentConfig:
     route_count: int = 20
     route_seed: int = 0
     cost_params: CostParams = CostParams()
-    # LP backend override; None lets solve_lp choose by model size
+    # None: solve_lp picks the LP backend by model size; "highs" forces HiGHS
     solver: str | None = None
     allow_small_budget: bool = False
 

@@ -20,7 +20,7 @@ import csv
 from pathlib import Path
 from typing import Callable, TypeVar
 
-from .model import ID_SEPARATOR, Household, Instance, Program, ProgramKind
+from .model import ID_SEPARATOR, Household, Instance, Program, ProgramKind, _check_budget
 
 HOUSEHOLD_COLUMNS = ["id", "ride_hail_cost", "group_ids"]
 PROGRAM_COLUMNS = ["id", "cost", "kind", "covers"]
@@ -90,14 +90,27 @@ def _program(row: dict[str, str]) -> Program:
     )
 
 
+def _budget(row: dict[str, str]) -> float:
+    budget = float(row["budget"])
+    _check_budget(budget)
+    return budget
+
+
 def read_instance(directory: str | Path) -> Instance:
+    """The instance stored in `directory`. A bad value raises ValueError
+    naming its file and line; an error only the whole instance shows (a
+    repeated id, a program covering an unknown household) names the
+    directory."""
     directory = Path(directory)
     households = read_rows(directory / "households.csv", HOUSEHOLD_COLUMNS, _household)
     programs = read_rows(directory / "programs.csv", PROGRAM_COLUMNS, _program)
-    meta = read_rows(directory / "meta.csv", META_COLUMNS, lambda row: float(row["budget"]))
+    meta = read_rows(directory / "meta.csv", META_COLUMNS, _budget)
     if len(meta) != 1:
         raise ValueError(f"{directory / 'meta.csv'}: expected exactly one data row")
-    return Instance(households=tuple(households), programs=tuple(programs), budget=meta[0])
+    try:
+        return Instance(households=tuple(households), programs=tuple(programs), budget=meta[0])
+    except ValueError as exc:
+        raise ValueError(f"{directory}: {exc}") from None
 
 
 def write_instance(instance: Instance, directory: str | Path) -> None:

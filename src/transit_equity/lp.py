@@ -10,23 +10,18 @@ openings x_j and coverage levels y_i:
          0 <= t, x_j, y_i <= 1                    (box bounds; y_i <= 1 lives here)
 
 `solve_lp` picks the backend from the model's size: the embedded dense
-simplex up to SIMPLEX_MAX_CELLS, HiGHS's dual simplex above it. HiGHS holds
-one model per instance and its `with_budget` copies (`_ScenarioLp`, kept in
-the budget-free store): the LP with interchangeable households merged into
-classes, each class's private programs merged with them, passed once. Three
-budget-free quantities come from it: t_max, the optimum with every program
-open, with no solve; x_sat, the cheapest solution reaching t_max, and its
-cost c_min; and the optimal basis of max t at budget c_min. A budget of at
-least c_min gets x_sat without a solve; a smaller one changes only the
-budget row's bound and reoptimizes from that basis, which stays dual
-feasible. The solution is spread back over the members by water-filling.
+simplex up to SIMPLEX_MAX_CELLS, HiGHS's dual simplex above it. Each side
+has a workload. The 200 LPs of the small-instance suite (at most 663 cells)
+take 0.12-0.15 s on the simplex and 0.37-0.69 s on HiGHS (2 CPUs); every
+sweep is far above the cut. HiGHS holds one model per instance and its
+`with_budget` copies (`_ScenarioLp`): households merged into classes,
+passed once, with only the budget row's bound changing per budget.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -40,7 +35,6 @@ SNAP_EPS = 1e-9
 # Largest rows x (vars + rows) sent to the embedded dense simplex. Timed against
 # HiGHS on 2 CPUs, their medians cross near 3,500 (README, "Design notes").
 SIMPLEX_MAX_CELLS = 3000
-BACKENDS = ("simplex", "highs")
 
 
 class LpSolveError(RuntimeError):
@@ -48,23 +42,14 @@ class LpSolveError(RuntimeError):
     instance (all-zeros is always feasible and t is capped at 1)."""
 
 
-@dataclass(frozen=True)
-class LpRow:
-    label: str
-    indices: tuple[int, ...]
-    coefficients: tuple[float, ...]
-    rhs: float
-    # all rows are "<="
-
-
 @dataclass(frozen=True, eq=False)
 class LpModel:
-    """Sparse row-form model. Variable layout: [t, x_0..x_{J-1}, y_0..y_{I-1}].
+    """Sparse row-form model: maximize t, every row "<=", every variable
+    boxed in [0, 1]. Variable layout: [t, x_0..x_{J-1}, y_0..y_{I-1}].
 
     The constraint matrix is CSR `(data, indices, indptr)` over the rows
     budget, cover:<household> in household order, equity:<group> in group
-    order, each row's entries in the order `rows` lists them; `rhs` holds the
-    right-hand sides. Every variable is boxed in [0, 1].
+    order; `rhs` holds the right-hand sides.
     """
 
     instance: Instance
@@ -82,38 +67,6 @@ class LpModel:
     @property
     def n_rows(self) -> int:
         return self.rhs.size
-
-    @property
-    def upper_bounds(self) -> tuple[float, ...]:
-        return (1.0,) * self.n_vars
-
-    def objective(self) -> np.ndarray:
-        c = np.zeros(self.n_vars)
-        c[0] = 1.0
-        return c
-
-    @cached_property
-    def rows(self) -> tuple[LpRow, ...]:
-        inst = self.instance
-        labels = ["budget"]
-        labels += [f"cover:{h.id}" for h in inst.households]
-        labels += [f"equity:{g}" for g in inst.groups]
-        bounds = self.indptr.tolist()
-        indices, data, rhs = self.indices.tolist(), self.data.tolist(), self.rhs.tolist()
-        return tuple(
-            LpRow(
-                label=label,
-                indices=tuple(indices[start:end]),
-                coefficients=tuple(data[start:end]),
-                rhs=rhs[r],
-            )
-            for r, (label, start, end) in enumerate(zip(labels, bounds, bounds[1:]))
-        )
-
-    def dense_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        a = np.zeros((self.n_rows, self.n_vars))
-        a[np.repeat(np.arange(self.n_rows), np.diff(self.indptr)), self.indices] = self.data
-        return a, self.rhs.copy()
 
     def scipy_matrix(self):
         from scipy.sparse import csr_matrix
@@ -195,8 +148,12 @@ def build_lp(instance: Instance) -> LpModel:
 
 
 def _solve_embedded(model: LpModel) -> np.ndarray:
-    a, b = model.dense_matrix()
-    result = simplex.solve(model.objective(), a, b, upper_bounds=model.upper_bounds)
+    """The embedded dense simplex on the full model: c = e_0, u = 1."""
+    a = np.zeros((model.n_rows, model.n_vars))
+    a[np.repeat(np.arange(model.n_rows), np.diff(model.indptr)), model.indices] = model.data
+    c = np.zeros(model.n_vars)
+    c[0] = 1.0
+    result = simplex.solve(c, a, model.rhs, upper_bounds=(1.0,) * model.n_vars)
     if result.status != "optimal":
         raise LpSolveError(f"embedded simplex returned {result.status}")
     return result.x
@@ -384,9 +341,9 @@ def _solve_highs(model: LpModel) -> np.ndarray:
 
 
 def check_backend(solver: str | None) -> None:
-    """Reject a backend name other than None (automatic) or one of BACKENDS."""
-    if solver is not None and solver not in BACKENDS:
-        raise ValueError(f"unknown LP solver {solver!r}; valid: {', '.join(BACKENDS)}")
+    """Reject a backend name other than None (automatic) or "highs"."""
+    if solver is not None and solver != "highs":
+        raise ValueError(f"unknown LP solver {solver!r}; valid: 'highs' (None chooses by size)")
 
 
 def snap(values: np.ndarray) -> np.ndarray:
@@ -403,10 +360,9 @@ def solve_lp(
     model: LpModel, solver: str | Callable[[LpModel], np.ndarray] | None = None
 ) -> FractionalSolution:
     """Solve the benchmark LP to optimality (1e-9 feasibility, 1e-7 objective).
-    The backend follows from the model's size (SIMPLEX_MAX_CELLS) unless
-    `solver` names one of BACKENDS or is a callable returning the variable
-    vector. Naming "simplex" for a model above SIMPLEX_MAX_CELLS raises
-    ValueError before any dense array is allocated.
+    The backend follows from the model's size (SIMPLEX_MAX_CELLS); "highs"
+    forces HiGHS, and a callable returning the variable vector replaces the
+    backend.
 
     On HiGHS the solution depends on the instance and budget alone, not on
     which budgets its `with_budget` copies solved before: at a budget of at
@@ -415,17 +371,12 @@ def solve_lp(
     budget. The objective reported is the minimum group mean of the snapped
     y (1.0 without groups), as `verify_solution` checks it, not the
     backend's t."""
-    if not callable(solver):
-        check_backend(solver)
+    if solver is None:
         cells = model.n_rows * (model.n_vars + model.n_rows)
-        if solver is None:
-            solver = "simplex" if cells <= SIMPLEX_MAX_CELLS else "highs"
-        if solver == "simplex" and cells > SIMPLEX_MAX_CELLS:
-            raise ValueError(
-                f"the embedded simplex takes models of at most SIMPLEX_MAX_CELLS ="
-                f" {SIMPLEX_MAX_CELLS} cells (rows x (vars + rows)); this one has {cells}"
-            )
-        solver = _solve_embedded if solver == "simplex" else _solve_highs
+        solver = _solve_embedded if cells <= SIMPLEX_MAX_CELLS else _solve_highs
+    elif not callable(solver):
+        check_backend(solver)
+        solver = _solve_highs
     x_full = solver(model)
     x = snap(x_full[1 : 1 + model.n_programs])
     y = snap(x_full[1 + model.n_programs :])
@@ -488,13 +439,17 @@ def dump_lp(model: LpModel, path: str | Path) -> None:
     lines.append("Maximize")
     lines.append(" obj: t")
     lines.append("Subject To")
-    for row in model.rows:
-        label = row.label.replace(":", "_").replace(" ", "_")
-        body = " ".join(term(c, v) for v, c in zip(row.indices, row.coefficients))
+    labels = ["budget"]
+    labels += [f"cover:{h.id}" for h in inst.households]
+    labels += [f"equity:{g}" for g in inst.groups]
+    bounds = model.indptr.tolist()
+    indices, data = model.indices.tolist(), model.data.tolist()
+    for label, start, end, rhs in zip(labels, bounds, bounds[1:], model.rhs.tolist()):
+        body = " ".join(term(c, v) for v, c in zip(indices[start:end], data[start:end]))
         body = body.removeprefix("+ ")
-        lines.append(f" {label}: {body} <= {row.rhs:.12g}")
+        label = label.replace(":", "_").replace(" ", "_")
+        lines.append(f" {label}: {body} <= {rhs:.12g}")
     lines.append("Bounds")
-    for k, ub in enumerate(model.upper_bounds):
-        lines.append(f" 0 <= {names[k]} <= {ub:.12g}")
+    lines += [f" 0 <= {name} <= 1" for name in names]
     lines.append("End")
     Path(path).write_text("\n".join(lines) + "\n")

@@ -49,6 +49,19 @@ def _check_budget(budget: float) -> None:
         raise ValueError(f"budget must be finite and >= 0, got {budget!r}")
 
 
+def _distinct_ids(what: str, ids: list[str]) -> set[str]:
+    """The set of `ids`; a repeated id raises ValueError naming the first
+    one seen twice."""
+    distinct = set(ids)
+    if len(distinct) != len(ids):
+        seen: set[str] = set()
+        for value in ids:
+            if value in seen:
+                raise ValueError(f"duplicate {what} id {value!r}")
+            seen.add(value)
+    return distinct
+
+
 class BudgetTooSmallError(ValueError):
     """Normalized budget fell below 1, outside the regime the rounding
     guarantees assume. Callers may re-run with allow_small_budget=True (the
@@ -141,13 +154,8 @@ class Instance:
         object.__setattr__(self, "households", tuple(self.households))
         object.__setattr__(self, "programs", tuple(self.programs))
         _check_budget(self.budget)
-        ids = [h.id for h in self.households]
-        known = set(ids)
-        if len(known) != len(ids):
-            raise ValueError("duplicate household ids")
-        pids = [p.id for p in self.programs]
-        if len(set(pids)) != len(pids):
-            raise ValueError("duplicate program ids")
+        known = _distinct_ids("household", [h.id for h in self.households])
+        _distinct_ids("program", [p.id for p in self.programs])
         for p in self.programs:
             missing = p.covers - known
             if missing:

@@ -83,7 +83,6 @@ def sweep_report():
         synthetic_seed=7,
         route_seed=11,
         cost_params=CostParams(rides_per_quarter=364),
-        solver="highs",
     )
     started = time.time()
     report = run_experiment(config)

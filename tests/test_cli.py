@@ -235,6 +235,17 @@ class TestExperimentCommand:
         assert "'trails'" in err
         assert not out_dir.exists()
 
+    def test_repeated_config_key_rejected(self, tmp_path, capsys):
+        # the second budgets= does not silently replace the first
+        config = tmp_path / "run.cfg"
+        config.write_text("# sweep\nbudgets=1e6\nscenarios=bus_only\n\nbudgets=2e6\n")
+        out_dir = tmp_path / "exp"
+        assert run_cli(["experiment", "--config", str(config), "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {config}: line 5: repeated config key 'budgets'\n"
+        assert not out_dir.exists()
+
     def test_repeated_algorithm_is_one_line_error(self, tmp_path, capsys):
         # rejected by the config, before the default synthetic city is built
         out_dir = tmp_path / "exp"
@@ -340,8 +351,10 @@ class TestInputErrors:
     )
     def test_bad_config_value_names_file_and_key(self, tmp_path, capsys, line, message):
         config = tmp_path / "run.cfg"
+        # the line under test is the only one setting its key
+        scenarios = "" if line.startswith("scenarios") else "scenarios=bus_only\n"
         budgets = "" if line.startswith("budgets") else "budgets=1\n"
-        config.write_text(f"scenarios=bus_only\n{budgets}{line}\n")
+        config.write_text(f"{scenarios}{budgets}{line}\n")
         out_dir = tmp_path / "exp"
         assert run_cli(["experiment", "--config", str(config), "--out", str(out_dir)]) == 2
         err = capsys.readouterr().err

@@ -139,3 +139,36 @@ def test_blank_lines_skipped_and_long_rows_rejected(tmp_path, small_instance):
         fh.write("p9,1.0,bus_line,a,extra\r\n")
     with pytest.raises(ValueError, match=r"programs\.csv: line 6 has 5 fields, expected 4"):
         read_instance(tmp_path)
+
+
+def test_bad_budget_names_meta_csv_and_line(tmp_path, small_instance):
+    write_instance(small_instance, tmp_path)
+    (tmp_path / "meta.csv").write_text("budget\nnan\n")
+    with pytest.raises(ValueError) as info:
+        read_instance(tmp_path)
+    assert str(info.value) == (
+        f"{tmp_path / 'meta.csv'}: line 2: budget must be finite and >= 0, got nan"
+    )
+
+
+@pytest.mark.parametrize(
+    "name, line, message",
+    [
+        ("households.csv", "b,,g1", "duplicate household id 'b'"),
+        ("programs.csv", "p2,1.0,bus_line,a", "duplicate program id 'p2'"),
+        ("programs.csv", "p9,1.0,bus_line,a;zz", "program p9 covers unknown households ['zz']"),
+    ],
+)
+def test_whole_instance_errors_name_the_directory(tmp_path, small_instance, name, line, message):
+    write_instance(small_instance, tmp_path)
+    with (tmp_path / name).open("a", newline="", encoding="utf-8") as fh:
+        fh.write(line + "\r\n")
+    with pytest.raises(ValueError) as info:
+        read_instance(tmp_path)
+    assert str(info.value) == f"{tmp_path}: {message}"
+
+
+def test_first_repeated_id_is_named():
+    households = [Household(id=h) for h in ("a", "c", "b", "c", "a")]
+    with pytest.raises(ValueError, match=r"^duplicate household id 'c'$"):
+        Instance(households=tuple(households), programs=(), budget=1.0)

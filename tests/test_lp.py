@@ -2,7 +2,6 @@ import dataclasses
 import re
 import sys
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -46,12 +45,11 @@ class TestBuildLp:
         assert model.n_vars == 1 + 2 + 2
         # budget + one cover row per household + one equity row per group;
         # the y <= 1 and x <= 1 caps live in the box bounds
-        assert len(model.rows) == 1 + 2 + 2
-        assert model.upper_bounds == tuple([1.0] * 5)
-        budget = model.rows[0]
-        assert budget.label == "budget"
-        assert budget.coefficients == (1.0, 1.0)
-        assert budget.rhs == 1.0
+        assert model.n_rows == 1 + 2 + 2 and model.indptr.size == model.n_rows + 1
+        # the budget row: x_0 and x_1 at cost 1, right-hand side B
+        assert model.indices[: model.indptr[1]].tolist() == [1, 2]
+        assert model.data[: model.indptr[1]].tolist() == [1.0, 1.0]
+        assert model.rhs[0] == 1.0
 
     def test_uncovered_household_forced_to_zero(self):
         inst = Instance(
@@ -60,18 +58,18 @@ class TestBuildLp:
             budget=1.0,
         )
         model = build_lp(inst)
-        cover_b = [r for r in model.rows if r.label == "cover:b"][0]
-        # variables [t, x_p, y_a, y_b]
-        assert cover_b.indices == (1 + model.n_programs + 1,)
-        assert cover_b.coefficients == (1.0,)
-        assert cover_b.rhs == 0.0
+        # rows [budget, cover:a, cover:b]; variables [t, x_p, y_a, y_b]
+        start, end = model.indptr[2], model.indptr[3]
+        assert model.indices[start:end].tolist() == [1 + model.n_programs + 1]
+        assert model.data[start:end].tolist() == [1.0]
+        assert model.rhs[2] == 0.0
         sol = solve_lp(model)
         assert sol.y_star[1] == 0.0
 
     def test_single_group_single_equity_row(self, small_instance):
         model = build_lp(small_instance)
-        equity_rows = [r for r in model.rows if r.label.startswith("equity:")]
-        assert len(equity_rows) == 2
+        # the rows after budget and the cover rows are the equity rows
+        assert model.n_rows - 1 - model.n_households == 2
 
     def test_with_budget_copy_equals_fresh_instance(self, rng, tmp_path):
         # the copies share one matrix; only the right-hand side is their own
@@ -116,7 +114,10 @@ class TestSolveLp:
         if all(covering[i] for idx in inst.group_indices for i in idx):
             assert sol.objective == pytest.approx(1.0, abs=1e-7)
 
-    @pytest.mark.parametrize("solver", ["simplex", "highs"])
+    @pytest.mark.parametrize(
+        "solver",
+        [pytest.param(lp._solve_embedded, id="simplex"), pytest.param("highs", id="highs")],
+    )
     def test_solvers_agree(self, rng, solver):
         # every size up to the cut, where solve_lp's default is the simplex
         largest = 0
@@ -132,7 +133,7 @@ class TestSolveLp:
                 if cells <= SIMPLEX_MAX_CELLS:
                     break
             largest = max(largest, cells)
-            ours = solve_lp(model, solver="simplex")
+            ours = solve_lp(model, solver=lp._solve_embedded)
             other = solve_lp(model, solver=solver)
             assert ours.objective == pytest.approx(other.objective, abs=1e-7)
             assert not verify_solution(inst, other)
@@ -167,17 +168,12 @@ class TestSolveLp:
         assert verify_solution(inst, sol) == []
         assert simplex_calls == []
 
-    def test_simplex_override_honours_the_cut(self, simplex_calls):
-        model = build_lp(self.simplex_stall_instance())
-        started = time.perf_counter()
-        with pytest.raises(ValueError, match=r"SIMPLEX_MAX_CELLS = 3000 cells .* has 57528$"):
-            solve_lp(model, solver="simplex")
-        assert time.perf_counter() - started < 1.0
-        assert simplex_calls == []
-
     def test_unknown_solver_rejected(self, singletons):
-        with pytest.raises(ValueError, match="'higs'; valid: simplex, highs"):
-            solve_lp(build_lp(singletons), solver="higs")
+        # the simplex is chosen by size only, not by name
+        for name in ("higs", "simplex"):
+            message = f"^unknown LP solver '{name}'; valid: 'highs' \\(None chooses by size\\)$"
+            with pytest.raises(ValueError, match=message):
+                solve_lp(build_lp(singletons), solver=name)
 
     def test_upper_bounds_everywhere(self, rng):
         inst = random_instance(rng)
@@ -252,7 +248,7 @@ def check_classes(inst):
     simplex on the full model and against a naive partition, and return the
     number of households merged away."""
     model = build_lp(inst)
-    full = solve_lp(model, solver="simplex")
+    full = solve_lp(model, solver=lp._solve_embedded)
     classed = solve_lp(model, solver="highs")
     assert classed.objective == pytest.approx(full.objective, abs=1e-9)
     assert verify_solution(inst, classed) == []
@@ -416,7 +412,7 @@ def test_dump_lp_format(tmp_path, singletons):
     # scipy's HiGHS wrapper has no LP-file reader; the format is checked
     # structurally and the same model is cross-solved through both backends
     body = text.split("Subject To")[1].split("Bounds")[0]
-    assert body.count("<=") == len(model.rows)
+    assert body.count("<=") == model.n_rows
 
 
 TINY_CITY = SyntheticCityParams(n_households=400, grid_rows=6, grid_cols=6)

@@ -60,7 +60,7 @@ from transit_equity.geo import (
     synthetic_city,
 )
 from transit_equity.instance_io import read_instance, write_instance
-from transit_equity.lp import FractionalSolution, LpRow, build_lp, solve_lp, verify_solution
+from transit_equity.lp import FractionalSolution, build_lp, dump_lp, solve_lp, verify_solution
 from transit_equity.model import (
     AFFORDABILITY_TOL,
     COVERAGE_BLOCK_ROWS,
@@ -108,12 +108,23 @@ def naive_members(instance):
     return {gid: frozenset(members[gid]) for gid in sorted(members)}
 
 
+@dataclasses.dataclass(frozen=True)
+class NaiveRow:
+    """One "<=" row of the benchmark LP: its label, variable indices,
+    coefficients and right-hand side."""
+
+    label: str
+    indices: tuple[int, ...]
+    coefficients: tuple[float, ...]
+    rhs: float
+
+
 def naive_lp_rows(instance):
     """The benchmark LP's rows from the coverage and membership sets."""
     n_j = len(instance.programs)
     position = {h.id: i for i, h in enumerate(instance.households)}
     rows = [
-        LpRow(
+        NaiveRow(
             label="budget",
             indices=tuple(range(1, 1 + n_j)),
             coefficients=tuple(float(p.cost) for p in instance.programs),
@@ -123,7 +134,7 @@ def naive_lp_rows(instance):
     for i, h in enumerate(instance.households):
         coverers = [1 + j for j, p in enumerate(instance.programs) if h.id in p.covers]
         rows.append(
-            LpRow(
+            NaiveRow(
                 label=f"cover:{h.id}",
                 indices=(1 + n_j + i, *coverers),
                 coefficients=(1.0,) + (-1.0,) * len(coverers),
@@ -133,7 +144,7 @@ def naive_lp_rows(instance):
     for gid, group in naive_members(instance).items():
         members = sorted(position[m] for m in group)
         rows.append(
-            LpRow(
+            NaiveRow(
                 label=f"equity:{gid}",
                 indices=(0, *(1 + n_j + i for i in members)),
                 coefficients=(1.0,) + (-1.0 / len(members),) * len(members),
@@ -159,8 +170,10 @@ def row_built_highs(model):
     rows = naive_lp_rows(model.instance)
     data, indices, indptr, b = row_built_csr(rows)
     a = csr_matrix((data, indices, indptr), shape=(len(rows), model.n_vars))
+    c = np.zeros(model.n_vars)
+    c[0] = -1.0
     res = linprog(
-        -model.objective(),
+        c,
         A_ub=a,
         b_ub=b,
         bounds=[(0.0, 1.0)] * model.n_vars,
@@ -625,14 +638,10 @@ def assert_lp_equals_row_built(instance):
     assert model.indices.astype(np.int64).tobytes() == indices.astype(np.int64).tobytes()
     assert model.indptr.astype(np.int64).tobytes() == indptr.astype(np.int64).tobytes()
     assert model.rhs.tobytes() == b.tobytes()
-    assert model.rows == tuple(rows)
 
     dense = np.zeros((len(rows), model.n_vars))
     for r, row in enumerate(rows):
         dense[r, list(row.indices)] = row.coefficients
-    a, rhs = model.dense_matrix()
-    assert a.tobytes() == dense.tobytes() and rhs.tobytes() == b.tobytes()
-
     scipy_a, scipy_b = model.scipy_matrix()
     assert scipy_a.toarray().tobytes() == dense.tobytes()
     assert scipy_b.tobytes() == b.tobytes()
@@ -647,6 +656,50 @@ class TestBuildLpKernel:
         rng = np.random.default_rng(2024)
         for _ in range(200):
             assert_lp_equals_row_built(random_instance(rng))
+
+
+def naive_lp_text(instance):
+    """CPLEX LP text of `naive_lp_rows`: max t, each row "<=", every variable
+    in [0, 1], and comment lines naming each x and y."""
+    names = ["t"] + [f"x{j}" for j in range(len(instance.programs))]
+    names += [f"y{i}" for i in range(len(instance.households))]
+    lines = ["\\ benchmark LP"]
+    lines += [f"\\ x{j} = program {p.id}" for j, p in enumerate(instance.programs)]
+    lines += [f"\\ y{i} = household {h.id}" for i, h in enumerate(instance.households)]
+    lines += ["Maximize", " obj: t", "Subject To"]
+    for row in naive_lp_rows(instance):
+        terms = [
+            f"{'+' if c >= 0 else '-'} {abs(c):.12g} {names[k]}"
+            for k, c in zip(row.indices, row.coefficients)
+        ]
+        label = row.label.replace(":", "_").replace(" ", "_")
+        lines.append(f" {label}: {' '.join(terms).removeprefix('+ ')} <= {row.rhs:.12g}")
+    lines.append("Bounds")
+    lines += [f" 0 <= {name} <= 1" for name in names]
+    lines.append("End")
+    return "\n".join(lines) + "\n"
+
+
+def assert_dump_equals_row_built(instance, path):
+    dump_lp(build_lp(instance), path)
+    assert path.read_bytes() == naive_lp_text(instance).encode()
+
+
+class TestDumpLp:
+    @pytest.mark.parametrize("make", [uncovered_household, no_groups, overlapping_groups])
+    def test_edge_cases_equal_row_built_text(self, make, tmp_path):
+        assert_dump_equals_row_built(make(), tmp_path / "model.lp")
+
+    def test_random_suite_equals_row_built_text(self, tmp_path):
+        rng = np.random.default_rng(2025)
+        for k in range(60):
+            instance = random_instance(rng)
+            if k % 3 == 0:
+                # a free program: its budget coefficient is written "+ 0"
+                free = dataclasses.replace(instance.programs[0], cost=0.0)
+                instance = dataclasses.replace(instance, programs=(free,) + instance.programs[1:])
+            for budget in (0.0, instance.budget, float(instance.costs.sum())):
+                assert_dump_equals_row_built(instance.with_budget(budget), tmp_path / "model.lp")
 
 
 def uniform_suite():
