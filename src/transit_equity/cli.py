@@ -11,8 +11,6 @@ with status 2.
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import sys
 from pathlib import Path
 from typing import Callable
@@ -20,7 +18,6 @@ from typing import Callable
 import numpy as np
 
 from . import experiment as exp
-from .baselines import greedy, uniform_selections
 from .geo import (
     CostParams,
     SyntheticCityParams,
@@ -36,18 +33,37 @@ from .geo import (
     write_poverty_guideline,
     write_transit_stops,
 )
-from .instance_io import read_instance, write_instance
+from .instance_io import read_instance, write_instance, write_rows
 from .lp import build_lp, dump_lp, solve_lp, verify_solution
 from .model import inject_ride_hailing, normalize
 from .oracles import opt_deterministic, opt_randomized
-from .rounding import ras_selection
+
+
+class _StoreOnce(argparse.Action):
+    """argparse's store, but a value flag given twice is a ValueError; the
+    plain store keeps the last value."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = namespace.__dict__.setdefault("_stored_flags", set())
+        if self.dest in given:
+            raise ValueError(f"repeated flag {'/'.join(self.option_strings)}")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser (and its subcommands') whose value flags are `_StoreOnce`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _StoreOnce)
 
 
 def _load(args) -> tuple:
     instance = read_instance(args.instance)
-    if getattr(args, "budget", None) is not None:
-        instance = dataclasses.replace(instance, budget=args.budget)
-    if getattr(args, "scenario", "bus_only") == "combined":
+    if args.budget is not None:
+        instance = instance.with_budget(args.budget)
+    if args.scenario == "combined":
         instance = inject_ride_hailing(instance)
     return normalize(instance, allow_small_budget=args.allow_small_budget)
 
@@ -90,46 +106,31 @@ def _cmd_solve_lp(args) -> int:
 
 
 def _cmd_trials(args) -> int:
-    """ras / uniform: --trials seeded trials as one selection matrix, scored
-    by the experiment's `run_trials` as one cell; trial t draws from
-    SeedSequence((seed, t))."""
+    """ras / uniform / greedy: the experiment's cell on the instance.
+    ras and uniform run --trials seeded trials, trial t drawing from
+    SeedSequence((seed, t)); greedy runs once."""
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     _check_seeds(args, "seed")
     instance, _ = _load(args)
-    rngs = [
-        np.random.default_rng(np.random.SeedSequence((args.seed, t))) for t in range(args.trials)
-    ]
-    if args.command == "ras":
-        solution = solve_lp(build_lp(instance))
-        selections = np.array([ras_selection(instance, solution, rng) for rng in rngs])
+    solution = solve_lp(build_lp(instance)) if args.command == "ras" else None
+    selections, stats = exp.run_cell(instance, solution, args.command, args.trials, (args.seed,))
+    equities = stats.ratios.min(axis=1)
+    if args.command == "greedy":
+        ids = (instance.programs[j].id for j in np.flatnonzero(selections[0]))
+        print(f"equity {equities[0]:.9f}")
+        print(f"cost {stats.costs[0]:.9f}")
+        print(f"selected {';'.join(ids)}")
     else:
-        solution = None
-        selections = uniform_selections(instance, rngs)
-    stats = exp.run_trials(instance, selections)
-    equity = float(stats.group_means.min())
-    print(f"trials {stats.trials}")
-    print(f"mean_equity {equity:.9f}")
-    if solution is not None:
-        print(f"approx_ratio {exp.approx_ratio(equity, solution.objective):.9f}")
-    print(f"mean_cost {stats.costs.mean():.9f}")
-    print(f"max_cost {stats.costs.max():.9f}")
+        equity = float(stats.group_means.min())
+        print(f"trials {stats.trials}")
+        print(f"mean_equity {equity:.9f}")
+        if solution is not None:
+            print(f"approx_ratio {exp.approx_ratio(equity, solution.objective):.9f}")
+        print(f"mean_cost {stats.costs.mean():.9f}")
+        print(f"max_cost {stats.costs.max():.9f}")
     if args.trial_log:
-        exp.write_trial_log(
-            instance, selections, stats.costs, stats.ratios.min(axis=1), args.trial_log
-        )
-    return 0
-
-
-def _cmd_greedy(args) -> int:
-    instance, _ = _load(args)
-    outcome = greedy(instance)
-    print(f"equity {outcome.equity:.9f}")
-    print(f"cost {outcome.total_cost:.9f}")
-    print(f"selected {';'.join(outcome.strategy.selected_ids(instance))}")
-    if args.trial_log:
-        log = ([outcome.strategy.selected], [outcome.total_cost], [outcome.equity])
-        exp.write_trial_log(instance, *log, args.trial_log)
+        exp.write_trial_log(instance, selections, stats.costs, equities, args.trial_log)
     return 0
 
 
@@ -142,12 +143,8 @@ def _cmd_oracle(args) -> int:
     print(f"opt_randomized {value_r:.9f}")
     print(f"lp_value {solution.objective:.9f}")
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["opt_deterministic", "opt_randomized", "lp_value"])
-            writer.writerow(
-                [f"{value_d:.12g}", f"{value_r:.12g}", f"{solution.objective:.12g}"]
-            )
+        values = [f"{value:.12g}" for value in (value_d, value_r, solution.objective)]
+        write_rows(args.out, ["opt_deterministic", "opt_randomized", "lp_value"], [values])
     return 0
 
 
@@ -265,7 +262,7 @@ def _cmd_experiment(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="transit-equity",
         description="Equity-maximizing transit budget allocation toolkit",
     )
@@ -276,24 +273,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-lp", default=None, help="write the model in LP text format")
     p.set_defaults(fn=_cmd_solve_lp)
 
-    p = sub.add_parser("ras", help="run the randomized allocation strategy")
-    _add_instance_args(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--trial-log", default=None, help="write per-trial outcomes CSV")
-    p.set_defaults(fn=_cmd_trials)
-
-    p = sub.add_parser("greedy", help="run the greedy baseline")
-    _add_instance_args(p)
-    p.add_argument("--trial-log", default=None)
-    p.set_defaults(fn=_cmd_greedy)
-
-    p = sub.add_parser("uniform", help="run the uniform-random baseline")
-    _add_instance_args(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--trial-log", default=None)
-    p.set_defaults(fn=_cmd_trials)
+    for name, text in (
+        ("ras", "run the randomized allocation strategy"),
+        ("greedy", "run the greedy baseline"),
+        ("uniform", "run the uniform-random baseline"),
+    ):
+        p = sub.add_parser(name, help=text)
+        _add_instance_args(p)
+        if name == "greedy":  # greedy runs once and draws nothing
+            p.set_defaults(seed=0, trials=1)
+        else:
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--trials", type=int, default=1)
+        p.add_argument("--trial-log", default=None, help="write per-trial outcomes CSV")
+        p.set_defaults(fn=_cmd_trials)
 
     p = sub.add_parser("oracle", help="exact optimal values on a small instance")
     _add_instance_args(p)
@@ -317,17 +310,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="instance directory to write")
     p.set_defaults(fn=_cmd_ingest)
 
-    p = sub.add_parser("experiment", help="budget sweep with Monte Carlo trials")
+    p = sub.add_parser(
+        "experiment",
+        help="budget sweep with Monte Carlo trials",
+        description="Budget sweep with Monte Carlo trials. A config file line key=value"
+        " sets flag --key ('_' read as '-'), which overrides it. Without an instance the"
+        " sweep builds the synthetic city.",
+    )
     p.add_argument("--config", default=None, help="flat key=value config file")
-    p.add_argument("--budgets", type=_floats, default=None)
-    p.add_argument("--scenarios", type=_names, default=None)
-    p.add_argument("--algorithms", type=_names, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--instance", default=None, help="instance directory (default: synthetic)")
-    p.add_argument("--synthetic-seed", type=int, default=None)
-    p.add_argument("--route-seed", type=int, default=None)
-    p.add_argument("--rides-per-quarter", type=int, default=None)
+    for key, (_, parse) in CONFIG_FIELDS.items():
+        p.add_argument(f"--{key.replace('_', '-')}", type=parse, default=None)
     p.add_argument("--allow-small-budget", action="store_true")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(fn=_cmd_experiment)
@@ -336,11 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand. Bad input (a ValueError, including a budget below
-    1 without --allow-small-budget or an instance too large for the oracles)
-    and file errors print one `error: ...` line to stderr and exit 2."""
-    args = build_parser().parse_args(argv)
+    """Run one subcommand. Bad input (a ValueError, including a repeated
+    flag, a budget below 1 without --allow-small-budget or an instance too
+    large for the oracles) and file errors print one `error: ...` line to
+    stderr and exit 2."""
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print("error: " + " ".join(str(exc).splitlines()), file=sys.stderr)

@@ -14,24 +14,26 @@ programs and households, and on those the coverage incidence, the LP's
 HiGHS model and greedy's tables, kept in the store `Instance.with_budget`
 copies share. A cell swaps in its budget, divides it in `normalize`, builds
 the LP's sparse matrix and solves it; on HiGHS only the budget row's bound
-changes (`lp.solve_lp`). An algorithm's trials form one (trials,
-programs) bool selection matrix: `ras_selection` rows stacked,
-`uniform_selections` drawn in one batch, or greedy's one selection.
-`run_trials` scores the matrix, summing costs and counting covered group
-members in arrays with the floats `evaluate` gives; CLI `ras` and `uniform`
-score theirs as one cell.
+changes (`lp.solve_lp`). Each algorithm then runs `run_cell`, as do CLI
+`ras`, `uniform` and `greedy`: its trials form one (trials, programs) bool
+selection matrix (`ras_selection` rows stacked, `uniform_selections` drawn
+in one batch, or greedy's one selection), which `run_trials` scores,
+summing costs and counting covered group members in arrays with the floats
+`evaluate` gives.
 
 Seed derivation: trial t of algorithm a (index within the algorithms tuple)
 in cell (budget index b, scenario index s) uses
 numpy.random.SeedSequence((master_seed, s, b, a, t)), so every trial is
 independently reproducible and trials may run in any order or in parallel.
+CLI `ras` and `uniform` key theirs by (seed,): trial t uses
+SeedSequence((seed, t)).
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
+from itertools import count
 from pathlib import Path
 from typing import Sequence
 
@@ -47,8 +49,8 @@ from .geo import (
     generate_routes,
     synthetic_city,
 )
-from .instance_io import read_instance
-from .lp import build_lp, check_backend, solve_lp
+from .instance_io import read_instance, write_rows
+from .lp import FractionalSolution, build_lp, check_backend, solve_lp
 from .model import Instance, _check_budget, inject_ride_hailing, normalize
 from .rounding import ras_selection
 
@@ -56,6 +58,7 @@ SCENARIOS = ("bus_only", "combined")
 ALGORITHMS = ("ras", "greedy", "uniform")
 Z_95 = 1.96
 
+# results.csv's columns, named as the ReportRow fields they hold
 RESULTS_HEADER = [
     "budget",
     "scenario",
@@ -68,6 +71,17 @@ RESULTS_HEADER = [
     "max_cost",
 ]
 PLOT_SCHEMA_VERSION = 1
+# The per-budget lists of a plot_data.json series (keyed by its scenario and
+# algorithm), named as the ReportRow fields they copy.
+PLOT_FIELDS = (
+    "budget",
+    "budget_normalized",
+    "lp_value",
+    "mean_equity",
+    "approx_ratio",
+    "ci_low",
+    "ci_high",
+)
 
 
 @dataclass(frozen=True)
@@ -151,10 +165,6 @@ def _base_instances(config: ExperimentConfig) -> dict[str, Instance]:
     }
 
 
-def _trial_rng(config: ExperimentConfig, s: int, b: int, a: int, t: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((config.seed, s, b, a, t)))
-
-
 @dataclass(frozen=True, eq=False)
 class _CellStats:
     group_means: np.ndarray
@@ -201,6 +211,30 @@ def run_trials(instance: Instance, selections: np.ndarray) -> _CellStats:
     )
 
 
+def run_cell(
+    instance: Instance,
+    solution: FractionalSolution | None,
+    algorithm: str,
+    trials: int,
+    key: tuple[int, ...],
+) -> tuple[np.ndarray, _CellStats]:
+    """One algorithm's trials on a normalized instance: the (trials,
+    programs) bool selection matrix and its `run_trials` scores. `ras` rounds
+    `solution` once per trial and `uniform` draws all trials in one batch,
+    trial t from SeedSequence((*key, t)); `greedy` runs once and draws
+    nothing."""
+    if algorithm == "greedy":
+        selections = np.array([greedy(instance).strategy.selected], dtype=bool)
+    else:
+        rngs = [np.random.default_rng(np.random.SeedSequence((*key, t))) for t in range(trials)]
+        selections = (
+            uniform_selections(instance, rngs)
+            if algorithm == "uniform"
+            else np.array([ras_selection(instance, solution, rng) for rng in rngs])
+        )
+    return selections, run_trials(instance, selections)
+
+
 def approx_ratio(equity: float, lp_value: float) -> float:
     """equity / lp_value, or 1.0 when the LP value is 0."""
     return equity / lp_value if lp_value > 1e-12 else 1.0
@@ -245,16 +279,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             solution = solve_lp(build_lp(norm), solver=config.solver)
             t_star = solution.objective
             for a, algorithm in enumerate(config.algorithms):
-                if algorithm == "greedy":
-                    selections = np.array([greedy(norm).strategy.selected], dtype=bool)
-                else:
-                    rngs = [_trial_rng(config, s, b, a, t) for t in range(config.trials)]
-                    selections = (
-                        uniform_selections(norm, rngs)
-                        if algorithm == "uniform"
-                        else np.array([ras_selection(norm, solution, rng) for rng in rngs])
-                    )
-                stats = run_trials(norm, selections)
+                key = (config.seed, s, b, a)
+                _, stats = run_cell(norm, solution, algorithm, config.trials, key)
                 rows.append(
                     _row_from_stats(budget, scenario, algorithm, stats, t_star, scale, norm.budget)
                 )
@@ -293,48 +319,20 @@ def emit(report: ExperimentReport, out_dir: str | Path) -> tuple[Path, Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = out_dir / "results.csv"
-    with results.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULTS_HEADER)
-        for r in report.rows:
-            writer.writerow(
-                [
-                    _fmt(r.budget),
-                    r.scenario,
-                    r.algorithm,
-                    _fmt(r.mean_equity),
-                    _fmt(r.approx_ratio),
-                    _fmt(r.ci_low),
-                    _fmt(r.ci_high),
-                    _fmt(r.mean_cost),
-                    _fmt(r.max_cost),
-                ]
-            )
+    rows = (
+        [v if isinstance(v, str) else _fmt(v) for v in (getattr(r, c) for c in RESULTS_HEADER)]
+        for r in report.rows
+    )
+    write_rows(results, RESULTS_HEADER, rows)
 
     series: dict[tuple[str, str], dict] = {}
     for r in report.rows:
-        key = (r.scenario, r.algorithm)
         entry = series.setdefault(
-            key,
-            {
-                "scenario": r.scenario,
-                "algorithm": r.algorithm,
-                "budget": [],
-                "budget_normalized": [],
-                "lp_value": [],
-                "mean_equity": [],
-                "approx_ratio": [],
-                "ci_low": [],
-                "ci_high": [],
-            },
+            (r.scenario, r.algorithm),
+            {"scenario": r.scenario, "algorithm": r.algorithm, **{f: [] for f in PLOT_FIELDS}},
         )
-        entry["budget"].append(r.budget)
-        entry["budget_normalized"].append(r.budget_normalized)
-        entry["lp_value"].append(r.lp_value)
-        entry["mean_equity"].append(r.mean_equity)
-        entry["approx_ratio"].append(r.approx_ratio)
-        entry["ci_low"].append(r.ci_low)
-        entry["ci_high"].append(r.ci_high)
+        for field in PLOT_FIELDS:
+            entry[field].append(getattr(r, field))
     plot = out_dir / "plot_data.json"
     payload = {
         "schema_version": PLOT_SCHEMA_VERSION,
@@ -352,9 +350,6 @@ def write_trial_log(
     path: str | Path,
 ) -> None:
     """Per-trial outcome log: trial, selected program ids, cost, equity."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "selected", "cost", "equity"])
-        for t, (selected, cost, equity) in enumerate(zip(selections, costs, equities)):
-            ids = (instance.programs[j].id for j in np.flatnonzero(selected))
-            writer.writerow([t, ";".join(ids), _fmt(cost), _fmt(equity)])
+    ids = (";".join(instance.programs[j].id for j in np.flatnonzero(s)) for s in selections)
+    rows = zip(count(), ids, map(_fmt, costs), map(_fmt, equities))
+    write_rows(path, ["trial", "selected", "cost", "equity"], rows)

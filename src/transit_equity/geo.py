@@ -12,7 +12,6 @@ simplification throughout.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -22,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .instance_io import read_rows
+from .instance_io import read_rows, write_rows
 from .model import Household, Instance, Program, ProgramKind
 
 EARTH_RADIUS_MILES = 3958.7613
@@ -604,24 +603,17 @@ def read_poverty_guideline(path: str | Path) -> PovertyGuideline:
 
 
 def write_geo_households(households: Iterable[GeoHousehold], path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(GEO_HOUSEHOLD_COLUMNS)
-        for h in households:
-            writer.writerow([h.id, repr(h.lat), repr(h.lon), repr(h.income), h.household_size, h.race])
+    rows = (
+        [h.id, repr(h.lat), repr(h.lon), repr(h.income), h.household_size, h.race]
+        for h in households
+    )
+    write_rows(path, GEO_HOUSEHOLD_COLUMNS, rows)
 
 
 def write_transit_stops(stops: Iterable[TransitStop], path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRANSIT_STOP_COLUMNS)
-        for s in stops:
-            writer.writerow([s.id, s.kind, repr(s.lat), repr(s.lon)])
+    write_rows(path, TRANSIT_STOP_COLUMNS, ([s.id, s.kind, repr(s.lat), repr(s.lon)] for s in stops))
 
 
 def write_poverty_guideline(guideline: PovertyGuideline, path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(POVERTY_GUIDELINE_COLUMNS)
-        for size, value in guideline.thresholds:
-            writer.writerow([size, repr(value)])
+    rows = ([size, repr(value)] for size, value in guideline.thresholds)
+    write_rows(path, POVERTY_GUIDELINE_COLUMNS, rows)

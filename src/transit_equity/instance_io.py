@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .model import ID_SEPARATOR, Household, Instance, Program, ProgramKind, _check_budget
 
@@ -113,23 +113,30 @@ def read_instance(directory: str | Path) -> Instance:
         raise ValueError(f"{directory}: {exc}") from None
 
 
+def write_rows(path: str | Path, columns: list[str], rows: Iterable[Sequence[object]]) -> None:
+    """Write the CSV file at `path` in UTF-8: the header `columns`, then
+    `rows`."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
 def write_instance(instance: Instance, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    with (directory / "households.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HOUSEHOLD_COLUMNS)
-        for h in instance.households:
-            cost = "" if h.ride_hail_cost is None else repr(float(h.ride_hail_cost))
-            writer.writerow([h.id, cost, ID_SEPARATOR.join(sorted(h.group_ids))])
-    with (directory / "programs.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PROGRAM_COLUMNS)
-        for p in instance.programs:
-            writer.writerow(
-                [p.id, repr(float(p.cost)), p.kind.value, ID_SEPARATOR.join(sorted(p.covers))]
-            )
-    with (directory / "meta.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(META_COLUMNS)
-        writer.writerow([repr(float(instance.budget))])
+    households = (
+        [
+            h.id,
+            "" if h.ride_hail_cost is None else repr(float(h.ride_hail_cost)),
+            ID_SEPARATOR.join(sorted(h.group_ids)),
+        ]
+        for h in instance.households
+    )
+    write_rows(directory / "households.csv", HOUSEHOLD_COLUMNS, households)
+    programs = (
+        [p.id, repr(float(p.cost)), p.kind.value, ID_SEPARATOR.join(sorted(p.covers))]
+        for p in instance.programs
+    )
+    write_rows(directory / "programs.csv", PROGRAM_COLUMNS, programs)
+    write_rows(directory / "meta.csv", META_COLUMNS, [[repr(float(instance.budget))]])

@@ -266,9 +266,6 @@ class DeterministicStrategy:
         if any(v not in (0, 1) for v in self.selected):
             raise ValueError("selection entries must be 0 or 1")
 
-    def selected_ids(self, instance: Instance) -> tuple[str, ...]:
-        return tuple(p.id for p, v in zip(instance.programs, self.selected) if v)
-
 
 @dataclass(frozen=True, eq=False)
 class StrategyOutcome:

@@ -3,9 +3,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from transit_equity import experiment
+from transit_equity.baselines import greedy, uniform_selections
 from transit_equity.cli import main
 from transit_equity.geo import (
     GeoHousehold,
@@ -17,7 +19,9 @@ from transit_equity.geo import (
     write_transit_stops,
 )
 from transit_equity.instance_io import write_instance
-from transit_equity.model import Household, Instance, Program
+from transit_equity.lp import build_lp, solve_lp
+from transit_equity.model import Household, Instance, Program, inject_ride_hailing, normalize
+from transit_equity.rounding import ras_selection
 
 
 @pytest.fixture
@@ -93,6 +97,70 @@ class TestAlgorithms:
         run_cli(["greedy", "--instance", str(path), "--scenario", "combined", "--budget", "3"])
         out = capsys.readouterr().out
         assert "ride-hail:" in out
+
+
+class TestCliRunsTheCell:
+    """CLI ras, uniform and greedy print and log the library's computation."""
+
+    @staticmethod
+    def normalized(instance, scenario):
+        if scenario == "combined":
+            instance = inject_ride_hailing(instance)
+        return normalize(instance)[0]
+
+    @staticmethod
+    def no_groups():
+        households = tuple(Household(id=f"h{i}", ride_hail_cost=0.5 + i) for i in range(3))
+        programs = (
+            Program(id="p1", cost=2.0, covers=frozenset({"h0", "h1"})),
+            Program(id="p2", cost=1.0, covers=frozenset({"h2"})),
+        )
+        return Instance(households=households, programs=programs, budget=2.5)
+
+    @pytest.mark.parametrize("scenario", experiment.SCENARIOS)
+    @pytest.mark.parametrize("which", ["small", "no_groups"])
+    def test_greedy_prints_greedy_of_the_instance(
+        self, which, scenario, small_instance, tmp_path, capsys
+    ):
+        instance = small_instance if which == "small" else self.no_groups()
+        write_instance(instance, tmp_path / "inst")
+        argv = ["greedy", "--instance", str(tmp_path / "inst"), "--scenario", scenario]
+        assert run_cli(argv) == 0
+        norm = self.normalized(instance, scenario)
+        outcome = greedy(norm)
+        ids = [p.id for p, v in zip(norm.programs, outcome.strategy.selected) if v]
+        assert capsys.readouterr().out == (
+            f"equity {outcome.equity:.9f}\n"
+            f"cost {outcome.total_cost:.9f}\n"
+            f"selected {';'.join(ids)}\n"
+        )
+
+    @pytest.mark.parametrize("scenario", experiment.SCENARIOS)
+    @pytest.mark.parametrize("command", ["ras", "uniform"])
+    def test_trial_log_holds_the_cell_on_seed_t(
+        self, command, scenario, small_instance, tmp_path, capsys
+    ):
+        write_instance(small_instance, tmp_path / "inst")
+        log = tmp_path / "trials.csv"
+        # at budget 1.2 the bus-only LP optimum is fractional, so ras draws
+        argv = [command, "--instance", str(tmp_path / "inst"), "--scenario", scenario,
+                "--budget", "1.2", "--seed", "7", "--trials", "40", "--trial-log", str(log)]
+        assert run_cli(argv) == 0
+        norm = self.normalized(small_instance.with_budget(1.2), scenario)
+        rngs = [np.random.default_rng(np.random.SeedSequence((7, t))) for t in range(40)]
+        if command == "ras":
+            solution = solve_lp(build_lp(norm))
+            expected = np.array([ras_selection(norm, solution, rng) for rng in rngs])
+        else:
+            solution = None
+            expected = uniform_selections(norm, rngs)
+        selections, _ = experiment.run_cell(norm, solution, command, 40, (7,))
+        assert np.array_equal(selections, expected)
+        with log.open() as fh:
+            logged = [row["selected"] for row in csv.DictReader(fh)]
+        assert logged == [
+            ";".join(p.id for p, v in zip(norm.programs, row) if v) for row in expected
+        ]
 
 
 class TestIngest:
@@ -285,6 +353,38 @@ class TestInputErrors:
         code = run_cli(["solve-lp", "--instance", instance_dir, "--budget", "0.5"])
         assert code == 2
         assert "--allow-small-budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["experiment", "--budgets", "1e6", "--budgets", "2e6", "--out", "{out}"], "--budgets"),
+            (["experiment", "--budgets=1e6", "--trials", "3", "--budgets", "2e6", "--out", "{out}"],
+             "--budgets"),
+            (["experiment", "--budg", "1e6", "--budgets", "2e6", "--out", "{out}"], "--budgets"),
+            (["solve-lp", "--instance", "{inst}", "--instance", "{inst}"], "--instance"),
+            (["ras", "--instance", "{inst}", "--seed", "1", "--seed", "1"], "--seed"),
+            (["greedy", "--instance", "{inst}", "--trial-log", "{out}", "--trial-log", "{out}"],
+             "--trial-log"),
+            (["oracle", "--instance", "{inst}", "--scenario", "bus_only", "--scenario",
+              "combined"], "--scenario"),
+            (["ingest", "--synthetic", "--budget", "1", "--budget", "2", "--out", "{out}"],
+             "--budget"),
+        ],
+    )
+    def test_repeated_flag_is_one_line_error(self, instance_dir, tmp_path, capsys, argv, flag):
+        # rejected while parsing: the last value does not silently win
+        out_dir = tmp_path / "out"
+        argv = [a.format(inst=instance_dir, out=out_dir) for a in argv]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: repeated flag {flag}\n"
+        assert not out_dir.exists()
+
+    def test_repeated_switch_is_accepted(self, instance_dir, capsys):
+        argv = ["solve-lp", "--instance", instance_dir, "--allow-small-budget",
+                "--allow-small-budget"]
+        assert run_cli(argv) == 0
 
     @pytest.mark.parametrize("command", ["ras", "uniform"])
     def test_zero_trials_is_one_line_error(self, instance_dir, capsys, command):

@@ -365,7 +365,8 @@ def naive_run_experiment(config):
                 else:
                     selections = []
                     for t in range(config.trials):
-                        rng = experiment._trial_rng(config, s, b, a, t)
+                        seed = np.random.SeedSequence((config.seed, s, b, a, t))
+                        rng = np.random.default_rng(seed)
                         if algorithm == "ras":
                             selections.append(ras(norm, solution, rng).strategy.selected)
                         else:
