@@ -161,8 +161,7 @@ def _cmd_ingest(args) -> int:
             write_poverty_guideline(guideline, out / "poverty_guideline.csv")
     else:
         if not (args.households and args.stops and args.guideline):
-            print("ingest: provide --households/--stops/--guideline or --synthetic", file=sys.stderr)
-            return 2
+            raise ValueError("ingest: provide --households/--stops/--guideline or --synthetic")
         households = read_geo_households(args.households)
         stops = read_transit_stops(args.stops)
         guideline = read_poverty_guideline(args.guideline)
@@ -236,8 +235,7 @@ def _parse_config_file(path: str) -> dict[str, str]:
 def _cmd_experiment(args) -> int:
     file_values = _parse_config_file(args.config) if args.config else {}
     if args.budgets is None and "budgets" not in file_values:
-        print("experiment: budgets are required (flag --budgets or config budgets=)", file=sys.stderr)
-        return 2
+        raise ValueError("experiment: budgets are required (flag --budgets or config budgets=)")
     values = {}
     for key, (_, parse) in CONFIG_FIELDS.items():
         value = getattr(args, key)

@@ -51,7 +51,7 @@ from .geo import (
 )
 from .instance_io import read_instance, write_rows
 from .lp import FractionalSolution, build_lp, check_backend, solve_lp
-from .model import Instance, _check_budget, inject_ride_hailing, normalize
+from .model import ZERO_LP_VALUE, Instance, _check_budget, inject_ride_hailing, normalize
 from .rounding import ras_selection
 
 SCENARIOS = ("bus_only", "combined")
@@ -237,7 +237,7 @@ def run_cell(
 
 def approx_ratio(equity: float, lp_value: float) -> float:
     """equity / lp_value, or 1.0 when the LP value is 0."""
-    return equity / lp_value if lp_value > 1e-12 else 1.0
+    return equity / lp_value if lp_value > ZERO_LP_VALUE else 1.0
 
 
 def _row_from_stats(

@@ -29,11 +29,21 @@ EARTH_RADIUS_MILES = 3958.7613
 BUS_DISTANCE_MILES = (0.25, 3.5)
 RAIL_DISTANCE_MILES = (0.5, 3.5)
 CLUSTER_RADIUS_MILES = 0.25
+# Relative slack at the clustering radius, far above float rounding (about
+# 1e-14 relative in a haversine): `cluster_stops` leaves every distance
+# within it of the radius to `great_circle_miles`.
+CLUSTER_RADIUS_SLACK = 1e-9
 # No point farther than this in latitude (degrees) lies within the clustering
-# radius: the haversine has a >= sin^2(dphi/2), so d >= R |dphi|. The relative
-# margin covers rounding in a difference of degrees, so a prefilter on it is exact.
-CLUSTER_LAT_BAND_DEGREES = math.degrees(CLUSTER_RADIUS_MILES / EARTH_RADIUS_MILES) * (1 + 1e-9)
+# radius: the haversine has a >= sin^2(dphi/2), so d >= R |dphi|. The slack
+# covers rounding in a difference of degrees, so a prefilter on it is exact.
+CLUSTER_LAT_BAND_DEGREES = (
+    math.degrees(CLUSTER_RADIUS_MILES / EARTH_RADIUS_MILES) * (1 + CLUSTER_RADIUS_SLACK)
+)
 STOP_ISOLATION_MILES = 3.5
+# Site pairs per block of the isolation pass. A float64 temporary of 64 KiB
+# stays below malloc's default mmap threshold (128 KiB), so the blocks reuse
+# heap memory and the pass adds nothing to peak RSS.
+ISOLATION_BLOCK_ELEMENTS = 2**13
 MAX_STOP_GAP_MILES = 0.75
 ROUTE_STOPS = (10, 18)
 
@@ -249,43 +259,91 @@ def cluster_stops(households: Sequence[GeoHousehold]) -> list[StopSite]:
 
     Households are scanned in id order; each joins the first cluster whose
     centroid lies within 0.25 miles, else opens a new cluster. Centroids are
-    incrementally recomputed coordinate means. Only centroids within
-    `CLUSTER_LAT_BAND_DEGREES` of the household's latitude can be within the
-    radius, so the haversine runs on those alone, in index order. Sites more
-    than 3.5 miles from every other site are dropped afterwards (a lone site
-    is kept: there is no "other" to be far from)."""
+    incrementally recomputed coordinate means. Sites more than 3.5 miles from
+    every other site are dropped afterwards (a lone site is kept: there is no
+    "other" to be far from).
+
+    The scan is plain Python over scalars, and decides every join as the
+    haversine over every centroid does. Centroids are indexed by latitude
+    cell, floor(lat / CLUSTER_LAT_BAND_DEGREES): a centroid within the band
+    of a household in cell c lies in cell c-1, c or c+1, whose members are
+    visited in ascending index order and given the band test. Each visited
+    centroid is then screened by its scalar haversine a-value against
+    sin^2(r (1 -/+ CLUSTER_RADIUS_SLACK) / 2R); only a pair between the two
+    is decided by `great_circle_miles`. Both shortcuts are exact:
+
+    - Missed cells. A centroid that the cells miss through rounding in the
+      division has |dlat| within an ulp or so of the band, which is the
+      radius' angle widened by CLUSTER_RADIUS_SLACK; it lies farther than
+      the radius and can never be a hit.
+    - The screen. libm and numpy trig differ by a few ulp, about 1e-14
+      relative, far inside the slack of 1e-9."""
     if not households:
         raise ValueError("cannot cluster an empty household list")
-    ordered = sorted(households, key=lambda h: h.id)
-    cent_lat = np.empty(len(ordered))
-    cent_lon = np.empty(len(ordered))
+    band = CLUSTER_LAT_BAND_DEGREES
+    half_angle = CLUSTER_RADIUS_MILES / (2.0 * EARTH_RADIUS_MILES)
+    surely_in = math.sin(half_angle * (1.0 - CLUSTER_RADIUS_SLACK)) ** 2
+    surely_out = math.sin(half_angle * (1.0 + CLUSTER_RADIUS_SLACK)) ** 2
+    sin, cos, radians, floor = math.sin, math.cos, math.radians, math.floor
+    # per centroid: degrees, radians and cos(latitude), and its size
+    cent_lat: list[float] = []
+    cent_lon: list[float] = []
+    cent_phi: list[float] = []
+    cent_lam: list[float] = []
+    cent_cos: list[float] = []
     counts: list[int] = []
-    for h in ordered:
-        n = len(counts)
-        near = np.flatnonzero(np.abs(cent_lat[:n] - h.lat) <= CLUSTER_LAT_BAND_DEGREES)
-        if near.size:
-            d = great_circle_miles(cent_lat[near], cent_lon[near], h.lat, h.lon)
-            near = near[d <= CLUSTER_RADIUS_MILES]
-        if near.size:
-            k = int(near[0])
-            counts[k] += 1
-            lat_k, lon_k = float(cent_lat[k]), float(cent_lon[k])
-            cent_lat[k] = lat_k + (h.lat - lat_k) / counts[k]
-            cent_lon[k] = lon_k + (h.lon - lon_k) / counts[k]
-        else:
-            cent_lat[n] = h.lat
-            cent_lon[n] = h.lon
+    cells: dict[int, list[int]] = {}  # latitude cell -> its centroids' indices
+    for h in sorted(households, key=lambda h: h.id):
+        lat, lon = h.lat, h.lon
+        phi, lam = radians(lat), radians(lon)
+        cos_phi = cos(phi)
+        cell = floor(lat / band)
+        near = cells.get(cell - 1, []) + cells.get(cell, []) + cells.get(cell + 1, [])
+        near.sort()
+        hit = -1
+        for k in near:
+            if abs(cent_lat[k] - lat) > band:
+                continue
+            a = (sin((phi - cent_phi[k]) / 2.0) ** 2
+                 + cent_cos[k] * cos_phi * sin((lam - cent_lam[k]) / 2.0) ** 2)
+            if a > surely_out:
+                continue
+            # one-element arrays, as in the full scan: a numpy scalar's ** 2
+            # goes through pow, which can differ from the array square
+            if a <= surely_in or great_circle_miles(
+                np.array([cent_lat[k]]), np.array([cent_lon[k]]), lat, lon
+            )[0] <= CLUSTER_RADIUS_MILES:
+                hit = k
+                break
+        if hit < 0:
+            cells.setdefault(cell, []).append(len(counts))
+            cent_lat.append(lat)
+            cent_lon.append(lon)
+            cent_phi.append(phi)
+            cent_lam.append(lam)
+            cent_cos.append(cos_phi)
             counts.append(1)
+            continue
+        counts[hit] += 1
+        old_cell = floor(cent_lat[hit] / band)
+        cent_lat[hit] += (lat - cent_lat[hit]) / counts[hit]
+        cent_lon[hit] += (lon - cent_lon[hit]) / counts[hit]
+        cent_phi[hit], cent_lam[hit] = radians(cent_lat[hit]), radians(cent_lon[hit])
+        cent_cos[hit] = cos(cent_phi[hit])
+        new_cell = floor(cent_lat[hit] / band)
+        if new_cell != old_cell:
+            cells[old_cell].remove(hit)
+            cells.setdefault(new_cell, []).append(hit)
 
-    lat = cent_lat[: len(counts)]
-    lon = cent_lon[: len(counts)]
+    lat, lon = np.array(cent_lat), np.array(cent_lon)
     keep = np.ones(lat.size, dtype=bool)
     if lat.size > 1:
-        for k in range(lat.size):
-            d = great_circle_miles(lat, lon, lat[k], lon[k])
-            d[k] = np.inf
-            if d.min() > STOP_ISOLATION_MILES:
-                keep[k] = False
+        rows = max(1, ISOLATION_BLOCK_ELEMENTS // lat.size)
+        for lo in range(0, lat.size, rows):
+            hi = min(lo + rows, lat.size)
+            d = great_circle_miles(lat, lon, lat[lo:hi, np.newaxis], lon[lo:hi, np.newaxis])
+            d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+            keep[lo:hi] = ~(d.min(axis=1) > STOP_ISOLATION_MILES)
     return [
         StopSite(id=f"s{k:04d}", lat=float(lat[k]), lon=float(lon[k]))
         for k in np.flatnonzero(keep)

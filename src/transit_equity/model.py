@@ -18,8 +18,21 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
+# Numeric tolerances, each named once (lp and simplex keep their solver
+# tolerances beside the code that snaps and pivots).
 # Slack on "cost <= remaining budget" wherever a program is tested for fitting.
 AFFORDABILITY_TOL = 1e-12
+# Slack on "a rounding leaf costs more than the budget" in exact enumeration.
+LEAF_OVER_BUDGET_TOL = 1e-9
+# How far the trajectory probabilities of exact enumeration may sum from 1.
+PROBABILITY_SUM_TOL = 1e-9
+# An LP value at or below this counts as 0 in an approximation ratio.
+ZERO_LP_VALUE = 1e-12
+# Atoms of an optimal distribution with at most this probability are dropped.
+ATOM_PROBABILITY_CUT = 1e-12
+# The oracles' cost tie margin, relative to the sum of all costs: far above
+# what summation order changes in a sum of at most 20 costs.
+COST_TIE_MARGIN = 1e-12
 
 VIRTUAL_PROGRAM_PREFIX = "ride-hail:"
 
@@ -285,11 +298,11 @@ def _scaled(instance: Instance) -> tuple[Instance, float]:
     if scale <= 0:
         raise ValueError("cannot normalize: max program cost is 0")
     households = tuple(
-        h if h.ride_hail_cost is None else replace(h, ride_hail_cost=h.ride_hail_cost / scale)
+        h if h.ride_hail_cost is None else Household(h.id, h.ride_hail_cost / scale, h.group_ids)
         for h in instance.households
     )
-    programs = tuple(replace(p, cost=p.cost / scale) for p in instance.programs)
-    return replace(instance, households=households, programs=programs, budget=0.0), scale
+    programs = tuple(Program(p.id, p.cost / scale, p.covers, p.kind) for p in instance.programs)
+    return Instance(households, programs, 0.0), scale
 
 
 def normalize(

@@ -18,7 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simplex
-from .model import AFFORDABILITY_TOL, DeterministicStrategy, Instance, StrategyOutcome, evaluate
+from .model import (
+    AFFORDABILITY_TOL,
+    ATOM_PROBABILITY_CUT,
+    COST_TIE_MARGIN,
+    DeterministicStrategy,
+    Instance,
+    StrategyOutcome,
+    evaluate,
+)
 
 MAX_ENUMERABLE_PROGRAMS = 20
 MAX_DISTRIBUTION_ATOMS = 100_000
@@ -48,7 +56,7 @@ class StrategySpace:
 @dataclass(frozen=True, eq=False)
 class RandomizedStrategy:
     """A distribution over feasible deterministic strategies; atoms with
-    probability below 1e-12 are dropped."""
+    probability at most ATOM_PROBABILITY_CUT are dropped."""
 
     atoms: tuple[tuple[DeterministicStrategy, float], ...]
 
@@ -100,12 +108,12 @@ def opt_deterministic(instance: Instance) -> tuple[StrategyOutcome, float]:
     tied = np.flatnonzero(equity == equity.max())
     # Two summation orders of one row's (at most 20) costs differ by under
     # 20 * eps * sum(costs), so a tied row whose cost, summed in any order,
-    # exceeds the smallest by 1e-12 * sum(costs) cannot be the cheapest. Only
-    # the rows within that margin are summed as `evaluate` sums them; argmin
-    # keeps the first minimum. einsum casts the bools to float in buffered
-    # chunks, where a matrix product would copy them whole.
+    # exceeds the smallest by COST_TIE_MARGIN * sum(costs) cannot be the
+    # cheapest. Only the rows within that margin are summed as `evaluate`
+    # sums them; argmin keeps the first minimum. einsum casts the bools to
+    # float in buffered chunks, where a matrix product would copy them whole.
     approx = np.einsum("kj,j->k", sel[tied], instance.costs)
-    near = tied[approx <= approx.min() + 1e-12 * instance.costs.sum()]
+    near = tied[approx <= approx.min() + COST_TIE_MARGIN * instance.costs.sum()]
     costs = [float(instance.costs[sel[k]].sum()) for k in near]
     best = evaluate(instance, DeterministicStrategy(sel[near[int(np.argmin(costs))]]))
     return best, best.equity
@@ -152,7 +160,9 @@ def opt_randomized(instance: Instance) -> tuple[RandomizedStrategy, float]:
     q = result.x[1:]
     weights = np.concatenate([[1.0 - q.sum()], q])
     atoms = tuple(
-        (DeterministicStrategy(sel[i]), float(w)) for i, w in enumerate(weights) if w > 1e-12
+        (DeterministicStrategy(sel[i]), float(w))
+        for i, w in enumerate(weights)
+        if w > ATOM_PROBABILITY_CUT
     )
     value = float(result.x[0]) if n_groups else 1.0
     return RandomizedStrategy(atoms=atoms), value

@@ -32,7 +32,14 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .lp import SNAP_EPS, FractionalSolution, snap
-from .model import DeterministicStrategy, Instance, StrategyOutcome, evaluate
+from .model import (
+    LEAF_OVER_BUDGET_TOL,
+    PROBABILITY_SUM_TOL,
+    DeterministicStrategy,
+    Instance,
+    StrategyOutcome,
+    evaluate,
+)
 
 MAX_EXACT_PROGRAMS = 24
 
@@ -184,10 +191,10 @@ def exact_expectation(
         y_mean += prob * (instance.coverers @ sel > 0)
         expected_cost += prob * cost
         max_cost = max(max_cost, cost)
-        if cost > instance.budget + 1e-9:
+        if cost > instance.budget + LEAF_OVER_BUDGET_TOL:
             prob_over += prob
         total_prob += prob
-    if abs(total_prob - 1.0) > 1e-9:
+    if abs(total_prob - 1.0) > PROBABILITY_SUM_TOL:
         raise RuntimeError(f"trajectory probabilities sum to {total_prob}, not 1")
 
     equity = 1.0

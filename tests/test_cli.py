@@ -381,6 +381,23 @@ class TestInputErrors:
         assert captured.err == f"error: repeated flag {flag}\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["experiment", "--out", "{out}"],
+             "experiment: budgets are required (flag --budgets or config budgets=)"),
+            (["ingest", "--budget", "1", "--out", "{out}"],
+             "ingest: provide --households/--stops/--guideline or --synthetic"),
+        ],
+    )
+    def test_missing_input_is_one_line_error(self, tmp_path, capsys, argv, message):
+        out_dir = tmp_path / "out"
+        assert run_cli([a.format(out=out_dir) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out_dir.exists()
+
     def test_repeated_switch_is_accepted(self, instance_dir, capsys):
         argv = ["solve-lp", "--instance", instance_dir, "--allow-small-budget",
                 "--allow-small-budget"]

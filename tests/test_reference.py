@@ -29,7 +29,7 @@ import pytest
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
-from transit_equity import experiment
+from transit_equity import experiment, geo
 from transit_equity.baselines import greedy, uniform, uniform_selections
 from transit_equity.cli import main
 from transit_equity.experiment import ExperimentConfig, emit, run_experiment
@@ -1209,3 +1209,86 @@ class TestGeoReference:
         guideline = PovertyGuideline(thresholds=((3, 20000.0),))
         fast = build_instance(households, routes, 1.0, guideline)
         assert fast == naive_build_instance(households, routes, 1.0, guideline)
+
+
+# Latitudes of every sign, two near the poles, where the scan's cells and
+# screen must still decide each join as the haversine over every centroid does.
+SCAN_CENTERS = [(41.8, -87.7), (-33.9, 151.2), (89.0, 10.0), (-89.0, -170.0)]
+NEAR_RADIUS_EPS = (1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
+
+
+def point_at(lat, lon, miles, bearing):
+    """The point `miles` along the great circle from (lat, lon) at `bearing`
+    (radians from north), in degrees."""
+    phi, delta = np.radians(lat), miles / EARTH_RADIUS_MILES
+    phi2 = np.arcsin(np.sin(phi) * np.cos(delta)
+                     + np.cos(phi) * np.sin(delta) * np.cos(bearing))
+    lam = np.arctan2(np.sin(bearing) * np.sin(delta) * np.cos(phi),
+                     np.cos(delta) - np.sin(phi) * np.sin(phi2))
+    return float(np.degrees(phi2)), float(lon + np.degrees(lam))
+
+
+def scan_household(hid, lat, lon):
+    return GeoHousehold(id=hid, lat=lat, lon=lon, income=30000.0, household_size=3, race="x")
+
+
+def near_radius_pairs(lat0, lon0, rng):
+    """Per eps and sign, a leader and a later household r (1 +/- eps) from
+    it at a random bearing; leaders a mile apart going toward the equator,
+    so no pair reaches another and no site is isolated."""
+    toward_equator = np.pi if lat0 > 0 else 0.0
+    households = []
+    for i, (eps, sign) in enumerate((e, s) for e in NEAR_RADIUS_EPS for s in (-1, 1)):
+        lat, lon = point_at(lat0, lon0, 1.0 * i, toward_equator)
+        far = point_at(lat, lon, CLUSTER_RADIUS_MILES * (1 + sign * eps),
+                       rng.uniform(0, 2 * np.pi))
+        households += [scan_household(f"p{i:02d}a", lat, lon), scan_household(f"p{i:02d}b", *far)]
+    return households
+
+
+def cell_strip(lat0, lon0, rng):
+    """Households scattered over five latitude cells around lat0, dense
+    enough that joins move centroids across cells, plus households on
+    each cell boundary and one ulp either side of it."""
+    cell = np.floor(lat0 / CLUSTER_LAT_BAND_DEGREES)
+    lat = (cell + rng.uniform(-2.0, 3.0, 300)) * CLUSTER_LAT_BAND_DEGREES
+    bounds = (cell + np.arange(-2, 4)) * CLUSTER_LAT_BAND_DEGREES
+    lat = np.concatenate([lat, bounds, np.nextafter(bounds, -90), np.nextafter(bounds, 90)])
+    miles_per_lon_degree = MILES_PER_DEGREE * np.cos(np.radians(lat0))
+    lon = lon0 + rng.uniform(-0.4, 0.4, lat.size) / miles_per_lon_degree
+    order = rng.permutation(lat.size)  # ids decide the scan order
+    return [scan_household(f"c{order[k]:03d}", float(lat[k]), float(lon[k]))
+            for k in range(lat.size)]
+
+
+class TestClusterScan:
+    @pytest.mark.parametrize("lat0, lon0", SCAN_CENTERS)
+    def test_near_radius_pairs(self, lat0, lon0, monkeypatch):
+        households = near_radius_pairs(lat0, lon0, np.random.default_rng(7))
+        exact_calls = []
+
+        def counting(lat1, lon1, lat2, lon2):
+            if np.size(lat1) == 1:  # the isolation pass passes every site
+                exact_calls.append((lat1, lon1))
+            return great_circle_miles(lat1, lon1, lat2, lon2)
+
+        monkeypatch.setattr(geo, "great_circle_miles", counting)
+        assert cluster_stops(households) == naive_cluster_stops(households)
+        assert exact_calls  # the screen left some pair to the haversine
+
+    @pytest.mark.parametrize("lat0, lon0", SCAN_CENTERS)
+    def test_cell_boundaries(self, lat0, lon0):
+        households = cell_strip(lat0, lon0, np.random.default_rng(11))
+        assert cluster_stops(households) == naive_cluster_stops(households)
+
+    @pytest.mark.parametrize("block", [1, 7, 64, geo.ISOLATION_BLOCK_ELEMENTS])
+    def test_isolation_blocks(self, block, monkeypatch):
+        # sites 4 to 12 miles off the strip, interleaved with it in id order
+        households = cell_strip(41.8, -87.7, np.random.default_rng(5))
+        households += [scan_household(f"c{k:03d}x", *point_at(41.8, -87.7, 4.0 * k, 1.0))
+                       for k in range(1, 4)]
+        monkeypatch.setattr(geo, "ISOLATION_BLOCK_ELEMENTS", block)
+        sites = cluster_stops(households)
+        assert sites == naive_cluster_stops(households)
+        far = {(h.lat, h.lon) for h in households[-2:]}  # alone, each its own site
+        assert not far & {(s.lat, s.lon) for s in sites}
