@@ -191,11 +191,13 @@ class CostParams:
 
 
 def great_circle_miles(lat1, lon1, lat2, lon2) -> np.ndarray | float:
-    """Haversine distance in miles; accepts scalars or broadcastable arrays."""
+    """Haversine distance in miles; accepts scalars or broadcastable arrays, to
+    the same bits: it squares by multiplying (a numpy scalar's ** 2 is pow)."""
     phi1, phi2 = np.radians(lat1), np.radians(lat2)
     dphi = phi2 - phi1
     dlam = np.radians(lon2) - np.radians(lon1)
-    a = np.sin(dphi / 2.0) ** 2 + np.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2.0) ** 2
+    s_phi, s_lam = np.sin(dphi / 2.0), np.sin(dlam / 2.0)
+    a = s_phi * s_phi + np.cos(phi1) * np.cos(phi2) * (s_lam * s_lam)
     return EARTH_RADIUS_MILES * 2.0 * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
 
 
@@ -308,11 +310,9 @@ def cluster_stops(households: Sequence[GeoHousehold]) -> list[StopSite]:
                  + cent_cos[k] * cos_phi * sin((lam - cent_lam[k]) / 2.0) ** 2)
             if a > surely_out:
                 continue
-            # one-element arrays, as in the full scan: a numpy scalar's ** 2
-            # goes through pow, which can differ from the array square
             if a <= surely_in or great_circle_miles(
-                np.array([cent_lat[k]]), np.array([cent_lon[k]]), lat, lon
-            )[0] <= CLUSTER_RADIUS_MILES:
+                cent_lat[k], cent_lon[k], lat, lon
+            ) <= CLUSTER_RADIUS_MILES:
                 hit = k
                 break
         if hit < 0:

@@ -123,20 +123,21 @@ def write_rows(path: str | Path, columns: list[str], rows: Iterable[Sequence[obj
 
 
 def write_instance(instance: Instance, directory: str | Path) -> None:
+    """Write `instance` to `directory`, money in its unit (it reads back at unit 1)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     households = (
         [
             h.id,
-            "" if h.ride_hail_cost is None else repr(float(h.ride_hail_cost)),
+            "" if h.ride_hail_cost is None else repr(float(h.ride_hail_cost / instance.unit)),
             ID_SEPARATOR.join(sorted(h.group_ids)),
         ]
         for h in instance.households
     )
     write_rows(directory / "households.csv", HOUSEHOLD_COLUMNS, households)
     programs = (
-        [p.id, repr(float(p.cost)), p.kind.value, ID_SEPARATOR.join(sorted(p.covers))]
-        for p in instance.programs
+        [p.id, repr(float(c)), p.kind.value, ID_SEPARATOR.join(sorted(p.covers))]
+        for p, c in zip(instance.programs, instance.costs.tolist())
     )
     write_rows(directory / "programs.csv", PROGRAM_COLUMNS, programs)
     write_rows(directory / "meta.csv", META_COLUMNS, [[repr(float(instance.budget))]])

@@ -189,8 +189,12 @@ def _household_classes(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.n
     padded[owner[shared], slot] = coverers[shared]
     flags = instance.group_members.T.toarray().astype(np.intp)
     key = np.hstack([padded, tier[:, None], flags])
-    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
-    return first, inverse.reshape(-1), private
+    order = np.lexsort(key.T[::-1])  # stable row sort: classes ascend, first = lowest index
+    new = np.ones(n_i, dtype=bool)
+    new[1:] = (key[order[1:]] != key[order[:-1]]).any(axis=1)
+    inverse = np.empty(n_i, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse, private
 
 
 class _ScenarioLp:

@@ -5,6 +5,8 @@ An `Instance` bundles the needy households, the candidate coverage programs
 household lists the protected groups it belongs to; the minimum coverage
 ratio over those groups defines the equity objective. All domain types are
 immutable after construction and safe to share across concurrent evaluators.
+Money on households and programs is raw; an instance's `costs` and budget
+are in its `unit` (money per unit, which only `normalize` sets).
 """
 
 from __future__ import annotations
@@ -156,12 +158,14 @@ class _budget_free(cached_property):
 class Instance:
     """A full problem instance. Its protected groups are the group ids its
     households list (`groups`); a group's members are the households listing
-    it. What does not depend on the budget lives in one store (`derive`),
+    it. `costs` (raw costs / `unit`) and `budget` are in money per `unit`.
+    What does not depend on the budget lives in one store (`derive`),
     shared by every `with_budget` copy."""
 
     households: tuple[Household, ...]
     programs: tuple[Program, ...]
     budget: float
+    unit: float = 1.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "households", tuple(self.households))
@@ -199,7 +203,7 @@ class Instance:
 
     @_budget_free
     def costs(self) -> np.ndarray:
-        arr = np.array([p.cost for p in self.programs], dtype=float)
+        arr = np.array([p.cost for p in self.programs], dtype=float) / self.unit
         arr.setflags(write=False)
         return arr
 
@@ -292,17 +296,17 @@ class StrategyOutcome:
 
 
 def _scaled(instance: Instance) -> tuple[Instance, float]:
-    """`instance`'s programs and households divided by its costliest
-    program's cost, at budget 0, and that cost."""
-    scale = max(p.cost for p in instance.programs)
-    if scale <= 0:
+    """`instance` at budget 0 in the unit of its costliest program, and that
+    program's cost in `instance`'s unit. The copy shares the households and
+    programs and has a store of its own; it builds no object."""
+    top = max(p.cost for p in instance.programs)
+    if top <= 0:
         raise ValueError("cannot normalize: max program cost is 0")
-    households = tuple(
-        h if h.ride_hail_cost is None else Household(h.id, h.ride_hail_cost / scale, h.group_ids)
-        for h in instance.households
+    out = object.__new__(Instance)
+    out.__dict__.update(
+        households=instance.households, programs=instance.programs, budget=0.0, unit=top, _store={}
     )
-    programs = tuple(Program(p.id, p.cost / scale, p.covers, p.kind) for p in instance.programs)
-    return Instance(households, programs, 0.0), scale
+    return out, top / instance.unit
 
 
 def normalize(
@@ -310,15 +314,16 @@ def normalize(
 ) -> tuple[Instance, float]:
     """Rescale so the costliest program has cost 1.
 
-    Divides every program cost, every defined household ride-hail cost, and
-    the budget by the maximum program cost, returning the scaled instance and
-    the scale factor (multiply scaled money by it to recover raw units).
-    Rejects a normalized budget below 1 unless allow_small_budget is set,
-    since the rounding guarantees assume max cost <= 1 <= B.
+    Returns the instance in the unit of its costliest program, sharing its
+    households and programs (their money stays raw), with the budget divided
+    by the scale factor, also returned: that program's cost in `instance`'s
+    unit (multiply scaled money by it to recover `instance`'s). Rejects a
+    normalized budget below 1 unless allow_small_budget is set, since the
+    rounding guarantees assume max cost <= 1 <= B.
 
-    The scaled programs and households do not depend on the budget: they are
-    built once and shared by every `with_budget` copy of the instance, so on
-    such a copy this only divides the budget.
+    The scaled copy does not depend on the budget: it is made once and
+    shared by every `with_budget` copy of the instance, so on such a copy
+    this only divides the budget.
     """
     if not instance.programs:
         raise ValueError("cannot normalize an instance with no programs")
@@ -334,9 +339,9 @@ def normalize(
 
 def inject_ride_hailing(instance: Instance) -> Instance:
     """Append one virtual single-household program per household whose
-    ride-hail cost is defined. Idempotent: households that already have a
-    virtual program are skipped. Virtual ids use the reserved prefix
-    'ride-hail:<household id>'."""
+    ride-hail cost is defined, at that raw cost (`unit` scales it). Idempotent:
+    households that already have a virtual program are skipped. Virtual ids
+    use the reserved prefix 'ride-hail:<household id>'."""
     existing = {
         next(iter(p.covers))
         for p in instance.programs

@@ -72,6 +72,22 @@ class TestDistance:
             ref = reference_haversine(lat1, lon1, lat2, lon2)
             assert ours == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
+    def test_scalar_calls_equal_array_calls_to_the_bit(self):
+        # seeded pairs across the globe and within a mile or so in Chicago:
+        # a scalar call, a one-element-array call and the pair's entry of one
+        # call over all pairs give the same float. Squaring by a numpy
+        # scalar's ** 2 (pow) breaks this in about 1 pair in 2,500.
+        rng = np.random.default_rng(2022)
+        far = rng.uniform([-89.0, -180.0, -89.0, -180.0], [89.0, 180.0, 89.0, 180.0], (10_000, 4))
+        home = rng.uniform([41.6, -88.0], [42.1, -87.5], (10_000, 2))
+        near = np.hstack([home, home + rng.uniform(-0.01, 0.01, home.shape)])
+        pairs = np.vstack([far, near])
+        everything = great_circle_miles(*pairs.T)
+        for k, pair in enumerate(pairs.tolist()):
+            scalar = np.float64(great_circle_miles(*pair))
+            single = great_circle_miles(*(np.array([v]) for v in pair))
+            assert scalar.tobytes() == single.tobytes() == everything[k].tobytes()
+
     def test_known_city_pair(self):
         # Chicago Loop to Manhattan, great-circle ~ 712 miles
         d = float(great_circle_miles(41.8781, -87.6298, 40.7128, -74.0060))

@@ -310,6 +310,52 @@ class TestHouseholdClasses:
             assert verify_solution(copy, solve_lp(build_lp(copy), solver="highs")) == []
         assert low._store["household_classes"] is high._store["household_classes"]
 
+    @staticmethod
+    def assert_classes_match_row_unique(inst, monkeypatch):
+        """`_household_classes` against `np.unique(key, axis=0)` as the
+        reference, on the key it builds (its one `np.hstack`), and `private`
+        against a scan of the programs; returns the number of households
+        merged away."""
+        inst.coverers, inst.group_members, inst.costs  # built before the spy
+        keys, hstack = [], np.hstack
+        monkeypatch.setattr(np, "hstack", lambda arrays: keys.append(hstack(arrays)) or keys[-1])
+        first, inverse, private = _household_classes(inst)
+        monkeypatch.undo()
+        (key,) = keys
+        _, want_first, want_inverse = np.unique(
+            key, axis=0, return_index=True, return_inverse=True
+        )
+        assert np.array_equal(first, want_first)
+        assert np.array_equal(inverse, want_inverse.reshape(-1))
+        alone = [
+            next((j for j, p in enumerate(inst.programs) if p.covers == {h.id}), -1)
+            for h in inst.households
+        ]
+        assert np.array_equal(private, alone)
+        return len(inst.households) - first.size
+
+    def test_matches_row_unique_on_random_instances(self, rng, monkeypatch):
+        merged = 0
+        for _ in range(60):
+            inst = random_instance(rng, max_households=12, max_programs=6)
+            priced = tuple(
+                dataclasses.replace(h, ride_hail_cost=float(rng.choice(RIDE_HAIL_TIERS)))
+                for h in inst.households
+            )
+            combined = inject_ride_hailing(dataclasses.replace(inst, households=priced))
+            for case in (inst, combined):
+                merged += self.assert_classes_match_row_unique(case, monkeypatch)
+        assert merged >= 100
+
+    def test_matches_row_unique_on_default_city(self, monkeypatch):
+        households, stops, guideline = synthetic_city(SyntheticCityParams(), 2)
+        eligible = eligibility_filter(households, stops)
+        routes = generate_routes(cluster_stops(eligible), stops, 20, 0, CostParams())
+        bus_only = build_instance(eligible, routes, budget=0.0, guideline=guideline)
+        for scenario in (bus_only, inject_ride_hailing(bus_only)):
+            norm, _ = normalize(scenario, allow_small_budget=True)
+            assert self.assert_classes_match_row_unique(norm, monkeypatch) > 0
+
     def test_default_city_combined_merges_ride_hail_households(self):
         # each household's own ride-hail program must not keep it apart
         households, stops, guideline = synthetic_city(SyntheticCityParams(), 0)

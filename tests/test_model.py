@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from transit_equity.baselines import greedy
 from transit_equity.generators import random_instance
+from transit_equity.instance_io import write_instance
 from transit_equity.lp import build_lp, solve_lp
 from transit_equity.model import (
     BudgetTooSmallError,
@@ -106,7 +109,7 @@ class TestNormalize:
         inst = make_instance([2.0, 4.0], budget=8.0)
         norm, scale = normalize(inst)
         assert scale == 4.0
-        assert [p.cost for p in norm.programs] == [0.5, 1.0]
+        assert norm.costs.tolist() == [0.5, 1.0]
         assert norm.budget == 2.0
 
     def test_identity_when_already_normalized(self):
@@ -120,7 +123,7 @@ class TestNormalize:
         inst = make_instance([10.0, 15.0, 20.0], budget=40.0)
         norm, scale = normalize(inst)
         assert scale == 20.0
-        assert [p.cost for p in norm.programs] == [0.5, 0.75, 1.0]
+        assert norm.costs.tolist() == [0.5, 0.75, 1.0]
         assert norm.budget == 2.0
 
     def test_household_costs_scaled_too(self):
@@ -130,7 +133,7 @@ class TestNormalize:
             households=(Household(id="h0", ride_hail_cost=2.0, group_ids=frozenset({"g"})),),
         )
         norm, _ = normalize(inst)
-        assert norm.households[0].ride_hail_cost == 0.5
+        assert inject_ride_hailing(norm).costs[-1] == 0.5
 
     def test_rejects_empty_program_list(self):
         inst = Instance(households=(Household(id="a"),), programs=(), budget=1.0)
@@ -162,6 +165,108 @@ class TestNormalize:
         assert (raw.costs[sel].sum() <= raw.budget + 1e-9 * scale) == (
             norm.costs[sel].sum() <= norm.budget + 1e-9
         )
+
+
+def raw_money_instance(budget=10.0):
+    """Raw money whose quotients by the costliest program are inexact."""
+    households = (
+        Household(id="a", ride_hail_cost=2.5, group_ids=frozenset({"g1"})),
+        Household(id="b", ride_hail_cost=1.1, group_ids=frozenset({"g1", "g2"})),
+        Household(id="c", ride_hail_cost=7.3, group_ids=frozenset({"g2"})),
+        Household(id="d", ride_hail_cost=None, group_ids=frozenset()),
+    )
+    programs = (
+        Program(id="p1", cost=3.0, covers=frozenset({"a", "b"})),
+        Program(id="p2", cost=7.0, covers=frozenset({"b", "c"})),
+        Program(id="p3", cost=0.1, covers=frozenset({"d"})),
+    )
+    return Instance(households=households, programs=programs, budget=budget)
+
+
+def written_sha256(instance, directory):
+    write_instance(instance, directory)
+    digest = hashlib.sha256()
+    for name in ("households.csv", "programs.csv", "meta.csv"):
+        digest.update((Path(directory) / name).read_bytes())
+    return digest.hexdigest()
+
+
+class TestCostUnit:
+    """Money on households and programs stays raw; a normalized instance
+    holds its scale in `unit`, and its `costs` and budget in that unit."""
+
+    def test_normalized_instance_shares_objects_and_holds_the_scale(self):
+        raw = raw_money_instance()
+        norm, scale = normalize(raw)
+        assert norm.households is raw.households and norm.programs is raw.programs
+        assert raw.unit == 1.0 and norm.unit == scale == 7.0
+        assert norm.budget == 10.0 / 7.0
+
+    def test_costs_are_raw_costs_over_the_scale_to_the_bit(self):
+        norm, scale = normalize(raw_money_instance())
+        expected = np.array([p.cost / scale for p in norm.programs])
+        assert norm.costs.tobytes() == expected.tobytes()
+        assert not norm.costs.flags.writeable
+
+    def test_normalize_builds_no_object(self, monkeypatch):
+        raw = raw_money_instance()
+        built = []
+        for cls in (Household, Program, Instance):
+            check = cls.__post_init__
+            monkeypatch.setattr(
+                cls, "__post_init__", lambda self, check=check: built.append(self) or check(self)
+            )
+        for budget in (7.0, 14.0):
+            normalize(raw.with_budget(budget))
+        assert built == []
+
+    def test_with_budget_keeps_unit_and_renormalizing_is_identity(self):
+        norm, scale = normalize(raw_money_instance())
+        copy = norm.with_budget(3.0)
+        assert copy.unit == norm.unit and copy.costs is norm.costs
+        again, one = normalize(copy)
+        assert one == 1.0 and again.unit == scale and again.budget == 3.0
+        assert again.costs.tobytes() == norm.costs.tobytes()
+
+    def test_injected_ride_hail_costs_take_the_unit(self):
+        raw = raw_money_instance()
+        norm, scale = normalize(raw)
+        combined = inject_ride_hailing(norm)
+        assert combined.unit == scale
+        for h, cost in zip(raw.households[:3], combined.costs[len(raw.programs):]):
+            assert cost == h.ride_hail_cost / scale
+        assert combined.costs[-1] == raw.households[2].ride_hail_cost / scale
+
+    def test_inject_and_normalize_commute_at_one_scale(self):
+        # every ride-hail cost below the costliest bus line: one scale
+        base = raw_money_instance()
+        households = tuple(
+            dataclasses.replace(h, ride_hail_cost=min(h.ride_hail_cost, 6.9))
+            if h.ride_hail_cost is not None
+            else h
+            for h in base.households
+        )
+        raw = dataclasses.replace(base, households=households)
+        first = normalize(inject_ride_hailing(raw))[0]
+        later = inject_ride_hailing(normalize(raw)[0])
+        assert first.costs.tobytes() == later.costs.tobytes()
+
+    def test_written_normalized_instance_is_pinned(self, tmp_path):
+        # digests of the files that dividing every object's money wrote
+        raw = raw_money_instance()
+        written = [
+            written_sha256(instance, tmp_path / name)
+            for name, instance in (
+                ("bus", normalize(raw)[0]),
+                ("inject_first", normalize(inject_ride_hailing(raw))[0]),
+                ("inject_later", inject_ride_hailing(normalize(raw)[0])),
+            )
+        ]
+        assert written == [
+            "a43b39b07a272538f2680d3c574ecf3edceac557dbe83df1f6c46e23b83971fe",
+            "c715c34271b6b66e669557a4ed671c2aec26b8cbb36ab8d41846e8d51af1f719",
+            "624118e5a7ca8833b60c81149c92f55bbf7997ba1dda47a479fdeeadcf501831",
+        ]
 
 
 class TestWithBudget:

@@ -217,11 +217,11 @@ def naive_uniform(instance, rng):
     for j in rng.permutation(len(instance.programs)).tolist():
         if len(covered) == len(instance.households):
             break
-        program = instance.programs[j]
-        if program.cost <= remaining + AFFORDABILITY_TOL:
+        cost = instance.costs[j]
+        if cost <= remaining + AFFORDABILITY_TOL:
             selected[j] = True
-            remaining -= program.cost
-            covered |= program.covers
+            remaining -= cost
+            covered |= instance.programs[j].covers
     return selected
 
 
