@@ -27,7 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import AFFORDABILITY_TOL, DeterministicStrategy, Instance, StrategyOutcome, evaluate
+from .model import (
+    AFFORDABILITY_TOL, DeterministicStrategy, Instance, StrategyOutcome, _check_budget, evaluate,
+)
 
 
 @dataclass(frozen=True)
@@ -51,8 +53,8 @@ class _GreedyTables:
 
 
 def _greedy_tables(instance: Instance) -> _GreedyTables:
-    """The instance's `_GreedyTables`; `greedy` builds them once per
-    instance and its `with_budget` copies, through `Instance.derive`."""
+    """The instance's `_GreedyTables`; `greedy_selections` builds them once
+    per instance and its `with_budget` copies, through `Instance.derive`."""
     n_j, n_groups = len(instance.programs), len(instance.groups)
     rank = np.empty(n_j, dtype=int)
     rank[np.argsort([p.id for p in instance.programs], kind="stable")] = np.arange(n_j)
@@ -100,7 +102,14 @@ def greedy(instance: Instance) -> StrategyOutcome:
     Ties are broken by larger newly-covered household count, then lower cost,
     then lexicographically smallest program id, making the result fully
     deterministic. Programs too expensive for the remaining budget are
-    skipped, not terminal.
+    skipped, not terminal. One row of `greedy_selections`."""
+    selected = greedy_selections(instance, [instance.budget])[0]
+    return evaluate(instance, DeterministicStrategy(tuple(selected.tolist())))
+
+
+def greedy_selections(instance: Instance, budgets: Sequence[float]) -> np.ndarray:
+    """The (budgets, programs) bool selections of `greedy` on the instance at
+    each of `budgets` (in its unit; its own budget is not read).
 
     Every pick is the best of all unselected affordable programs, an exact
     full rescan: the max-min gain is not submodular, so a lazy greedy with
@@ -122,7 +131,18 @@ def greedy(instance: Instance) -> StrategyOutcome:
     scored one by one, with the gains kept in numpy. Every equity is the
     same division of the same integer counts as in a full rescan, so it
     compares the same floats.
+
+    A fourth exact fact runs all budgets as one: budgets that have made the
+    same picks share them. Subtracting the same costs in the same order
+    keeps a smaller budget's remainder at most a larger one's (float
+    subtraction is monotone), so it affords a subset, and the larger
+    budget's pick, if it fits the smaller, is the smaller's pick too. A
+    group of budgets advances on its largest one's picks; the members a
+    pick does not fit leave with a copy of the state and go on as a group
+    of their own. Each budget subtracts the costs from its own remainder.
     """
+    for budget in budgets:
+        _check_budget(budget)
     tables = instance.derive("greedy", _greedy_tables)
     n_i = len(instance.households)
     sizes = instance.group_sizes.tolist()
@@ -157,83 +177,105 @@ def greedy(instance: Instance) -> StrategyOutcome:
     # per group, its ratio now, then (from n_groups on) with one more member covered
     ratios = [0 / n for n in sizes] + [1 / n for n in sizes]
     n_covered = 0
-    remaining = float(instance.budget)
 
-    while n_covered < n_i:
-        limit = remaining + AFFORDABILITY_TOL
-        # (-equity, -fresh, cost, id rank, program, source, queue)
-        keys = []
-        if n_live:
-            live &= multi_costs <= limit
-            candidates = np.flatnonzero(live)
-            n_live = candidates.size
+    # a group's members as [remaining, row], largest first: the first leads
+    members = sorted(([float(b), row] for row, b in enumerate(budgets)), reverse=True)
+    state = (gain, fresh, live, n_live, queues, spent, picked, covered, counts, ratios, n_covered)
+    groups = [(members, state)] if members else []
+    selections = np.zeros((len(budgets), len(instance.programs)), dtype=bool)
+    while groups:
+        members, state = groups.pop()
+        gain, fresh, live, n_live, queues, spent, picked, covered, counts, ratios, n_covered = state
+        while n_covered < n_i:
+            limit = members[0][0] + AFFORDABILITY_TOL
+            # (-equity, -fresh, cost, id rank, program, source, queue)
+            keys = []
             if n_live:
-                if n_groups:
-                    equity = np.minimum.reduce(gain[:, candidates] / size_column, axis=0)
-                else:
-                    equity = np.ones(n_live)
-                keys.append(min(zip(
-                    (-equity).tolist(), (-fresh[candidates]).tolist(),
-                    multi_costs[candidates].tolist(), multi_ranks[candidates].tolist(),
-                    multi[candidates].tolist(), [0] * n_live, candidates.tolist(),
+                live &= multi_costs <= limit
+                candidates = np.flatnonzero(live)
+                n_live = candidates.size
+                if n_live:
+                    if n_groups:
+                        equity = np.minimum.reduce(gain[:, candidates] / size_column, axis=0)
+                    else:
+                        equity = np.ones(n_live)
+                    keys.append(min(zip(
+                        (-equity).tolist(), (-fresh[candidates]).tolist(),
+                        multi_costs[candidates].tolist(), multi_ranks[candidates].tolist(),
+                        multi[candidates].tolist(), [0] * n_live, candidates.tolist(),
+                    )))
+            open_queues = []
+            for queue in queues:
+                terms, entries, head = queue
+                while head < len(entries) and covered[entries[head][3]]:
+                    head += 1
+                if head < len(entries) and entries[head][0] <= limit:
+                    queue[2] = head
+                    open_queues.append(queue)
+                    cost, r, j, _ = entries[head]
+                    equity = min(map(ratios.__getitem__, terms), default=1.0)
+                    keys.append((-equity, -1, cost, r, j, 1, queue))
+            queues = open_queues
+            if spent and spent[0][0] <= limit:
+                cost, r, j = spent[0]
+                keys.append((-min(ratios[:n_groups], default=1.0), 0, cost, r, j, 2, None))
+            if not keys:
+                break
+            _, _, cost, _, j, source, where = min(keys)
+            if cost > members[-1][0] + AFFORDABILITY_TOL:
+                # the members the pick does not fit, a suffix, go on from here
+                fit = sum(cost <= remaining + AFFORDABILITY_TOL for remaining, _ in members)
+                groups.append((members[fit:], (
+                    gain.copy(), fresh.copy(), live.copy(), n_live, [q.copy() for q in queues],
+                    spent.copy(), picked.copy(), bytearray(covered), counts.copy(),
+                    ratios.copy(), n_covered,
                 )))
-        open_queues = []
-        for queue in queues:
-            terms, entries, head = queue
-            while head < len(entries) and covered[entries[head][3]]:
-                head += 1
-            if head < len(entries) and entries[head][0] <= limit:
-                queue[2] = head
-                open_queues.append(queue)
-                cost, r, j, _ = entries[head]
-                equity = min(map(ratios.__getitem__, terms), default=1.0)
-                keys.append((-equity, -1, cost, r, j, 1, queue))
-        queues = open_queues
-        if spent and spent[0][0] <= limit:
-            cost, r, j = spent[0]
-            keys.append((-min(ratios[:n_groups], default=1.0), 0, cost, r, j, 2, None))
-        if not keys:
-            break
-        _, _, cost, _, j, source, where = min(keys)
-        picked.append(j)
-        remaining -= cost
+                members = members[:fit]
+            picked.append(j)
+            for member in members:
+                member[0] -= cost
 
-        if source == 2:
-            heapq.heappop(spent)
-            continue
-        if source == 1:
-            new = [where[1][where[2]][3]]
-            where[2] += 1
-        else:
-            live[where] = False
-            new = [i for i in cover_idx[cover_ptr[j] : cover_ptr[j + 1]].tolist() if not covered[i]]
-        n_covered += len(new)
-        for i in new:
-            covered[i] = 1
-            for g in household_groups[i]:
-                counts[g] += 1
-                ratios[g] = counts[g] / sizes[g]
-                ratios[n_groups + g] = (counts[g] + 1) / sizes[g]
-            for entry in singles[i]:
-                if entry[2] != j:
-                    heapq.heappush(spent, entry)
-        if n_live and new:
-            new = np.array(new, dtype=np.intp)
-            # the multi programs covering each newly covered household, concatenated
-            starts = coverer_ptr[new]
-            lengths = coverer_ptr[new + 1] - starts
-            offsets = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-            programs = coverer_idx[np.arange(offsets.size) + offsets]
-            np.subtract.at(fresh, programs, 1)
-            gain += membership[:, new].sum(axis=1, keepdims=True)
-            np.subtract.at(gain, (slice(None), programs), membership[:, np.repeat(new, lengths)])
-            for m in np.flatnonzero(live & (fresh == 0)).tolist():
-                live[m] = False
-                heapq.heappush(spent, (float(multi_costs[m]), int(multi_ranks[m]), int(multi[m])))
-
-    selected = np.zeros(len(instance.programs), dtype=bool)
-    selected[picked] = True
-    return evaluate(instance, DeterministicStrategy(tuple(selected.tolist())))
+            if source == 2:
+                heapq.heappop(spent)
+                continue
+            if source == 1:
+                new = [where[1][where[2]][3]]
+                where[2] += 1
+            else:
+                live[where] = False
+                new = [
+                    i for i in cover_idx[cover_ptr[j] : cover_ptr[j + 1]].tolist() if not covered[i]
+                ]
+            n_covered += len(new)
+            for i in new:
+                covered[i] = 1
+                for g in household_groups[i]:
+                    counts[g] += 1
+                    ratios[g] = counts[g] / sizes[g]
+                    ratios[n_groups + g] = (counts[g] + 1) / sizes[g]
+                for entry in singles[i]:
+                    if entry[2] != j:
+                        heapq.heappush(spent, entry)
+            if n_live and new:
+                new = np.array(new, dtype=np.intp)
+                # the multi programs covering each newly covered household, concatenated
+                starts = coverer_ptr[new]
+                lengths = coverer_ptr[new + 1] - starts
+                offsets = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+                programs = coverer_idx[np.arange(offsets.size) + offsets]
+                np.subtract.at(fresh, programs, 1)
+                gain += membership[:, new].sum(axis=1, keepdims=True)
+                np.subtract.at(
+                    gain, (slice(None), programs), membership[:, np.repeat(new, lengths)]
+                )
+                for m in np.flatnonzero(live & (fresh == 0)).tolist():
+                    live[m] = False
+                    heapq.heappush(
+                        spent, (float(multi_costs[m]), int(multi_ranks[m]), int(multi[m]))
+                    )
+        for _, row in members:
+            selections[row, picked] = True
+    return selections
 
 
 def uniform_selections(instance: Instance, rngs: Sequence[np.random.Generator]) -> np.ndarray:
@@ -287,14 +329,15 @@ def uniform_selections(instance: Instance, rngs: Sequence[np.random.Generator]) 
     # taken[t, j]: the k at which trial t takes program j, n_j if it does not
     taken = np.empty((n_trials, n_j), dtype=np.int32)
     np.put_along_axis(taken, order, np.where(took, np.arange(n_j, dtype=np.int32), n_j), axis=1)
-    # a trial ends at the latest over households of each one's first covering
-    # pick (n_j if some household stays uncovered); a household no program
-    # covers means no trial ends on coverage
+    # a trial whose picks cover every household ends at the latest over
+    # households of each one's first covering pick; any other trial keeps
+    # every pick, as all do when a household has no covering program
     cut = np.full(n_trials, n_j - 1)
     indptr, indices = instance.coverers.indptr, instance.coverers.indices
     if not (np.diff(indptr) == 0).any():
-        first = np.minimum.reduceat(taken[:, indices], indptr[:-1], axis=1)
-        np.minimum(cut, first.max(axis=1, initial=-1), out=cut)
+        full = np.flatnonzero((instance.coverers @ (taken < n_j).T).min(axis=0, initial=1) > 0)
+        first = np.minimum.reduceat(taken[full].take(indices, axis=1), indptr[:-1], axis=1)
+        cut[full] = first.max(axis=1, initial=-1)
     return taken <= cut[:, np.newaxis]
 
 

@@ -14,12 +14,16 @@ programs and households, and on those the coverage incidence, the LP's
 HiGHS model and greedy's tables, kept in the store `Instance.with_budget`
 copies share. A cell swaps in its budget, divides it in `normalize`, builds
 the LP's sparse matrix and solves it; on HiGHS only the budget row's bound
-changes (`lp.solve_lp`). Each algorithm then runs `run_cell`, as do CLI
-`ras`, `uniform` and `greedy`: its trials form one (trials, programs) bool
-selection matrix (`ras_selection` rows stacked, `uniform_selections` drawn
-in one batch, or greedy's one selection), which `run_trials` scores,
+changes (`lp.solve_lp`). Each randomized algorithm then runs `run_cell`,
+as do CLI `ras`, `uniform` and `greedy`: its trials form one (trials,
+programs) bool selection matrix (`ras_selection` rows stacked, or
+`uniform_selections` drawn in one batch), which `run_trials` scores,
 summing costs and counting covered group members in arrays with the floats
-`evaluate` gives.
+`evaluate` gives. Greedy runs once per scenario, in its first cell: one
+`greedy_selections` call gives its selection at every budget of the sweep
+(the budgets share their picks up to where a pick stops fitting), and each
+cell scores its row with `run_trials`. CLI `greedy` is that call at one
+budget.
 
 Seed derivation: trial t of algorithm a (index within the algorithms tuple)
 in cell (budget index b, scenario index s) uses
@@ -39,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .baselines import greedy, uniform_selections
+from .baselines import greedy_selections, uniform_selections
 from .geo import (
     CostParams,
     SyntheticCityParams,
@@ -224,7 +228,7 @@ def run_cell(
     trial t from SeedSequence((*key, t)); `greedy` runs once and draws
     nothing."""
     if algorithm == "greedy":
-        selections = np.array([greedy(instance).strategy.selected], dtype=bool)
+        selections = greedy_selections(instance, [instance.budget])
     else:
         rngs = [np.random.default_rng(np.random.SeedSequence((*key, t))) for t in range(trials)]
         selections = (
@@ -276,11 +280,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             norm, scale = normalize(
                 base.with_budget(float(budget)), allow_small_budget=config.allow_small_budget
             )
+            if b == 0 and "greedy" in config.algorithms:
+                # greedy at every budget of the sweep in one run, each budget
+                # divided by the scale as `normalize` divides it
+                greedy_rows = greedy_selections(norm, [float(x) / scale for x in config.budgets])
             solution = solve_lp(build_lp(norm), solver=config.solver)
             t_star = solution.objective
             for a, algorithm in enumerate(config.algorithms):
                 key = (config.seed, s, b, a)
-                _, stats = run_cell(norm, solution, algorithm, config.trials, key)
+                if algorithm == "greedy":
+                    stats = run_trials(norm, greedy_rows[b : b + 1])
+                else:
+                    _, stats = run_cell(norm, solution, algorithm, config.trials, key)
                 rows.append(
                     _row_from_stats(budget, scenario, algorithm, stats, t_star, scale, norm.budget)
                 )

@@ -171,6 +171,8 @@ class Instance:
         object.__setattr__(self, "households", tuple(self.households))
         object.__setattr__(self, "programs", tuple(self.programs))
         _check_budget(self.budget)
+        if not 0 < self.unit < math.inf:
+            raise ValueError(f"unit must be finite and > 0, got {self.unit!r}")
         known = _distinct_ids("household", [h.id for h in self.households])
         _distinct_ids("program", [p.id for p in self.programs])
         for p in self.programs:

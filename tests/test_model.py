@@ -76,6 +76,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="budget must be finite"):
             make_instance([1.0], budget=value)
 
+    @pytest.mark.parametrize("value", [0.0, -2.0, float("nan"), float("inf")])
+    def test_non_positive_or_non_finite_unit_rejected(self, value):
+        instance = make_instance([1.0], budget=1.0)
+        with pytest.raises(ValueError, match="unit must be finite and > 0"):
+            Instance(instance.households, instance.programs, 1.0, unit=value)
+
     @pytest.mark.parametrize("bad", ["", "a;b", ";"])
     def test_unwritable_ids_rejected(self, bad):
         with pytest.raises(ValueError, match="household id must be nonempty"):

@@ -30,7 +30,7 @@ from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
 from transit_equity import experiment, geo
-from transit_equity.baselines import greedy, uniform, uniform_selections
+from transit_equity.baselines import greedy, greedy_selections, uniform, uniform_selections
 from transit_equity.cli import main
 from transit_equity.experiment import ExperimentConfig, emit, run_experiment
 from transit_equity.generators import random_instance
@@ -497,6 +497,55 @@ class TestGreedyReference:
                 fresh = Instance(instance.households, instance.programs, b)
                 assert greedy(second).strategy == greedy(fresh).strategy
                 assert greedy(fresh).strategy == reference_greedy(fresh).strategy
+
+
+class TestGreedySelections:
+    """One greedy run serves every budget of a list: its rows are each
+    budget's own dense rescan."""
+
+    def test_rows_match_the_dense_rescan_at_each_budget(self):
+        rng = np.random.default_rng(23)
+        split = 0
+        for instance in tie_heavy_greedy_instances(300, 2026):
+            costs = instance.costs
+            total = float(costs.sum())
+            cheapest = float(costs[costs > 0].min(initial=0.25))
+            # duplicates, none, below the cheapest program, above saturation,
+            # random and a cost level, in random order
+            budgets = [0.0, cheapest / 2, instance.budget, instance.budget, 1.5 * total + 1.0,
+                       float(rng.uniform(0.0, total)), float(rng.uniform(0.0, total)), 0.5]
+            rng.shuffle(budgets)
+            rows = greedy_selections(instance, budgets)
+            assert rows.dtype == bool and rows.shape == (len(budgets), costs.size)
+            for row, budget in zip(rows, budgets):
+                want = reference_greedy(instance.with_budget(budget)).strategy.selected
+                assert tuple(row.tolist()) == tuple(map(bool, want))
+            split += len({tuple(row.tolist()) for row in rows}) > 2
+        assert split >= 100  # most lists leave the largest budget's picks
+
+    def test_sweep_rows_equal_per_cell_greedy(self):
+        config = ExperimentConfig(
+            budgets=(3e6, 0.5e6, 40e6, 1e6),
+            algorithms=("greedy",),
+            trials=5,
+            seed=3,
+            synthetic=TINY_CITY,
+            route_count=4,
+            cost_params=COST_PARAMS,
+        )
+        rows = iter(run_experiment(config).rows)
+        bases = experiment._base_instances(config)
+        for scenario in config.scenarios:
+            for budget in config.budgets:
+                norm, scale = normalize(bases[scenario].with_budget(budget))
+                outcome = greedy(norm)
+                row = next(rows)
+                assert (row.budget, row.scenario, row.algorithm) == (budget, scenario, "greedy")
+                assert row.mean_equity == row.ci_low == row.ci_high == outcome.equity
+                assert row.mean_cost == row.max_cost == outcome.total_cost * scale
+                selections, _ = experiment.run_cell(norm, None, "greedy", 1, ())
+                assert selections.tolist() == [list(map(bool, outcome.strategy.selected))]
+        assert next(rows, None) is None
 
 
 def uncovered_household():
