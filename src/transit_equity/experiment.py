@@ -16,14 +16,14 @@ copies share. A cell swaps in its budget, divides it in `normalize`, builds
 the LP's sparse matrix and solves it; on HiGHS only the budget row's bound
 changes (`lp.solve_lp`). Each randomized algorithm then runs `run_cell`,
 as do CLI `ras`, `uniform` and `greedy`: its trials form one (trials,
-programs) bool selection matrix (`ras_selection` rows stacked, or
-`uniform_selections` drawn in one batch), which `run_trials` scores,
-summing costs and counting covered group members in arrays with the floats
-`evaluate` gives. Greedy runs once per scenario, in its first cell: one
-`greedy_selections` call gives its selection at every budget of the sweep
-(the budgets share their picks up to where a pick stops fitting), and each
-cell scores its row with `run_trials`. CLI `greedy` is that call at one
-budget.
+programs) bool selection matrix, drawn in one batch (`ras_selections` or
+`uniform_selections`), which `run_trials` scores, summing costs
+(`Instance.selection_costs`) and counting covered group members in arrays
+with the floats `evaluate` gives. Greedy runs once per scenario, in its
+first cell: one `greedy_selections` call gives its selection at every
+budget of the sweep (the budgets share their picks up to where a pick stops
+fitting), and each cell scores its row with `run_trials`. CLI `greedy` is
+that call at one budget.
 
 Seed derivation: trial t of algorithm a (index within the algorithms tuple)
 in cell (budget index b, scenario index s) uses
@@ -56,7 +56,7 @@ from .geo import (
 from .instance_io import read_instance, write_rows
 from .lp import FractionalSolution, build_lp, check_backend, solve_lp
 from .model import ZERO_LP_VALUE, Instance, _check_budget, inject_ride_hailing, normalize
-from .rounding import ras_selection
+from .rounding import ras_selections
 
 SCENARIOS = ("bus_only", "combined")
 ALGORITHMS = ("ras", "greedy", "uniform")
@@ -64,27 +64,14 @@ Z_95 = 1.96
 
 # results.csv's columns, named as the ReportRow fields they hold
 RESULTS_HEADER = [
-    "budget",
-    "scenario",
-    "algorithm",
-    "mean_equity",
-    "approx_ratio",
-    "ci_low",
-    "ci_high",
-    "mean_cost",
-    "max_cost",
+    "budget", "scenario", "algorithm", "mean_equity", "approx_ratio", "ci_low", "ci_high",
+    "mean_cost", "max_cost",
 ]
 PLOT_SCHEMA_VERSION = 1
 # The per-budget lists of a plot_data.json series (keyed by its scenario and
 # algorithm), named as the ReportRow fields they copy.
 PLOT_FIELDS = (
-    "budget",
-    "budget_normalized",
-    "lp_value",
-    "mean_equity",
-    "approx_ratio",
-    "ci_low",
-    "ci_high",
+    "budget", "budget_normalized", "lp_value", "mean_equity", "approx_ratio", "ci_low", "ci_high",
 )
 
 
@@ -182,17 +169,17 @@ def run_trials(instance: Instance, selections: np.ndarray) -> _CellStats:
     """Aggregate the trials of a (trials, programs) bool selection matrix.
 
     Each trial's cost and group ratios are the floats `evaluate` would report
-    for its selection: the selected costs summed by `costs[selected].sum()`,
-    and each group's covered-member count, from `Instance.coverage` on the
-    whole matrix, divided by the group size. A group's mean is
-    its covered count summed over trials, divided by trials x group size: one
-    rounding, so a group covered alike in every trial reads exactly that
-    trial's ratio. Its sample variance is T (sum c^2) - (sum c)^2 over
+    for its selection: the selected costs summed as `costs[selected].sum()`
+    sums them (`Instance.selection_costs`), and each group's covered-member
+    count, from `Instance.coverage` on the whole matrix, divided by the group
+    size. A group's mean is its covered count summed over trials, divided by
+    trials x group size: one rounding, so a group covered alike in every
+    trial reads exactly that trial's ratio. Its sample variance is T (sum c^2) - (sum c)^2 over
     T (T - 1) size^2, from the integer counts c of its T trials, so such a
     group has standard deviation 0 and a confidence interval of zero width.
     """
     n_trials = len(selections)
-    costs = np.array([instance.costs[selected].sum() for selected in selections])
+    costs = instance.selection_costs(selections)
     if instance.groups:
         counts = instance.coverage(selections)
         sizes = instance.group_sizes
@@ -223,10 +210,9 @@ def run_cell(
     key: tuple[int, ...],
 ) -> tuple[np.ndarray, _CellStats]:
     """One algorithm's trials on a normalized instance: the (trials,
-    programs) bool selection matrix and its `run_trials` scores. `ras` rounds
-    `solution` once per trial and `uniform` draws all trials in one batch,
-    trial t from SeedSequence((*key, t)); `greedy` runs once and draws
-    nothing."""
+    programs) bool selection matrix and its `run_trials` scores. `ras`
+    (rounding `solution`) and `uniform` draw all trials in one batch, trial
+    t from SeedSequence((*key, t)); `greedy` runs once and draws nothing."""
     if algorithm == "greedy":
         selections = greedy_selections(instance, [instance.budget])
     else:
@@ -234,7 +220,7 @@ def run_cell(
         selections = (
             uniform_selections(instance, rngs)
             if algorithm == "uniform"
-            else np.array([ras_selection(instance, solution, rng) for rng in rngs])
+            else ras_selections(instance, solution, rngs)
         )
     return selections, run_trials(instance, selections)
 

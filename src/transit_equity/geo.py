@@ -45,6 +45,8 @@ STOP_ISOLATION_MILES = 3.5
 # heap memory and the pass adds nothing to peak RSS.
 ISOLATION_BLOCK_ELEMENTS = 2**13
 MAX_STOP_GAP_MILES = 0.75
+# Slack on a route's stop gaps, far above rounding in the haversine's miles.
+STOP_GAP_SLACK_MILES = 1e-9
 ROUTE_STOPS = (10, 18)
 
 TIER_1_MIN_RATIO = 2.00  # at or above: lowest subsidy
@@ -168,7 +170,7 @@ class CandidateRoute:
         lat = np.array([s.lat for s in self.stops])
         lon = np.array([s.lon for s in self.stops])
         gaps = great_circle_miles(lat[:-1], lon[:-1], lat[1:], lon[1:])
-        if (gaps > MAX_STOP_GAP_MILES + 1e-9).any():
+        if (gaps > MAX_STOP_GAP_MILES + STOP_GAP_SLACK_MILES).any():
             raise ValueError(f"route {self.id}: consecutive stops more than "
                              f"{MAX_STOP_GAP_MILES} miles apart")
 

@@ -265,6 +265,18 @@ class Instance:
             counts[block] = (self.group_members @ hits).T
         return counts
 
+    def selection_costs(self, selections: np.ndarray) -> np.ndarray:
+        """Each row's total cost, the float `evaluate` gives: its selected
+        costs summed as `costs[row].sum()` sums them. The rows with k
+        programs selected are one (rows, k) matrix, summed along its rows."""
+        counts = selections.sum(axis=1)
+        picked = self.costs[np.nonzero(selections)[1]]
+        totals = np.zeros(len(selections))
+        for k in set(counts.tolist()) - {0}:
+            rows = counts == k
+            totals[rows] = picked[np.repeat(rows, counts)].reshape(-1, k).sum(axis=1)
+        return totals
+
 
 def _ones_csr(indptr: np.ndarray, indices: np.ndarray, n_columns: int):
     """The scipy CSR matrix of int32 ones with rows `(indptr, indices)`."""

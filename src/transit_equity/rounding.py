@@ -18,30 +18,38 @@ beta  = max{e > 0 : X_p - e >= 0, X_q + c_p e / c_q <= 1}:
 and the pair moves up with probability beta / (alpha + beta).
 
 The pair is always the two lowest-index fractional entries. One step
-function, `_step`, does both the sampling (`ras`) and the exact enumeration
-of the binary trajectory tree (`trajectory_leaves`), which yields exact
-per-program marginals, per-household coverage probabilities, expected cost,
-and the worst-group expected coverage ratio.
+function, `_step`, advances a matrix of trajectories, one row each, over the
+start vector's fractional support. Sampling (`ras_selections`) gives each
+trial a row and a coin from its own generator per step. Enumeration
+(`trajectory_leaves`) splits each unfinished row into an up and a down row
+with coins that force the branch, so its leaves come depth-first, in blocks
+of at most LEAF_BLOCK_ROWS rows. `exact_expectation` scores each block at
+once: exact per-program marginals, per-household coverage probabilities,
+expected cost, and the worst-group expected coverage ratio.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .lp import SNAP_EPS, FractionalSolution, snap
 from .model import (
-    LEAF_OVER_BUDGET_TOL,
-    PROBABILITY_SUM_TOL,
-    DeterministicStrategy,
-    Instance,
-    StrategyOutcome,
+    LEAF_OVER_BUDGET_TOL, PROBABILITY_SUM_TOL, DeterministicStrategy, Instance, StrategyOutcome,
     evaluate,
 )
 
+# The vector rounded: an LP solution, or its x* as a raw vector.
+Allocation = FractionalSolution | Sequence[float] | np.ndarray
+
 MAX_EXACT_PROGRAMS = 24
+# Rows of a block of trajectories. Enumeration keeps at most one expanded
+# block (2 x LEAF_BLOCK_ROWS rows) pending per level of the tree.
+LEAF_BLOCK_ROWS = 2**9
+# Leaf x household cells `exact_expectation` scores at once.
+LEAF_SCORE_CELLS = 2**18
 
 
 def _values_of(x_star, costs: np.ndarray) -> np.ndarray:
@@ -64,62 +72,80 @@ def _values_of(x_star, costs: np.ndarray) -> np.ndarray:
     return values
 
 
-def _step(
-    v: np.ndarray, costs: np.ndarray, up: Callable[[float], bool]
-) -> tuple[float, float] | None:
-    """Advance `v` in place by one rounding step; None once `v` is integral.
+def _support(values: np.ndarray) -> np.ndarray:
+    """The indices of the fractional entries."""
+    return np.flatnonzero((values > 0.0) & (values < 1.0))
 
-    With two or more fractional entries it twists the lowest-index pair p < q,
-    otherwise it rounds the lone fractional entry on its own. It returns the
+
+def _start(values: np.ndarray, costs: np.ndarray, n_rows: int):
+    """`n_rows` trajectories at the fractional support's `values` plus the
+    sentinel column (see `_step`), their pairs, and the columns' costs."""
+    pair = np.empty((2, n_rows), dtype=np.intp)
+    pair[0], pair[1] = 0, 1
+    return np.tile(np.append(values, 0.5), (n_rows, 1)), pair, np.append(costs, np.inf)
+
+
+def _step(v: np.ndarray, pair: np.ndarray, rows: np.ndarray, costs: np.ndarray, coins: np.ndarray):
+    """Advance rows `rows` of `v` by one step each, in place; return their
     branch weights (up, down), whose ratio to their sum is each branch's
-    probability, and takes the up branch iff `up(probability of up)`.
+    probability.
+
+    Row r of `v` is a trajectory over the columns `costs` prices, and
+    `pair[:, r]` its two lowest-index fractional entries p < q. A row
+    twists its pair, going up iff its coin is below the up probability, and
+    moves its pair on; p passes the support once the row is integral. A lone
+    p pairs with the last, sentinel column (value 1/2, infinite cost): then
+    alpha = 1 - X_p and beta = X_p, so p is rounded on its own, up with
+    probability X_p exactly ((1 - x) + x rounds to 1 for each double x in
+    (0, 1)), and the sentinel does not move.
     """
-    frac = np.flatnonzero((v > 0.0) & (v < 1.0))
-    if frac.size == 0:
-        return None
-    p = int(frac[0])
-    if frac.size == 1:
-        weights = (v[p], 1.0 - v[p])
-        v[p] = 1.0 if up(v[p]) else 0.0
-        return weights
-    q = int(frac[1])
-    ratio = costs[q] / costs[p]
-    alpha = min(1.0 - v[p], v[q] * ratio)
-    beta = min(v[p], (1.0 - v[q]) * ratio)
-    if up(beta / (alpha + beta)):
-        v[p] += alpha
-        v[q] -= costs[p] / costs[q] * alpha
-    else:
-        v[p] -= beta
-        v[q] += costs[p] / costs[q] * beta
-    for k in (p, q):  # `snap`, on the two entries the twist moved
-        if v[k] <= SNAP_EPS:
-            v[k] = 0.0
-        elif v[k] >= 1.0 - SNAP_EPS:
-            v[k] = 1.0
+    pq = pair.take(rows, axis=1)
+    vals, c = v[rows, pq], costs[pq]
+    rest = 1.0 - vals
+    vp, vq, cp, cq, dp, dq = vals[0], vals[1], c[0], c[1], rest[0], rest[1]
+    ratio = cq / cp
+    alpha, beta = np.minimum(dp, vq * ratio), np.minimum(vp, dq * ratio)
+    up = coins < beta / (alpha + beta)
+    scale = cp / c  # p moves by the shift, q by -c_p / c_q times it
+    scale[1] = -scale[1]
+    moved = vals + scale * np.where(up, alpha, -beta)
+    low, high = moved <= SNAP_EPS, moved >= 1.0 - SNAP_EPS  # `snap`
+    moved[low], moved[high] = 0.0, 1.0
+    v[rows, pq] = moved
+    # entries between p and q are integral and those past q untouched, so
+    # each of the pair that became integral moves the pair on by one
+    integral = low | high
+    pair[1, rows] = nxt = pq[1] + integral[0] + integral[1]
+    pair[0, rows] = np.where(integral[0], nxt - 1, pq[0])
     return beta, alpha
 
 
-def ras_selection(
-    instance: Instance,
-    x_star: FractionalSolution | Sequence[float] | np.ndarray,
-    rng: np.random.Generator,
+def ras_selections(
+    instance: Instance, x_star: Allocation, rngs: Sequence[np.random.Generator]
 ) -> np.ndarray:
-    """One realization of the randomized allocation strategy as a bool
-    selection over the programs: the rounding `ras` evaluates. One coin
-    `rng.random()` per step."""
+    """The (trials, programs) bool selections of the randomized allocation
+    strategy: trial t draws one coin `rngs[t].random()` per step of its own
+    trajectory, so row t is what a call with `rngs[t]` alone returns."""
     costs = np.asarray(instance.costs, dtype=float)
     values = _values_of(x_star, costs)
-    while _step(values, costs, lambda prob_up: rng.random() < prob_up) is not None:
-        pass
-    return values > 0.5
+    selections = np.repeat((values > 0.5)[np.newaxis], len(rngs), axis=0)
+    support = _support(values)
+    if support.size:
+        v, pair, costs = _start(values[support], costs[support], len(rngs))
+        rows = np.arange(len(rngs))
+        while rows.size:
+            _step(v, pair, rows, costs, np.array([rngs[t].random() for t in rows.tolist()]))
+            rows = rows[pair[0, rows] < support.size]
+        selections[:, support] = v[:, :-1] > 0.5
+    return selections
 
 
-def ras(
-    instance: Instance,
-    x_star: FractionalSolution | Sequence[float] | np.ndarray,
-    rng: int | np.random.Generator,
-) -> StrategyOutcome:
+def ras_selection(instance: Instance, x_star: Allocation, rng: np.random.Generator) -> np.ndarray:
+    """One realization as a bool selection: `ras_selections`' batch of one."""
+    return ras_selections(instance, x_star, [rng])[0]
+
+
+def ras(instance: Instance, x_star: Allocation, rng: int | np.random.Generator) -> StrategyOutcome:
     """Run one realization of the randomized allocation strategy.
 
     Starts from the fractional optimum, twists pairs of fractional entries
@@ -132,26 +158,47 @@ def ras(
     return evaluate(instance, DeterministicStrategy(tuple(selected.tolist())))
 
 
+def _leaf_blocks(
+    values: Allocation, costs: np.ndarray, block_rows: int = LEAF_BLOCK_ROWS
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every trajectory's probability and integral vector, depth-first with
+    up before down, in blocks (probabilities, (rows, programs) leaves) of at
+    most `block_rows` rows. A block steps its unfinished rows together, each
+    splitting into an up row and a down row in its place; one that outgrows
+    `block_rows` leaves its tail on the stack."""
+    start = _values_of(values, costs)
+    support = _support(start)
+    if not support.size:  # an integral start is the one leaf
+        yield np.ones(1), start[np.newaxis]
+        return
+    v, pair, costs = _start(start[support], costs[support], 1)
+    stack = [(np.ones(1), v, pair)]
+    while stack:
+        prob, v, pair = stack.pop()
+        live = pair[0] < support.size
+        if not live.any():
+            leaves = np.tile(start, (prob.size, 1))
+            leaves[:, support] = v[:, :-1]
+            yield prob, leaves
+            continue
+        reps = 1 + live
+        prob, v, pair = np.repeat(prob, reps), np.repeat(v, reps, 0), np.repeat(pair, reps, 1)
+        rows = np.flatnonzero(np.repeat(live, reps))
+        coins = np.resize([-np.inf, np.inf], rows.size)  # force up, then down
+        w_up, w_down = _step(v, pair, rows, costs, coins)
+        prob[rows] = prob[rows] * np.where(coins < 0.0, w_up, w_down) / (w_up + w_down)
+        for cut in range((prob.size - 1) // block_rows * block_rows, -1, -block_rows):
+            stack.append((prob[cut : cut + block_rows], v[cut : cut + block_rows],
+                          pair[:, cut : cut + block_rows]))
+
+
 def trajectory_leaves(
-    values: FractionalSolution | Sequence[float] | np.ndarray,
-    costs: Sequence[float] | np.ndarray,
+    values: Allocation, costs: Sequence[float] | np.ndarray
 ) -> Iterator[tuple[float, np.ndarray]]:
     """Enumerate (probability, integral vector) over every rounding
-    trajectory. Probabilities sum to 1."""
-    costs = np.asarray(costs, dtype=float)
-
-    def recurse(v: np.ndarray, prob: float) -> Iterator[tuple[float, np.ndarray]]:
-        down = v.copy()
-        weights = _step(v, costs, lambda _: True)
-        if weights is None:
-            yield prob, v
-            return
-        _step(down, costs, lambda _: False)
-        total = weights[0] + weights[1]
-        yield from recurse(v, prob * weights[0] / total)
-        yield from recurse(down, prob * weights[1] / total)
-
-    yield from recurse(_values_of(values, costs), 1.0)
+    trajectory, depth-first with the up branch first. Probabilities sum to 1."""
+    for prob, leaves in _leaf_blocks(values, np.asarray(costs, dtype=float)):
+        yield from zip(prob.tolist(), leaves)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,45 +213,35 @@ class ExactRoundingStats:
     max_leaf_cost: float
 
 
-def exact_expectation(
-    instance: Instance,
-    x_star: FractionalSolution | Sequence[float] | np.ndarray,
-) -> ExactRoundingStats:
-    """Exact expectations over the full trajectory tree (needs |J| <= 24)."""
-    n_j = len(instance.programs)
+def exact_expectation(instance: Instance, x_star: Allocation) -> ExactRoundingStats:
+    """Exact expectations over the full trajectory tree (needs |J| <= 24).
+    Each block of leaves is scored at once: covered households by one
+    product with `coverers`, costs by `Instance.selection_costs`."""
+    n_j, n_i = len(instance.programs), len(instance.households)
     if n_j > MAX_EXACT_PROGRAMS:
         raise ValueError(
             f"exact enumeration supports at most {MAX_EXACT_PROGRAMS} programs, got {n_j}"
         )
-    costs = np.asarray(instance.costs, dtype=float)
-
-    x_mean = np.zeros(n_j)
-    y_mean = np.zeros(len(instance.households))
-    expected_cost = 0.0
-    prob_over = 0.0
-    max_cost = 0.0
-    total_prob = 0.0
-    for prob, leaf in trajectory_leaves(x_star, costs):
-        sel = leaf > 0.5
-        cost = float(costs[sel].sum())
-        x_mean += prob * leaf
-        y_mean += prob * (instance.coverers @ sel > 0)
-        expected_cost += prob * cost
-        max_cost = max(max_cost, cost)
-        if cost > instance.budget + LEAF_OVER_BUDGET_TOL:
-            prob_over += prob
-        total_prob += prob
+    block_rows = min(LEAF_BLOCK_ROWS, max(1, LEAF_SCORE_CELLS // max(n_i, 1)))
+    # x_mean, y_mean, the expected cost, P(over budget) and the total probability
+    sums, max_cost, n_leaves = np.zeros(n_j + n_i + 3), 0.0, 0
+    for prob, leaves in _leaf_blocks(x_star, instance.costs, block_rows):
+        n_leaves += prob.size
+        selected = leaves > 0.5
+        cost = instance.selection_costs(selected)
+        over = cost > instance.budget + LEAF_OVER_BUDGET_TOL
+        covered = (instance.coverers @ selected.T > 0).T
+        terms = np.hstack([leaves, covered, np.array([cost, over, np.ones_like(cost)]).T])
+        terms *= prob[:, np.newaxis]
+        terms[0] += sums
+        # a left fold, adding the leaves in order: np.add.reduce may pair them up
+        sums = np.add.accumulate(terms, axis=0)[-1]
+        max_cost = np.maximum.reduce(cost, initial=max_cost)
+    # numpy scalars on a tree that branches, Python floats for the one leaf of
+    # an integral start: the types (and reprs) the per-leaf sums gave them
+    expected_cost, prob_over, total_prob = sums[-3:] if n_leaves > 1 else sums[-3:].tolist()
     if abs(total_prob - 1.0) > PROBABILITY_SUM_TOL:
         raise RuntimeError(f"trajectory probabilities sum to {total_prob}, not 1")
-
-    equity = 1.0
-    for members in instance.group_indices:
-        equity = min(equity, float(y_mean[members].mean()))
-    return ExactRoundingStats(
-        x_mean=x_mean,
-        y_mean=y_mean,
-        equity=equity,
-        expected_cost=expected_cost,
-        prob_over_budget=prob_over,
-        max_leaf_cost=max_cost,
-    )
+    y_mean = sums[n_j:-3]
+    equity = min([1.0, *(float(y_mean[members].mean()) for members in instance.group_indices)])
+    return ExactRoundingStats(sums[:n_j], y_mean, equity, expected_cost, prob_over, float(max_cost))

@@ -21,6 +21,7 @@ objective must match the row-built model's to 1e-9 and pass
 import copy
 import csv
 import dataclasses
+import itertools
 import statistics
 from fractions import Fraction
 
@@ -75,7 +76,16 @@ from transit_equity.model import (
     inject_ride_hailing,
     normalize,
 )
-from transit_equity.rounding import ras, ras_selection, trajectory_leaves
+from transit_equity.rounding import (
+    LEAF_BLOCK_ROWS,
+    LEAF_SCORE_CELLS,
+    _leaf_blocks,
+    exact_expectation,
+    ras,
+    ras_selection,
+    ras_selections,
+    trajectory_leaves,
+)
 
 TINY_CITY = SyntheticCityParams(n_households=400, grid_rows=6, grid_cols=6)
 COST_PARAMS = CostParams(rides_per_quarter=364)
@@ -1010,6 +1020,103 @@ class TestRoundingReference:
                 slow = naive_ras_selection(instance, values, slow_rng)
                 assert fast.dtype == bool and np.array_equal(fast, slow)
             assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+def naive_exact_expectation(instance, values):
+    """The exact statistics one leaf at a time, in `naive_leaves`' order:
+    (x_mean, y_mean, equity, expected_cost, prob_over_budget, max_leaf_cost)."""
+    costs = np.asarray(instance.costs, dtype=float)
+    x_mean = np.zeros(len(instance.programs))
+    y_mean = np.zeros(len(instance.households))
+    expected_cost = prob_over = max_cost = 0.0
+    for prob, leaf in naive_leaves(values, costs):
+        sel = leaf > 0.5
+        cost = float(costs[sel].sum())
+        covered = set().union(*(p.covers for p, s in zip(instance.programs, sel) if s))
+        x_mean += prob * leaf
+        y_mean += prob * np.array([h.id in covered for h in instance.households])
+        expected_cost += prob * cost
+        max_cost = max(max_cost, cost)
+        if cost > instance.budget + 1e-9:
+            prob_over += prob
+    equity = min([1.0, *(float(y_mean[m].mean()) for m in instance.group_indices)])
+    return x_mean, y_mean, equity, expected_cost, prob_over, max_cost
+
+
+def deep_trees():
+    """(instance, start vector): four on at most 12 households with 12-14
+    fractional entries, whose trees outgrow a leaf block, and two on 3,000
+    households with 9, where `exact_expectation` scores blocks of
+    LEAF_SCORE_CELLS // 3,000 leaves."""
+    rng = np.random.default_rng(2718)
+    for k in range(6):
+        if k >= 4:
+            households = tuple(
+                Household(id=f"h{i:04d}", group_ids=frozenset({f"g{i % 3}"})) for i in range(3000)
+            )
+            costs = np.nextafter(rng.uniform(0.0, 1.0, 9), 1.0)
+            programs = tuple(
+                Program(id=f"p{j:02d}", cost=float(c / costs.max()), covers=frozenset(
+                    households[int(i)].id for i in rng.choice(3000, 400, replace=False)))
+                for j, c in enumerate(costs)
+            )
+            instance = Instance(households=households, programs=programs, budget=3.0)
+        else:
+            instance = random_instance(rng, max_programs=14)
+            while len(instance.programs) < 12:
+                instance = random_instance(rng, max_programs=14)
+        yield instance, rng.uniform(0.01, 0.99, len(instance.programs))
+
+
+class TestRoundingBatches:
+    """The batched rounding against its one-trajectory-at-a-time references:
+    trials whose trajectories diverge, trees split over several blocks."""
+
+    def test_ras_selections_match_per_trial_rows_and_rng_states(self):
+        cases = [*rounding_suite(), *deep_trees()]
+        for seed, (instance, values) in enumerate(cases):
+            n = (1, 7, 40)[seed % 3]
+            rngs = [np.random.default_rng((seed, t)) for t in range(n)]
+            naive_rngs = [np.random.default_rng((seed, t)) for t in range(n)]
+            batch = ras_selections(instance, values, rngs)
+            assert batch.dtype == bool and batch.shape == (n, len(instance.programs))
+            for t in range(n):
+                want = naive_ras_selection(instance, values, naive_rngs[t])
+                assert np.array_equal(batch[t], want)
+                assert rngs[t].bit_generator.state == naive_rngs[t].bit_generator.state
+
+    def test_leaves_of_deep_trees_match_bit_for_bit(self):
+        for instance, values in deep_trees():
+            fast = list(trajectory_leaves(values, instance.costs))
+            slow = naive_leaves(values, instance.costs)
+            blocks = LEAF_SCORE_CELLS // 3000 if len(instance.households) == 3000 else LEAF_BLOCK_ROWS
+            assert len(fast) > 2 * blocks
+            assert [p for p, _ in fast] == [p for p, _ in slow]
+            assert [v.tobytes() for _, v in fast] == [v.tobytes() for _, v in slow]
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, 8])
+    def test_small_blocks_keep_the_leaf_order(self, block_rows):
+        for instance, values in itertools.islice(rounding_suite(), 120):
+            blocks = list(_leaf_blocks(values, instance.costs, block_rows))
+            assert all(0 < len(prob) <= block_rows for prob, _ in blocks)
+            slow = naive_leaves(values, instance.costs)
+            assert np.concatenate([prob for prob, _ in blocks]).tolist() == [p for p, _ in slow]
+            assert np.vstack([v for _, v in blocks]).tobytes() == np.array([v for _, v in slow]).tobytes()
+
+    def test_exact_expectation_matches_the_per_leaf_loop(self):
+        cases = [*rounding_suite(), *deep_trees()]
+        assert LEAF_SCORE_CELLS // 3000 < LEAF_BLOCK_ROWS
+        for instance, values in cases:
+            stats = exact_expectation(instance, values)
+            x_mean, y_mean, equity, expected_cost, prob_over, max_cost = (
+                naive_exact_expectation(instance, values)
+            )
+            assert stats.x_mean.tobytes() == x_mean.tobytes()
+            assert stats.y_mean.tobytes() == y_mean.tobytes()
+            assert stats.equity == equity
+            assert stats.expected_cost == expected_cost
+            assert stats.prob_over_budget == prob_over
+            assert stats.max_leaf_cost == max_cost
 
 
 def naive_cli_trials(instance, run, seed, trials, lp_value):

@@ -9,7 +9,9 @@ from transit_equity.generators import random_instance
 from transit_equity.lp import build_lp, solve_lp
 from transit_equity.model import Household, Instance, Program
 from transit_equity.rounding import (
+    _start,
     _step,
+    _support,
     _values_of,
     exact_expectation,
     ras,
@@ -18,20 +20,22 @@ from transit_equity.rounding import (
 
 
 def step(values, costs, coin=0.0):
-    """One rounding step from the snapped start vector of (values, costs).
+    """One rounding step from the snapped start vector of (values, costs),
+    as a batch of one row over its fractional support.
 
     Returns (weights, prob_up, vector after); the step goes up iff
-    coin < prob_up. weights and prob_up are None when no step was left."""
+    coin < prob_up, the up weight over the weights' sum. weights and prob_up
+    are None when no step was left."""
     c = np.array(costs, float)
     v = _values_of(np.array(values, float), c)
-    seen = []
-
-    def up(prob):
-        seen.append(prob)
-        return coin < prob
-
-    weights = _step(v, c, up)
-    return weights, (seen[0] if seen else None), v
+    support = _support(v)
+    if support.size == 0:
+        return None, None, v
+    rows, pair, row_costs = _start(v[support], c[support], 1)
+    w_up, w_down = _step(rows, pair, np.arange(1), row_costs, np.array([coin]))
+    v[support] = rows[0, :-1]
+    weights = (float(w_up[0]), float(w_down[0]))
+    return weights, weights[0] / (weights[0] + weights[1]), v
 
 
 def weighted_sum(values, costs):
@@ -247,10 +251,8 @@ def _count_events(values, costs, eps=1e-9):
     def rec(v, twists, singles):
         frac = np.flatnonzero((v > eps) & (v < 1 - eps))
         if frac.size >= 2:
-            for up in (True, False):
-                w = v.copy()
-                _step(w, costs, lambda _: up)
-                rec(w, twists + 1, singles)
+            for coin in (-np.inf, np.inf):  # forces the up, then the down branch
+                rec(step(v, costs, coin)[2], twists + 1, singles)
         elif frac.size == 1:
             out.append((twists, singles + 1))
         else:
