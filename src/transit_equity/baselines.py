@@ -104,7 +104,7 @@ def greedy(instance: Instance) -> StrategyOutcome:
     deterministic. Programs too expensive for the remaining budget are
     skipped, not terminal. One row of `greedy_selections`."""
     selected = greedy_selections(instance, [instance.budget])[0]
-    return evaluate(instance, DeterministicStrategy(tuple(selected.tolist())))
+    return evaluate(instance, DeterministicStrategy(selected))
 
 
 def greedy_selections(instance: Instance, budgets: Sequence[float]) -> np.ndarray:
@@ -335,7 +335,7 @@ def uniform_selections(instance: Instance, rngs: Sequence[np.random.Generator]) 
     cut = np.full(n_trials, n_j - 1)
     indptr, indices = instance.coverers.indptr, instance.coverers.indices
     if not (np.diff(indptr) == 0).any():
-        full = np.flatnonzero((instance.coverers @ (taken < n_j).T).min(axis=0, initial=1) > 0)
+        full = np.flatnonzero(instance.coverage(taken < n_j)[0].all(axis=1))
         first = np.minimum.reduceat(taken[full].take(indices, axis=1), indptr[:-1], axis=1)
         cut[full] = first.max(axis=1, initial=-1)
     return taken <= cut[:, np.newaxis]
@@ -349,4 +349,4 @@ def uniform(instance: Instance, rng: int | np.random.Generator) -> StrategyOutco
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     selected = uniform_selections(instance, [rng])[0]
-    return evaluate(instance, DeterministicStrategy(tuple(selected.tolist())))
+    return evaluate(instance, DeterministicStrategy(selected))

@@ -35,7 +35,7 @@ from .geo import (
 )
 from .instance_io import read_instance, write_instance, write_rows
 from .lp import build_lp, dump_lp, solve_lp, verify_solution
-from .model import inject_ride_hailing, normalize
+from .model import ID_SEPARATOR, inject_ride_hailing, normalize
 from .oracles import opt_deterministic, opt_randomized
 
 
@@ -120,7 +120,7 @@ def _cmd_trials(args) -> int:
         ids = (instance.programs[j].id for j in np.flatnonzero(selections[0]))
         print(f"equity {equities[0]:.9f}")
         print(f"cost {stats.costs[0]:.9f}")
-        print(f"selected {';'.join(ids)}")
+        print(f"selected {ID_SEPARATOR.join(ids)}")
     else:
         equity = float(stats.group_means.min())
         print(f"trials {stats.trials}")

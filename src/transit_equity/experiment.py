@@ -17,13 +17,13 @@ the LP's sparse matrix and solves it; on HiGHS only the budget row's bound
 changes (`lp.solve_lp`). Each randomized algorithm then runs `run_cell`,
 as do CLI `ras`, `uniform` and `greedy`: its trials form one (trials,
 programs) bool selection matrix, drawn in one batch (`ras_selections` or
-`uniform_selections`), which `run_trials` scores, summing costs
-(`Instance.selection_costs`) and counting covered group members in arrays
-with the floats `evaluate` gives. Greedy runs once per scenario, in its
-first cell: one `greedy_selections` call gives its selection at every
-budget of the sweep (the budgets share their picks up to where a pick stops
-fitting), and each cell scores its row with `run_trials`. CLI `greedy` is
-that call at one budget.
+`uniform_selections`), which `run_trials` scores with the two methods
+`evaluate` scores one selection with: `Instance.selection_costs` for the
+costs and `Instance.coverage` for the covered group members. Greedy runs
+once per scenario, in its first cell: one `greedy_selections` call gives
+its selection at every budget of the sweep (the budgets share their picks
+up to where a pick stops fitting), and each cell scores its row with
+`run_trials`. CLI `greedy` is that call at one budget.
 
 Seed derivation: trial t of algorithm a (index within the algorithms tuple)
 in cell (budget index b, scenario index s) uses
@@ -55,7 +55,9 @@ from .geo import (
 )
 from .instance_io import read_instance, write_rows
 from .lp import FractionalSolution, build_lp, check_backend, solve_lp
-from .model import ZERO_LP_VALUE, Instance, _check_budget, inject_ride_hailing, normalize
+from .model import (
+    ID_SEPARATOR, ZERO_LP_VALUE, Instance, _check_budget, inject_ride_hailing, normalize,
+)
 from .rounding import ras_selections
 
 SCENARIOS = ("bus_only", "combined")
@@ -168,20 +170,20 @@ class _CellStats:
 def run_trials(instance: Instance, selections: np.ndarray) -> _CellStats:
     """Aggregate the trials of a (trials, programs) bool selection matrix.
 
-    Each trial's cost and group ratios are the floats `evaluate` would report
-    for its selection: the selected costs summed as `costs[selected].sum()`
-    sums them (`Instance.selection_costs`), and each group's covered-member
-    count, from `Instance.coverage` on the whole matrix, divided by the group
-    size. A group's mean is its covered count summed over trials, divided by
-    trials x group size: one rounding, so a group covered alike in every
-    trial reads exactly that trial's ratio. Its sample variance is T (sum c^2) - (sum c)^2 over
+    Each trial's cost and group ratios are the floats `evaluate` reports for
+    its selection, from the same two methods on the whole matrix: its cost
+    from `Instance.selection_costs`, and each group's covered-member count
+    from `Instance.coverage`, divided by the group size. A group's mean is
+    its covered count summed over trials, divided by trials x group size:
+    one rounding, so a group covered alike in every trial reads exactly that
+    trial's ratio. Its sample variance is T (sum c^2) - (sum c)^2 over
     T (T - 1) size^2, from the integer counts c of its T trials, so such a
     group has standard deviation 0 and a confidence interval of zero width.
     """
     n_trials = len(selections)
     costs = instance.selection_costs(selections)
     if instance.groups:
-        counts = instance.coverage(selections)
+        _, counts = instance.coverage(selections)
         sizes = instance.group_sizes
     else:
         sizes = np.ones(1, dtype=int)
@@ -347,6 +349,7 @@ def write_trial_log(
     path: str | Path,
 ) -> None:
     """Per-trial outcome log: trial, selected program ids, cost, equity."""
-    ids = (";".join(instance.programs[j].id for j in np.flatnonzero(s)) for s in selections)
+    programs = instance.programs
+    ids = (ID_SEPARATOR.join(programs[j].id for j in np.flatnonzero(s)) for s in selections)
     rows = zip(count(), ids, map(_fmt, costs), map(_fmt, equities))
     write_rows(path, ["trial", "selected", "cost", "equity"], rows)

@@ -246,36 +246,35 @@ class Instance:
         indices = np.fromiter(chain.from_iterable(rows), dtype=np.intp)
         return _ones_csr(np.cumsum([0, *map(len, rows)]), indices, len(self.households))
 
-    @property
+    @_budget_free
     def group_sizes(self) -> np.ndarray:
         """Member count per group: the row lengths of `group_members`."""
-        return np.diff(self.group_members.indptr).astype(np.intp)
+        sizes = np.diff(self.group_members.indptr).astype(np.intp)
+        sizes.setflags(write=False)
+        return sizes
 
-    def coverage(self, selections: np.ndarray) -> np.ndarray:
-        """Score a (K, programs) bool matrix of selections: `counts[k, g]`
-        tells how many members of group g selection k covers. Hits per
-        household are one product with `coverers`, clamped to 1; counts one
-        product of those with `group_members`. Rows go through in blocks of
-        COVERAGE_BLOCK_ROWS, so the int32 copies scipy makes stay small."""
-        counts = np.empty((selections.shape[0], len(self.groups)), dtype=np.intp)
-        for start in range(0, selections.shape[0], COVERAGE_BLOCK_ROWS):
+    def coverage(self, selections: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Score a (K, programs) bool matrix of selections: `covered[k, i]`
+        tells whether selection k covers household i, and `counts[k, g]` how
+        many members of group g it covers. Hits per household are one product
+        with `coverers`, clamped to 1; counts one product of those with
+        `group_members`. Rows go through in blocks of COVERAGE_BLOCK_ROWS, so
+        the int32 copies scipy makes stay small. `covered` is the transpose
+        of a household-major array, which the hits fill without a transpose."""
+        n_rows = selections.shape[0]
+        covered = np.empty((len(self.households), n_rows), dtype=bool)
+        counts = np.empty((n_rows, len(self.groups)), dtype=np.intp)
+        for start in range(0, n_rows, COVERAGE_BLOCK_ROWS):
             block = slice(start, start + COVERAGE_BLOCK_ROWS)
             hits = self.coverers @ selections[block].T
             np.minimum(hits, 1, out=hits)
+            covered[:, block] = hits
             counts[block] = (self.group_members @ hits).T
-        return counts
+        return covered.T, counts
 
     def selection_costs(self, selections: np.ndarray) -> np.ndarray:
-        """Each row's total cost, the float `evaluate` gives: its selected
-        costs summed as `costs[row].sum()` sums them. The rows with k
-        programs selected are one (rows, k) matrix, summed along its rows."""
-        counts = selections.sum(axis=1)
-        picked = self.costs[np.nonzero(selections)[1]]
-        totals = np.zeros(len(selections))
-        for k in set(counts.tolist()) - {0}:
-            rows = counts == k
-            totals[rows] = picked[np.repeat(rows, counts)].reshape(-1, k).sum(axis=1)
-        return totals
+        """Each row's total cost, summed as `costs[row].sum()` sums it."""
+        return np.array([self.costs[row].sum() for row in selections], dtype=float)
 
 
 def _ones_csr(indptr: np.ndarray, indices: np.ndarray, n_columns: int):
@@ -293,7 +292,7 @@ class DeterministicStrategy:
     selected: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "selected", tuple(int(v) for v in self.selected))
+        object.__setattr__(self, "selected", tuple(map(int, np.asarray(self.selected).tolist())))
         if any(v not in (0, 1) for v in self.selected):
             raise ValueError("selection entries must be 0 or 1")
 
@@ -384,16 +383,14 @@ def evaluate(instance: Instance, strategy: DeterministicStrategy) -> StrategyOut
         raise ValueError(
             f"strategy length {len(strategy.selected)} != program count {len(instance.programs)}"
         )
-    sel = np.array(strategy.selected, dtype=bool)
-    total_cost = float(instance.costs[sel].sum())
-    hits = instance.coverers @ sel
+    sel = np.array(strategy.selected, dtype=bool)[np.newaxis]
+    (hits,), (counts,) = instance.coverage(sel)
     covered = frozenset(h.id for h, c in zip(instance.households, hits) if c)
-    counts = instance.coverage(sel[np.newaxis])[0]
     ratios = {g: float(c / n) for g, c, n in zip(instance.groups, counts, instance.group_sizes)}
     equity = min(ratios.values(), default=1.0)
     return StrategyOutcome(
         strategy=strategy,
-        total_cost=total_cost,
+        total_cost=float(instance.selection_costs(sel)[0]),
         covered=covered,
         group_ratios=ratios,
         equity=equity,

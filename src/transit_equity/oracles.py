@@ -31,8 +31,9 @@ from .model import (
 MAX_ENUMERABLE_PROGRAMS = 20
 MAX_DISTRIBUTION_ATOMS = 100_000
 # Largest selections x households matrix the oracles score. At the cap (2**20
-# selections of 20 programs, 8 households) opt_deterministic peaks near 115 MB
-# RSS, about 80 MB above the interpreter with the package loaded.
+# selections of 20 programs, 8 households) opt_deterministic peaks near 123 MB
+# RSS, about 88 MB above the interpreter with the package loaded; 8 MB of it
+# is the covered matrix `Instance.coverage` returns, one byte per cell.
 MAX_COVERAGE_CELLS = 2**23
 
 
@@ -104,7 +105,7 @@ def opt_deterministic(instance: Instance) -> tuple[StrategyOutcome, float]:
     lexicographically smallest selection."""
     sel = _feasible(instance)
     # evaluate's equity: the minimum group ratio, 1.0 without groups
-    equity = (instance.coverage(sel) / instance.group_sizes).min(axis=1, initial=1.0)
+    equity = (instance.coverage(sel)[1] / instance.group_sizes).min(axis=1, initial=1.0)
     tied = np.flatnonzero(equity == equity.max())
     # Two summation orders of one row's (at most 20) costs differ by under
     # 20 * eps * sum(costs), so a tied row whose cost, summed in any order,
@@ -114,7 +115,7 @@ def opt_deterministic(instance: Instance) -> tuple[StrategyOutcome, float]:
     # float in buffered chunks, where a matrix product would copy them whole.
     approx = np.einsum("kj,j->k", sel[tied], instance.costs)
     near = tied[approx <= approx.min() + COST_TIE_MARGIN * instance.costs.sum()]
-    costs = [float(instance.costs[sel[k]].sum()) for k in near]
+    costs = instance.selection_costs(sel[near])
     best = evaluate(instance, DeterministicStrategy(sel[near[int(np.argmin(costs))]]))
     return best, best.equity
 
@@ -142,7 +143,7 @@ def opt_randomized(instance: Instance) -> tuple[RandomizedStrategy, float]:
         raise InstanceTooLargeError(
             f"distribution LP supports at most {MAX_DISTRIBUTION_ATOMS} atoms, got {k}"
         )
-    ratios = instance.coverage(sel) / instance.group_sizes
+    ratios = instance.coverage(sel)[1] / instance.group_sizes
     n_groups = len(instance.groups)
 
     # variables: [t, q_1..q_{k-1}]

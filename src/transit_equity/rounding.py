@@ -140,11 +140,6 @@ def ras_selections(
     return selections
 
 
-def ras_selection(instance: Instance, x_star: Allocation, rng: np.random.Generator) -> np.ndarray:
-    """One realization as a bool selection: `ras_selections`' batch of one."""
-    return ras_selections(instance, x_star, [rng])[0]
-
-
 def ras(instance: Instance, x_star: Allocation, rng: int | np.random.Generator) -> StrategyOutcome:
     """Run one realization of the randomized allocation strategy.
 
@@ -154,8 +149,7 @@ def ras(instance: Instance, x_star: Allocation, rng: int | np.random.Generator) 
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
-    selected = ras_selection(instance, x_star, rng)
-    return evaluate(instance, DeterministicStrategy(tuple(selected.tolist())))
+    return evaluate(instance, DeterministicStrategy(ras_selections(instance, x_star, [rng])[0]))
 
 
 def _leaf_blocks(
@@ -215,8 +209,8 @@ class ExactRoundingStats:
 
 def exact_expectation(instance: Instance, x_star: Allocation) -> ExactRoundingStats:
     """Exact expectations over the full trajectory tree (needs |J| <= 24).
-    Each block of leaves is scored at once: covered households by one
-    product with `coverers`, costs by `Instance.selection_costs`."""
+    Each block of leaves is scored at once: covered households by
+    `Instance.coverage`, costs by `Instance.selection_costs`."""
     n_j, n_i = len(instance.programs), len(instance.households)
     if n_j > MAX_EXACT_PROGRAMS:
         raise ValueError(
@@ -230,7 +224,7 @@ def exact_expectation(instance: Instance, x_star: Allocation) -> ExactRoundingSt
         selected = leaves > 0.5
         cost = instance.selection_costs(selected)
         over = cost > instance.budget + LEAF_OVER_BUDGET_TOL
-        covered = (instance.coverers @ selected.T > 0).T
+        covered, _ = instance.coverage(selected)
         terms = np.hstack([leaves, covered, np.array([cost, over, np.ones_like(cost)]).T])
         terms *= prob[:, np.newaxis]
         terms[0] += sums

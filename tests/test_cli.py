@@ -21,7 +21,7 @@ from transit_equity.geo import (
 from transit_equity.instance_io import write_instance
 from transit_equity.lp import build_lp, solve_lp
 from transit_equity.model import Household, Instance, Program, inject_ride_hailing, normalize
-from transit_equity.rounding import ras_selection
+from transit_equity.rounding import ras_selections
 
 
 @pytest.fixture
@@ -150,7 +150,7 @@ class TestCliRunsTheCell:
         rngs = [np.random.default_rng(np.random.SeedSequence((7, t))) for t in range(40)]
         if command == "ras":
             solution = solve_lp(build_lp(norm))
-            expected = np.array([ras_selection(norm, solution, rng) for rng in rngs])
+            expected = np.array([ras_selections(norm, solution, [rng])[0] for rng in rngs])
         else:
             solution = None
             expected = uniform_selections(norm, rngs)

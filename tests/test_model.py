@@ -439,16 +439,20 @@ class TestEvaluate:
 
     def test_selection_costs_are_evaluates_costs_to_the_bit(self):
         # up to 300 programs: past numpy's 8-way unrolled and 128-element
-        # pairwise summation blocks; costs spread over six decades
+        # pairwise summation blocks; costs spread over six decades. Rows of
+        # 0 and of more than 128 picks both occur.
         rng = np.random.default_rng(41)
+        picks = set()
         for _ in range(300):
             n_j = int(rng.integers(1, 300))
             costs = rng.random(n_j) * 10.0 ** rng.uniform(-3, 3, n_j)
             inst = make_instance(costs.tolist(), budget=1.0)
             selections = rng.random((int(rng.integers(0, 30)), n_j)) < rng.random()
             totals = inst.selection_costs(selections)
-            want = [evaluate(inst, DeterministicStrategy(s)).total_cost for s in selections]
+            want = [float(costs[s].sum()) for s in selections]
             assert totals.dtype == float and totals.tolist() == want
+            picks.update(selections.sum(axis=1).tolist())
+        assert 0 in picks and max(picks) > 128
 
     @given(st.integers(0, 2**32 - 1))
     def test_equity_bounds_and_monotonicity(self, seed):

@@ -82,7 +82,6 @@ from transit_equity.rounding import (
     _leaf_blocks,
     exact_expectation,
     ras,
-    ras_selection,
     ras_selections,
     trajectory_leaves,
 )
@@ -601,11 +600,13 @@ class TestCoverageScorer:
         instances += [random_instance(rng, max_households=12, max_programs=10) for _ in range(12)]
         for instance in instances:
             selections = rng.random((k, len(instance.programs))) < rng.random()
-            counts = instance.coverage(selections)
+            hits, counts = instance.coverage(selections)
             members = naive_members(instance)
             assert counts.dtype.kind == "i" and counts.shape == (k, len(members))
-            for row, count in zip(selections, counts):
+            assert hits.dtype == bool and hits.shape == (k, len(instance.households))
+            for row, hit, count in zip(selections, hits, counts):
                 covered = naive_outcome(instance, row).covered
+                assert [h.id in covered for h in instance.households] == hit.tolist()
                 assert [len(covered & m) for m in members.values()] == count.tolist()
 
     def test_more_rows_than_one_block(self):
@@ -614,13 +615,16 @@ class TestCoverageScorer:
         n_j = len(instance.programs)
         distinct = (np.arange(2**n_j)[:, np.newaxis] >> np.arange(n_j)) & 1 == 1
         k = COVERAGE_BLOCK_ROWS + 3
-        counts = instance.coverage(distinct[np.arange(k) % len(distinct)])
+        hits, counts = instance.coverage(distinct[np.arange(k) % len(distinct)])
         assert counts.shape == (k, len(instance.groups))
+        assert hits.shape == (k, len(instance.households))
         members = naive_members(instance)
         for d, row in enumerate(distinct):
             covered = naive_outcome(instance, row).covered
             expected = [len(covered & m) for m in members.values()]
             assert (counts[d :: len(distinct)] == expected).all()
+            marked = [h.id in covered for h in instance.households]
+            assert (hits[d :: len(distinct)] == marked).all()
 
 
 
@@ -1016,7 +1020,7 @@ class TestRoundingReference:
         for seed, (instance, values) in enumerate(rounding_suite()):
             fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(3):
-                fast = ras_selection(instance, values, fast_rng)
+                fast = ras_selections(instance, values, [fast_rng])[0]
                 slow = naive_ras_selection(instance, values, slow_rng)
                 assert fast.dtype == bool and np.array_equal(fast, slow)
             assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
@@ -1152,7 +1156,8 @@ class TestCliTrialsReference:
             if command == "ras":
                 solution = solve_lp(build_lp(norm))
                 lines, log = naive_cli_trials(
-                    norm, lambda g: ras_selection(norm, solution, g), k, 40, solution.objective
+                    norm, lambda g: ras_selections(norm, solution, [g])[0], k, 40,
+                    solution.objective,
                 )
             else:
                 lines, log = naive_cli_trials(norm, lambda g: naive_uniform(norm, g), k, 40, None)

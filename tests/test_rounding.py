@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st, target
 
 from transit_equity.generators import random_instance
 from transit_equity.lp import build_lp, solve_lp
@@ -311,6 +311,41 @@ class TestTheoryProperties:
             for twists, singles in paths:
                 assert singles <= 1
                 assert twists + singles <= n_j
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_guarantees_on_fractional_optima(self, data):
+        # small instances whose LP optimum really needs rounding: costs
+        # normalized to max 1, program j covering household j mod |I| and up
+        # to two others, a budget in [1, max(1, total cost / 2)], and at least
+        # two fractional entries of x*; the search minimizes exact / LP
+        n_i = data.draw(st.integers(2, 5))
+        n_j = data.draw(st.integers(n_i, 8))
+        costs = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=n_j, max_size=n_j)))
+        costs /= costs.max()
+        extras = st.lists(st.integers(0, n_i - 1), max_size=2)
+        covers = data.draw(st.lists(extras, min_size=n_j, max_size=n_j))
+        groups = data.draw(st.lists(st.integers(1, 7), min_size=n_i, max_size=n_i))
+        budget = 1.0 + data.draw(st.floats(0.0, 1.0)) * max(0.0, costs.sum() / 2 - 1.0)
+        households = tuple(
+            Household(id=f"h{i}", group_ids=frozenset(f"g{g}" for g in range(3) if m >> g & 1))
+            for i, m in enumerate(groups)
+        )
+        programs = tuple(
+            Program(id=f"p{j}", cost=float(costs[j]),
+                    covers=frozenset(f"h{i}" for i in [j % n_i, *covers[j]]))
+            for j in range(n_j)
+        )
+        inst = Instance(households=households, programs=programs, budget=float(budget))
+        sol = solve_lp(build_lp(inst))
+        assume(np.count_nonzero((sol.x_star > 0.0) & (sol.x_star < 1.0)) >= 2)
+        stats = exact_expectation(inst, sol)
+        if sol.objective > 0.0:
+            target(-stats.equity / sol.objective)
+        assert stats.equity >= (1.0 - 1.0 / np.e) * sol.objective - 1e-9
+        assert stats.expected_cost <= inst.budget + 1e-9
+        assert stats.max_leaf_cost <= inst.budget + 1.0 + 1e-9
+        assert np.abs(stats.x_mean - sol.x_star).max() <= 1e-12
 
     def test_monte_carlo_marginals_match(self):
         rng = np.random.default_rng(7)
