@@ -12,9 +12,14 @@ the city (or the instance read from `instance_dir`; the combined scenario is
 the bus-only instance with ride-hail programs injected), its normalized
 programs and households, and on those the coverage incidence, the LP's
 HiGHS model and greedy's tables, kept in the store `Instance.with_budget`
-copies share. A cell swaps in its budget, divides it in `normalize`, builds
-the LP's sparse matrix and solves it; on HiGHS only the budget row's bound
-changes (`lp.solve_lp`). Each randomized algorithm then runs `run_cell`,
+copies share. Before the first cell, `lp.start_solves` sends every
+scenario's HiGHS restarts (its budgets below the saturation cost) to worker
+threads, one idle model copy each, so they run while the cells do. A cell
+swaps in its budget, divides it in `normalize`, builds the LP's sparse
+matrix and solves it; on HiGHS only the budget row's bound changes, and
+`lp.solve_lp` waits for the restart started for that budget, whose
+solution does not depend on the thread or copy it ran on. Each randomized
+algorithm then runs `run_cell`,
 as do CLI `ras`, `uniform` and `greedy`: its trials form one (trials,
 programs) bool selection matrix, drawn in one batch (`ras_selections` or
 `uniform_selections`), which `run_trials` scores with the two methods
@@ -30,7 +35,9 @@ in cell (budget index b, scenario index s) uses
 numpy.random.SeedSequence((master_seed, s, b, a, t)), so every trial is
 independently reproducible and trials may run in any order or in parallel.
 CLI `ras` and `uniform` key theirs by (seed,): trial t uses
-SeedSequence((seed, t)).
+SeedSequence((seed, t)). A trial's generator is built when it is first
+drawn from (`_TrialRngs`), so a `ras` cell whose LP optimum is integral
+builds none.
 """
 
 from __future__ import annotations
@@ -54,7 +61,7 @@ from .geo import (
     synthetic_city,
 )
 from .instance_io import read_instance, write_rows
-from .lp import FractionalSolution, build_lp, check_backend, solve_lp
+from .lp import FractionalSolution, build_lp, check_backend, solve_lp, start_solves
 from .model import (
     ID_SEPARATOR, ZERO_LP_VALUE, Instance, _check_budget, inject_ride_hailing, normalize,
 )
@@ -204,6 +211,25 @@ def run_trials(instance: Instance, selections: np.ndarray) -> _CellStats:
     )
 
 
+class _TrialRngs(Sequence[np.random.Generator]):
+    """Trial t's generator, default_rng(SeedSequence((*key, t))), built the
+    first time it is asked for: a `ras` cell whose LP optimum is integral
+    draws from none."""
+
+    def __init__(self, key: tuple[int, ...], trials: int):
+        self._key = key
+        self._rngs: list[np.random.Generator | None] = [None] * trials
+
+    def __len__(self) -> int:
+        return len(self._rngs)
+
+    def __getitem__(self, t: int) -> np.random.Generator:
+        rng = self._rngs[t]
+        if rng is None:
+            rng = self._rngs[t] = np.random.default_rng(np.random.SeedSequence((*self._key, t)))
+        return rng
+
+
 def run_cell(
     instance: Instance,
     solution: FractionalSolution | None,
@@ -218,7 +244,7 @@ def run_cell(
     if algorithm == "greedy":
         selections = greedy_selections(instance, [instance.budget])
     else:
-        rngs = [np.random.default_rng(np.random.SeedSequence((*key, t))) for t in range(trials)]
+        rngs = _TrialRngs(key, trials)
         selections = (
             uniform_selections(instance, rngs)
             if algorithm == "uniform"
@@ -261,6 +287,12 @@ def _row_from_stats(
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     bases = _base_instances(config)
+    # every scenario's LP restarts go to worker threads before the first
+    # cell, combined (the longer ones) first; each budget divided by the
+    # scale as `normalize` divides it, which checks it in its cell
+    for scenario in sorted(config.scenarios, key=lambda name: name != "combined"):
+        norm, scale = normalize(bases[scenario], allow_small_budget=True)
+        start_solves(norm, [float(x) / scale for x in config.budgets], config.solver)
     rows: list[ReportRow] = []
     for s, scenario in enumerate(config.scenarios):
         base = bases[scenario]

@@ -13,17 +13,23 @@ openings x_j and coverage levels y_i:
 simplex up to SIMPLEX_MAX_CELLS, HiGHS's dual simplex above it. Each side
 has a workload. The 200 LPs of the small-instance suite (at most 663 cells)
 take 0.12-0.15 s on the simplex and 0.37-0.69 s on HiGHS (2 CPUs); every
-sweep is far above the cut. HiGHS holds one model per instance and its
-`with_budget` copies (`_ScenarioLp`): households merged into classes,
-passed once, with only the budget row's bound changing per budget.
+sweep is far above the cut. HiGHS keeps one reduced model per instance and
+its `with_budget` copies (`_ScenarioLp`): households merged into classes,
+with only the budget row's bound changing per budget. A budget's dual
+simplex restart runs on a worker thread of one module-level pool, on an
+idle copy of that model; a new copy replays the first one's history, so
+the solution is the same on every copy. `start_solves` sends a sweep's
+budgets to the pool ahead of its cells, and `solve_lp` waits for them.
 """
 
 from __future__ import annotations
 
+import os
 import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -35,6 +41,12 @@ SNAP_EPS = 1e-9
 # Largest rows x (vars + rows) sent to the embedded dense simplex. Timed against
 # HiGHS on 2 CPUs, their medians cross near 3,500 (README, "Design notes").
 SIMPLEX_MAX_CELLS = 3000
+# The HiGHS restarts of every `_ScenarioLp`: one worker per CPU this process
+# may run on (every CPU where the OS cannot say).
+_POOL = ThreadPoolExecutor(
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+    thread_name_prefix="highs",
+)
 
 
 class LpSolveError(RuntimeError):
@@ -198,15 +210,16 @@ def _household_classes(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 class _ScenarioLp:
-    """The benchmark LP of one instance over household classes, held in one
-    HiGHS model for the instance and its `with_budget` copies (`_solve_highs`).
+    """The benchmark LP of one instance over household classes, held in
+    HiGHS models for the instance and its `with_budget` copies
+    (`_solve_highs`).
 
     A class's members are interchangeable, so one y column per class enters
     each equity row weighted by its member count, and one x column per class
     stands for its members' private programs (budget coefficient count x
     cost). Any optimum averaged over a class stays optimal, so this is exact
-    (duplicate-column aggregation). The model is passed once, column-wise;
-    only the budget row's right-hand side changes per budget.
+    (duplicate-column aggregation). The model is passed column-wise; only
+    the budget row's right-hand side changes per budget.
 
     Three budget-free quantities fix every budget's solution:
     - `t_max`, the optimum with every program open: y_i = min(1, cover_i);
@@ -219,32 +232,42 @@ class _ScenarioLp:
     restarts from `reference`, which the new right-hand side leaves dual
     feasible. `clearSolver` first drops what the last solve left in HiGHS, so
     the vertex depends on the instance and B alone, not on the budgets solved
-    before."""
+    before.
 
-    def __init__(self, model: LpModel):
+    The restarts run on `_POOL`'s worker threads (HiGHS's `run` releases the
+    GIL), each on an idle model copy, or on a new one when none is idle. A
+    copy replays the first model's history, because HiGHS keeps state from a
+    model's first run: passed the min-cost model, it runs from that model's
+    optimal basis, then switches to max t at c_min and runs from
+    `reference`, both without an iteration. Passed the max-t model directly,
+    a copy ends at other vertices. `start` sends a budget's restart to the
+    pool; `solve` waits for it, sending it first if nothing started it."""
+
+    def __init__(self, inst: Instance):
         from scipy.optimize._highspy import _core
         from scipy.sparse import csr_matrix
 
-        inst = model.instance
         first, inverse, private = inst.derive("household_classes", _household_classes)
-        n_j, y0 = model.n_programs, 1 + model.n_programs
+        n_j, n_i = len(inst.programs), len(inst.households)
+        y0, n_vars = 1 + n_j, 1 + n_j + n_i
         holders = np.flatnonzero(private >= 0)
         kept = np.setdiff1d(np.arange(n_j), private[holders])
         has_x = private[first] >= 0
         x_column = kept.size + np.cumsum(has_x)
         y_base = 1 + kept.size + int(has_x.sum())
         # the reduced column of every full variable: t, kept x, class x, class y
-        columns = np.zeros(model.n_vars, dtype=np.intp)
+        columns = np.zeros(n_vars, dtype=np.intp)
         columns[1 + kept] = 1 + np.arange(kept.size)
         columns[1 + private[holders]] = x_column[inverse[holders]]
         columns[y0:] = y_base + inverse
         merge = csr_matrix(
-            (np.ones(model.n_vars), (np.arange(model.n_vars), columns)),
-            shape=(model.n_vars, y_base + first.size),
+            (np.ones(n_vars), (np.arange(n_vars), columns)), shape=(n_vars, y_base + first.size)
         )
         # the budget row, each class's first cover row, every equity row
-        rows = np.concatenate([[0], 1 + first, np.arange(1 + model.n_households, model.n_rows)])
-        a = (model.scipy_matrix()[0][rows] @ merge).tocsc()
+        data, indices, indptr = inst.derive("lp_matrix", _lp_matrix)
+        full = csr_matrix((data, indices, indptr), shape=(indptr.size - 1, n_vars))
+        rows = np.concatenate([[0], 1 + first, np.arange(1 + n_i, indptr.size - 1)])
+        a = (full[rows] @ merge).tocsc()
         a.sort_indices()
         n_rows, n_cols = a.shape
 
@@ -256,15 +279,15 @@ class _ScenarioLp:
         self._fill = (holders, private[holders], x_column[inverse[holders]],
                       size[inverse[holders]], rank[holders])
         self._kept, self._coverers = kept, inst.coverers
+        self._core = _core
         self._inf = _core.kHighsInf
-        self._optimal = _core.HighsModelStatus.kOptimal
 
         # every program open: y_i = min(1, cover_i)
         covered = (np.diff(inst.coverers.indptr) > 0).astype(float)
         self.t_max = min((float(covered[m].mean()) for m in inst.group_indices), default=1.0)
 
         # min cost (the budget row as objective) at t >= t_max, the budget row free
-        lp = _core.HighsLp()
+        lp = self._lp = _core.HighsLp()
         lp.num_col_ = lp.a_matrix_.num_col_ = n_cols
         lp.num_row_ = lp.a_matrix_.num_row_ = n_rows
         lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
@@ -276,36 +299,61 @@ class _ScenarioLp:
         col_lower[0], row_upper[0] = self.t_max, self._inf
         lp.col_lower_, lp.col_upper_ = col_lower, np.ones(n_cols)
         lp.row_lower_, lp.row_upper_ = np.full(n_rows, -self._inf), row_upper
-        self._highs = highs = _core._Highs()
+        highs = self._passed()
+        self.x_sat = self._expand(self._run(highs))
+        self.x_sat.setflags(write=False)
+        self.c_min = float(inst.costs @ snap(self.x_sat[1:y0]))
+        self._min_cost = highs.getBasis()
+
+        # max t at budget c_min, warm from the min-cost basis
+        self._to_max_t(highs)
+        self._run(highs)
+        self.reference = highs.getBasis()
+        # list.pop and list.append are atomic, so the workers share the idle
+        # models without a lock; the lock guards the tasks by budget
+        self._idle = [highs]
+        self._tasks: dict[float, Future] = {}
+        self._lock = threading.Lock()
+
+    def _passed(self):
+        """A new HiGHS object (dual simplex, no output) holding the min-cost model."""
+        core = self._core
+        highs = core._Highs()
         highs.setOptionValue("output_flag", False)
         highs.setOptionValue("solver", "simplex")
         highs.setOptionValue(
-            "simplex_strategy", int(_core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+            "simplex_strategy", int(core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
         )
-        if highs.passModel(lp) == _core.HighsStatus.kError:
+        if highs.passModel(self._lp) == core.HighsStatus.kError:
             raise LpSolveError("HiGHS rejected the reduced model")
-        self.x_sat = self._run()
-        self.x_sat.setflags(write=False)
-        self.c_min = float(inst.costs @ snap(self.x_sat[1:y0]))
+        return highs
 
-        # max t at budget c_min, warm from the min-cost basis
+    def _to_max_t(self, highs) -> None:
+        """Switch a model from min cost to max t at budget c_min."""
+        n_cols = self._lp.num_col_
         objective = np.zeros(n_cols)
         objective[0] = -1.0
         highs.changeColsCost(n_cols, np.arange(n_cols, dtype=np.int32), objective)
         highs.changeColBounds(0, 0.0, 1.0)
         highs.changeRowBounds(0, -self._inf, self.c_min)
-        self._run()
-        self.reference = highs.getBasis()
-        self._lock = threading.Lock()
 
-    def _run(self) -> np.ndarray:
-        """Run HiGHS and spread its reduced solution over the full model."""
-        highs = self._highs
+    def _copy(self):
+        """A model in the state the first one is in after `__init__`."""
+        highs = self._passed()
+        highs.setBasis(self._min_cost)
+        self._run(highs)
+        self._to_max_t(highs)
+        highs.setBasis(self.reference)
+        self._run(highs)
+        return highs
+
+    def _run(self, highs) -> np.ndarray:
+        """Run HiGHS; its reduced solution."""
         highs.run()
         status = highs.getModelStatus()
-        if status != self._optimal:
+        if status != self._core.HighsModelStatus.kOptimal:
             raise LpSolveError(f"HiGHS failed: {highs.modelStatusToString(status)}")
-        return self._expand(np.asarray(highs.getSolution().col_value))
+        return np.asarray(highs.getSolution().col_value)
 
     def _expand(self, reduced: np.ndarray) -> np.ndarray:
         """The full variable vector of a reduced solution. Each class's private
@@ -325,23 +373,77 @@ class _ScenarioLp:
         cover[holders] += fill
         return np.concatenate([reduced[:1], x, np.minimum(1.0, cover)])
 
+    def _restart(self, budget: float) -> np.ndarray:
+        """Dual simplex at `budget` from `reference`, on a worker thread. A
+        model whose run failed is dropped, not reused."""
+        try:
+            highs = self._idle.pop()
+        except IndexError:
+            highs = self._copy()
+        highs.clearSolver()
+        highs.changeRowBounds(0, -self._inf, budget)
+        highs.setBasis(self.reference)
+        reduced = self._run(highs)
+        self._idle.append(highs)
+        return self._expand(reduced)
+
+    def start(self, budget: float) -> None:
+        """Send the restart at `budget` to the pool, unless `budget` is at
+        least c_min (no restart) or its restart is already waiting."""
+        with self._lock:
+            if budget < self.c_min and budget not in self._tasks:
+                self._tasks[budget] = _POOL.submit(self._restart, budget)
+
     def solve(self, budget: float) -> np.ndarray:
         """The full variable vector of the optimum at `budget`: x_sat from
-        c_min up, below it dual simplex from `reference`."""
+        c_min up, below it the restart `start` sent, or one sent now."""
         if budget >= self.c_min:
             return self.x_sat
         with self._lock:
-            self._highs.clearSolver()
-            self._highs.changeRowBounds(0, -self._inf, budget)
-            self._highs.setBasis(self.reference)
-            return self._run()
+            task = self._tasks.pop(budget, None) or _POOL.submit(self._restart, budget)
+        return task.result()
+
+
+def _scenario(instance: Instance) -> _ScenarioLp:
+    """The instance's `_ScenarioLp`, built once per instance and its
+    `with_budget` copies through `Instance.derive`."""
+    return instance.derive("highs_model", _ScenarioLp)
 
 
 def _solve_highs(model: LpModel) -> np.ndarray:
-    """HiGHS dual simplex on the instance's `_ScenarioLp`, built once per
-    instance and its `with_budget` copies through `Instance.derive`."""
-    scenario = model.instance.derive("highs_model", lambda _: _ScenarioLp(model))
-    return scenario.solve(float(model.rhs[0]))
+    """HiGHS dual simplex on the instance's `_ScenarioLp`."""
+    return _scenario(model.instance).solve(float(model.rhs[0]))
+
+
+def _backend(
+    instance: Instance, solver: str | Callable[[LpModel], np.ndarray] | None
+) -> Callable[[LpModel], np.ndarray]:
+    """The backend `solve_lp` runs on the instance's LP: `solver` if it is
+    callable, HiGHS if it is "highs", and otherwise the embedded simplex up
+    to SIMPLEX_MAX_CELLS rows x (vars + rows), HiGHS above."""
+    if callable(solver):
+        return solver
+    if solver is None:
+        n_rows = 1 + len(instance.households) + len(instance.groups)
+        n_vars = 1 + len(instance.programs) + len(instance.households)
+        return _solve_embedded if n_rows * (n_vars + n_rows) <= SIMPLEX_MAX_CELLS else _solve_highs
+    check_backend(solver)
+    return _solve_highs
+
+
+def start_solves(
+    instance: Instance,
+    budgets: Iterable[float],
+    solver: str | Callable[[LpModel], np.ndarray] | None = None,
+) -> None:
+    """Start the LP at each budget on worker threads: `solve_lp` on the
+    instance's `with_budget` copy at that budget then waits for the result
+    instead of solving. Only budgets below c_min on HiGHS start anything;
+    where `solve_lp` would not run HiGHS this does nothing."""
+    if _backend(instance, solver) is _solve_highs:
+        scenario = _scenario(instance)
+        for budget in budgets:
+            scenario.start(float(budget))
 
 
 def check_backend(solver: str | None) -> None:
@@ -375,13 +477,7 @@ def solve_lp(
     budget. The objective reported is the minimum group mean of the snapped
     y (1.0 without groups), as `verify_solution` checks it, not the
     backend's t."""
-    if solver is None:
-        cells = model.n_rows * (model.n_vars + model.n_rows)
-        solver = _solve_embedded if cells <= SIMPLEX_MAX_CELLS else _solve_highs
-    elif not callable(solver):
-        check_backend(solver)
-        solver = _solve_highs
-    x_full = solver(model)
+    x_full = _backend(model.instance, solver)(model)
     x = snap(x_full[1 : 1 + model.n_programs])
     y = snap(x_full[1 + model.n_programs :])
     x.setflags(write=False)

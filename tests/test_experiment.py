@@ -10,17 +10,20 @@ from transit_equity.experiment import (
     ExperimentReport,
     ReportRow,
     _row_from_stats,
+    _TrialRngs,
     approx_ratio,
     compare_scenarios,
     emit,
+    run_cell,
     run_experiment,
     run_trials,
     write_trial_log,
 )
 from transit_equity.geo import CostParams, SyntheticCityParams
 from transit_equity.instance_io import write_instance
-from transit_equity.rounding import ras
-from transit_equity.lp import build_lp, solve_lp
+from transit_equity import lp
+from transit_equity.rounding import ras, ras_selections
+from transit_equity.lp import FractionalSolution, build_lp, solve_lp
 from transit_equity.model import Household, Instance, Program, normalize
 
 TINY_CITY = SyntheticCityParams(n_households=400, grid_rows=6, grid_cols=6)
@@ -301,3 +304,45 @@ def test_attained_lp_optimum_reads_no_ratio_above_one(tmp_path):
     assert row.mean_equity == 2 / 3
     assert row.mean_equity <= row.lp_value
     assert row.approx_ratio <= 1.0
+
+
+def test_the_sweep_collects_every_restart_it_starts(monkeypatch):
+    # each cell below c_min finds the restart that run_experiment started for
+    # its budget, so the two divide the budgets alike
+    found = []
+    solve = lp._ScenarioLp.solve
+
+    def recording(self, budget):
+        if budget < self.c_min:
+            found.append(budget in self._tasks)
+        return solve(self, budget)
+
+    monkeypatch.setattr(lp._ScenarioLp, "solve", recording)
+    run_experiment(tiny_config(budgets=(0.5e6, 1e6, 1.5e6), algorithms=("ras",), trials=2))
+    assert len(found) >= 4 and all(found)
+
+
+class TestTrialGenerators:
+    def test_trial_t_draws_from_its_seed_sequence(self):
+        rngs = _TrialRngs((11, 0, 1, 0), 4)
+        assert len(rngs) == 4
+        assert rngs[2] is rngs[2]
+        for t, rng in enumerate(rngs):
+            want = np.random.default_rng(np.random.SeedSequence((11, 0, 1, 0, t)))
+            assert rng.random() == want.random()
+
+    def test_an_integral_ras_start_builds_no_generator(self, singletons, monkeypatch):
+        built = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: built.append(seed) or default_rng(seed))
+        integral = FractionalSolution(
+            x_star=np.array([1.0, 0.0]), y_star=np.array([1.0, 0.0]), objective=0.0
+        )
+        selections, _ = run_cell(singletons, integral, "ras", 50, (1,))
+        assert built == [] and selections[:, 0].all() and not selections[:, 1].any()
+        fractional = solve_lp(build_lp(singletons))
+        assert fractional.x_star.tolist() == [0.5, 0.5]
+        selections, _ = run_cell(singletons, fractional, "ras", 50, (1,))
+        assert len(built) == 50
+        rngs = [default_rng(np.random.SeedSequence((1, t))) for t in range(50)]
+        assert np.array_equal(selections, ras_selections(singletons, fractional, rngs))

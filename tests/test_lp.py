@@ -565,6 +565,104 @@ class TestScenarioModel:
         assert all(np.array_equal(x, expected[b]) for b, x in results)
 
 
+def restart_on(scenario, highs, budget):
+    """The scenario's restart at `budget`, run on the given HiGHS object."""
+    scenario._idle[:] = [highs]
+    return scenario._restart(budget)
+
+
+class TestModelCopies:
+    def test_a_fresh_copy_gives_the_original_bits(self, fractional_city):
+        for inst in fractional_city:
+            scenario = lp._ScenarioLp(inst)
+            (original,) = scenario._idle
+            for f in FRACTIONS_OF_C_MIN:
+                budget = f * scenario.c_min
+                expected = restart_on(scenario, original, budget)
+                assert np.array_equal(restart_on(scenario, scenario._copy(), budget), expected)
+                if budget < scenario.c_min:
+                    assert np.array_equal(scenario.solve(budget), expected)
+
+    def test_started_budgets_solved_from_threads_give_the_sequential_cells(self, fractional_city):
+        for inst in fractional_city:
+            budgets = [f * saturation(inst)[1] for f in FRACTIONS_OF_C_MIN]
+            expected = {b: highs_at(dataclasses.replace(inst, budget=b), b) for b in budgets}
+            shared = inst.with_budget(0.0)
+            lp.start_solves(shared, budgets, "highs")
+            results, errors = [], []
+
+            def worker(seed):
+                try:
+                    for b in np.random.default_rng(seed).permutation(budgets).tolist():
+                        results.append((b, highs_at(shared, b)))
+                except Exception as exc:  # reported by the assertion below
+                    errors.append(exc)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads) and errors == []
+            assert len(results) == 4 * len(budgets)
+            for b, cell in results:
+                assert np.array_equal(cell.x_star, expected[b].x_star)
+                assert np.array_equal(cell.y_star, expected[b].y_star)
+                assert cell.objective == expected[b].objective
+
+    def test_a_started_budget_solved_later_gives_its_cell(self, fractional_city):
+        inst = fractional_city[1]
+        budgets = [f * saturation(inst)[1] for f in FRACTIONS_OF_C_MIN[:-2]]
+        expected = {b: highs_at(dataclasses.replace(inst, budget=b), b) for b in budgets}
+        shared = inst.with_budget(0.0)
+        lp.start_solves(shared, budgets[:1])
+        scenario = lp._scenario(shared)
+        scenario._tasks[budgets[0]].result()
+        # other budgets run on the model first, one of them twice
+        for b in budgets[1:] + budgets[1:2]:
+            assert np.array_equal(highs_at(shared, b).x_star, expected[b].x_star)
+        assert list(scenario._tasks) == budgets[:1]
+        for _ in range(2):
+            assert np.array_equal(highs_at(shared, budgets[0]).x_star, expected[budgets[0]].x_star)
+        assert scenario._tasks == {}
+
+    def test_saturated_and_simplex_sized_budgets_start_nothing(self, fractional_city, singletons):
+        inst = fractional_city[0]
+        shared = inst.with_budget(0.0)
+        c_min = saturation(shared)[1]
+        lp.start_solves(shared, [c_min, 2 * c_min])
+        assert lp._scenario(shared)._tasks == {}
+        lp.start_solves(singletons, [0.5])
+        assert "highs_model" not in singletons._store
+
+    def test_a_failed_run_on_a_worker_raises_from_solve_lp(self, fractional_city, monkeypatch):
+        inst = fractional_city[1]
+        shared = inst.with_budget(0.0)
+        c_min = saturation(shared)[1]
+        expected = highs_at(dataclasses.replace(inst, budget=0.5 * c_min), 0.5 * c_min)
+        threads = []
+
+        def failing(self, highs):
+            threads.append(threading.current_thread())
+            raise lp.LpSolveError("HiGHS failed: Infeasible")
+
+        monkeypatch.setattr(lp._ScenarioLp, "_run", failing)
+        lp.start_solves(shared, [0.5 * c_min])
+        for _ in range(2):  # the started restart, then one sent by the cell
+            with pytest.raises(lp.LpSolveError, match="^HiGHS failed: Infeasible$"):
+                highs_at(shared, 0.5 * c_min)
+        assert len(threads) == 2 and threading.main_thread() not in threads
+        monkeypatch.undo()
+        # the failed model was dropped: a new copy solves the cell
+        assert lp._scenario(shared)._idle == []
+        assert np.array_equal(highs_at(shared, 0.5 * c_min).x_star, expected.x_star)
+
+
 def test_scipy_has_the_highs_api_lp_calls():
     # private scipy API (scipy >= 1.15): `_ScenarioLp` drives one `_Highs` object
     from scipy.optimize._highspy import _core
