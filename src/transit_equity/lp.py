@@ -80,15 +80,6 @@ class LpModel:
     def n_rows(self) -> int:
         return self.rhs.size
 
-    def scipy_matrix(self):
-        from scipy.sparse import csr_matrix
-
-        a = csr_matrix(
-            (self.data.copy(), self.indices.copy(), self.indptr.copy()),
-            shape=(self.n_rows, self.n_vars),
-        )
-        return a, self.rhs.copy()
-
 
 @dataclass(frozen=True, eq=False)
 class FractionalSolution:
