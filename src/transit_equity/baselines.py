@@ -195,10 +195,8 @@ def greedy_selections(instance: Instance, budgets: Sequence[float]) -> np.ndarra
                 candidates = np.flatnonzero(live)
                 n_live = candidates.size
                 if n_live:
-                    if n_groups:
-                        equity = np.minimum.reduce(gain[:, candidates] / size_column, axis=0)
-                    else:
-                        equity = np.ones(n_live)
+                    ratios_now = gain[:, candidates] / size_column
+                    equity = np.minimum.reduce(ratios_now, axis=0, initial=1.0)
                     keys.append(min(zip(
                         (-equity).tolist(), (-fresh[candidates]).tolist(),
                         multi_costs[candidates].tolist(), multi_ranks[candidates].tolist(),
@@ -346,7 +344,5 @@ def uniform(instance: Instance, rng: int | np.random.Generator) -> StrategyOutco
     that still fit the remaining budget, until none fits or every household
     is covered: one trial of `uniform_selections`. Reproducible given an
     integer seed."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
-    selected = uniform_selections(instance, [rng])[0]
+    selected = uniform_selections(instance, [np.random.default_rng(rng)])[0]
     return evaluate(instance, DeterministicStrategy(selected))

@@ -12,23 +12,23 @@ the city (or the instance read from `instance_dir`; the combined scenario is
 the bus-only instance with ride-hail programs injected), its normalized
 programs and households, and on those the coverage incidence, the LP's
 HiGHS model and greedy's tables, kept in the store `Instance.with_budget`
-copies share. Before the first cell, `lp.start_solves` sends every
-scenario's HiGHS restarts (its budgets below the saturation cost) to worker
-threads, one idle model copy each, so they run while the cells do. A cell
-swaps in its budget, divides it in `normalize`, builds the LP's sparse
-matrix and solves it; on HiGHS only the budget row's bound changes, and
-`lp.solve_lp` waits for the restart started for that budget, whose
-solution does not depend on the thread or copy it ran on. Each randomized
-algorithm then runs `run_cell`,
-as do CLI `ras`, `uniform` and `greedy`: its trials form one (trials,
-programs) bool selection matrix, drawn in one batch (`ras_selections` or
-`uniform_selections`), which `run_trials` scores with the two methods
-`evaluate` scores one selection with: `Instance.selection_costs` for the
-costs and `Instance.coverage` for the covered group members. Greedy runs
-once per scenario, in its first cell: one `greedy_selections` call gives
-its selection at every budget of the sweep (the budgets share their picks
-up to where a pick stops fitting), and each cell scores its row with
-`run_trials`. CLI `greedy` is that call at one budget.
+copies share. Before the first cell, each scenario's budgets are checked
+(`normalize` at the smallest), its restarts started and its greedy run.
+`lp.start_solves` sends the HiGHS restarts (budgets below the saturation
+cost) to worker threads, one idle model copy each, so they run while the
+cells do. One `greedy_selections` call gives greedy's selection at every
+budget of the sweep (the budgets share their picks up to where a pick
+stops fitting). A cell swaps in its budget, divides it in `normalize`,
+builds the LP's sparse matrix and solves it; on HiGHS only the budget row's
+bound changes, and `lp.solve_lp` waits for the restart started for that
+budget, whose solution does not depend on the thread or copy it ran on.
+Each randomized algorithm then runs `run_cell`, as do CLI `ras`, `uniform`
+and `greedy`: its trials form one (trials, programs) bool selection matrix,
+drawn in one batch (`ras_selections` or `uniform_selections`), which
+`run_trials` scores with the two methods `evaluate` scores one selection
+with: `Instance.selection_costs` for the costs and `Instance.coverage` for
+the covered group members. Greedy's cell scores its row with `run_trials`;
+CLI `greedy` is its call at one budget.
 
 Seed derivation: trial t of algorithm a (index within the algorithms tuple)
 in cell (budget index b, scenario index s) uses
@@ -287,12 +287,16 @@ def _row_from_stats(
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     bases = _base_instances(config)
-    # every scenario's LP restarts go to worker threads before the first
-    # cell, combined (the longer ones) first; each budget divided by the
-    # scale as `normalize` divides it, which checks it in its cell
+    # combined first, as its costlier programs reject a too-small sweep first;
+    # each budget divided by the scale as `normalize` divides it in its cell
+    greedy_rows: dict[str, np.ndarray] = {}
     for scenario in sorted(config.scenarios, key=lambda name: name != "combined"):
-        norm, scale = normalize(bases[scenario], allow_small_budget=True)
-        start_solves(norm, [float(x) / scale for x in config.budgets], config.solver)
+        low = bases[scenario].with_budget(float(min(config.budgets)))
+        norm, scale = normalize(low, allow_small_budget=config.allow_small_budget)
+        budgets = [float(x) / scale for x in config.budgets]
+        start_solves(norm, budgets, config.solver)
+        if "greedy" in config.algorithms:
+            greedy_rows[scenario] = greedy_selections(norm, budgets)
     rows: list[ReportRow] = []
     for s, scenario in enumerate(config.scenarios):
         base = bases[scenario]
@@ -300,16 +304,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             norm, scale = normalize(
                 base.with_budget(float(budget)), allow_small_budget=config.allow_small_budget
             )
-            if b == 0 and "greedy" in config.algorithms:
-                # greedy at every budget of the sweep in one run, each budget
-                # divided by the scale as `normalize` divides it
-                greedy_rows = greedy_selections(norm, [float(x) / scale for x in config.budgets])
             solution = solve_lp(build_lp(norm), solver=config.solver)
             t_star = solution.objective
             for a, algorithm in enumerate(config.algorithms):
                 key = (config.seed, s, b, a)
                 if algorithm == "greedy":
-                    stats = run_trials(norm, greedy_rows[b : b + 1])
+                    stats = run_trials(norm, greedy_rows[scenario][b : b + 1])
                 else:
                     _, stats = run_cell(norm, solution, algorithm, config.trials, key)
                 rows.append(

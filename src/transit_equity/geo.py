@@ -225,8 +225,6 @@ def eligibility_filter(
         raise ValueError("eligibility filtering needs at least one bus and one rail stop")
     lat = np.array([h.lat for h in households])
     lon = np.array([h.lon for h in households])
-    if lat.size == 0:
-        return []
     bus_d = _nearest_miles(lat, lon, bus)
     rail_d = _nearest_miles(lat, lon, rail)
     keep = (
@@ -385,17 +383,15 @@ def generate_routes(
     """
     if count < 1:
         raise ValueError(f"route count must be >= 1, got {count}")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
+    rng = np.random.default_rng(rng)
     lat = np.array([s.lat for s in sites])
     lon = np.array([s.lon for s in sites])
     t_lat = np.array([s.lat for s in transit_stops])
     t_lon = np.array([s.lon for s in transit_stops])
 
     def terminal_ok(k: int) -> bool:
-        if t_lat.size == 0:
-            return False
-        return bool(great_circle_miles(t_lat, t_lon, lat[k], lon[k]).min() <= MAX_STOP_GAP_MILES)
+        d = great_circle_miles(t_lat, t_lon, lat[k], lon[k])
+        return bool(d.min(initial=np.inf) <= MAX_STOP_GAP_MILES)
 
     # A chain depends only on its start, and begins with it: a start tried
     # before yields nothing new, a new start a new chain, and once every site

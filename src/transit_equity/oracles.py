@@ -165,5 +165,4 @@ def opt_randomized(instance: Instance) -> tuple[RandomizedStrategy, float]:
         for i, w in enumerate(weights)
         if w > ATOM_PROBABILITY_CUT
     )
-    value = float(result.x[0]) if n_groups else 1.0
-    return RandomizedStrategy(atoms=atoms), value
+    return RandomizedStrategy(atoms=atoms), float(result.x[0])

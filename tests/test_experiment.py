@@ -21,10 +21,10 @@ from transit_equity.experiment import (
 )
 from transit_equity.geo import CostParams, SyntheticCityParams
 from transit_equity.instance_io import write_instance
-from transit_equity import lp
+from transit_equity import experiment, lp
 from transit_equity.rounding import ras, ras_selections
 from transit_equity.lp import FractionalSolution, build_lp, solve_lp
-from transit_equity.model import Household, Instance, Program, normalize
+from transit_equity.model import BudgetTooSmallError, Household, Instance, Program, normalize
 
 TINY_CITY = SyntheticCityParams(n_households=400, grid_rows=6, grid_cols=6)
 
@@ -320,6 +320,22 @@ def test_the_sweep_collects_every_restart_it_starts(monkeypatch):
     monkeypatch.setattr(lp._ScenarioLp, "solve", recording)
     run_experiment(tiny_config(budgets=(0.5e6, 1e6, 1.5e6), algorithms=("ras",), trials=2))
     assert len(found) >= 4 and all(found)
+
+
+@pytest.mark.parametrize("scenarios", [("bus_only",), ("combined",), ("bus_only", "combined")])
+def test_a_too_small_sweep_is_rejected_before_any_lp(monkeypatch, scenarios):
+    # the smallest budget is checked before any scenario builds its HiGHS
+    # model or starts a restart
+    calls = []
+
+    def recording(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    monkeypatch.setattr(experiment, "start_solves", recording("start_solves", lp.start_solves))
+    monkeypatch.setattr(lp, "_ScenarioLp", recording("_ScenarioLp", lp._ScenarioLp))
+    with pytest.raises(BudgetTooSmallError, match="^normalized budget .* < 1"):
+        run_experiment(tiny_config(budgets=(5e5, 1e3), scenarios=scenarios))
+    assert calls == []
 
 
 class TestTrialGenerators:

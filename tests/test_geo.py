@@ -134,6 +134,13 @@ class TestEligibility:
         kept = eligibility_filter([on_lower], stops)
         assert [h.id for h in kept] == ["lower"]
 
+    def test_no_households_keep_none(self):
+        stops = [
+            TransitStop(id="bus", kind="bus", lat=BASE_LAT, lon=BASE_LON),
+            TransitStop(id="rail", kind="rail", lat=BASE_LAT, lon=BASE_LON),
+        ]
+        assert eligibility_filter([], stops) == []
+
     def test_missing_stop_kind_rejected(self):
         bus_only = [TransitStop(id="b", kind="bus", lat=41.8, lon=-87.7)]
         with pytest.raises(ValueError, match="bus and one rail"):
@@ -279,6 +286,12 @@ class TestRouteGeneration:
             generate_routes(sites, stops, count=3, rng=0, max_attempts_per_route=5)
         assert err.value.routes == []
         assert "0 of 3" in str(err.value)
+
+    def test_no_transit_stops_raise_with_no_routes(self):
+        # no chain can end near a transit stop
+        with pytest.raises(RouteGenerationError) as err:
+            generate_routes(grid_sites(5, 5, 0.5), [], count=1, rng=0)
+        assert err.value.routes == []
 
     def test_shortfall_reports_chains_not_variants(self):
         sites = grid_sites(5, 5, 0.5)

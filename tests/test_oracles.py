@@ -112,6 +112,18 @@ class TestOptRandomized:
         assert weights[(0, 1)] == pytest.approx(0.5, abs=1e-9)
         assert sum(w for _, w in strategy.atoms) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("budget, selections", [(0.0, 1), (3.0, 4)])
+    def test_no_groups_is_one(self, budget, selections):
+        # with no groups the distribution LP bounds t by t <= 1 alone
+        households = (Household(id="a"), Household(id="b"))
+        programs = (
+            Program(id="p", cost=1.0, covers=frozenset({"a"})),
+            Program(id="q", cost=2.0, covers=frozenset({"b"})),
+        )
+        inst = Instance(households=households, programs=programs, budget=budget)
+        assert enumerate_feasible(inst).count == selections
+        assert opt_randomized(inst)[1] == 1.0
+
     def test_single_group_equals_deterministic(self, rng):
         for _ in range(12):
             inst = random_instance(rng, max_groups=1)
